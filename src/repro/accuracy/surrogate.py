@@ -37,15 +37,15 @@ from repro.accuracy.calibration import (
     fit_top5_mapping,
     frontier_curve,
 )
-from repro.accuracy.features import extract_features
+from repro.accuracy.features import ArchFeatures, extract_features
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace  # noqa: F401 (docs reference)
 
 
-def _digest_residual(arch: Architecture, salt: str, sigma: float) -> float:
-    """Deterministic ~N(0, sigma) draw keyed by the architecture digest."""
-    digest = hashlib.sha256((arch.digest() + salt).encode()).digest()
-    seed = int.from_bytes(digest[:8], "little")
+def _digest_residual(digest: str, salt: str, sigma: float) -> float:
+    """Deterministic ~N(0, sigma) draw keyed by an architecture digest."""
+    salted = hashlib.sha256((digest + salt).encode()).digest()
+    seed = int.from_bytes(salted[:8], "little")
     return float(np.random.default_rng(seed).normal(0.0, sigma))
 
 
@@ -116,8 +116,8 @@ class AccuracySurrogate:
 
     # -- structural penalties -------------------------------------------------
 
-    def _penalties(self, arch: Architecture) -> float:
-        feats = extract_features(self.space, arch)
+    @staticmethod
+    def _penalties(feats: ArchFeatures) -> float:
         penalty = 0.0
         # Excessive skip connections: a couple of skips are harmless
         # (residual-like shortcuts), but beyond ~L/8 each one removes a
@@ -140,10 +140,13 @@ class AccuracySurrogate:
 
     def top1_error(self, arch: Architecture) -> float:
         """Stand-alone top-1 error (%) after full training."""
-        flops = self.space.arch_flops(arch) * self.flops_scale
-        error = self.curve.error_at(flops)
-        error += self._penalties(arch)
-        error += _digest_residual(arch, salt="standalone", sigma=self.residual_sigma)
+        return self._top1_error(arch, arch.digest())
+
+    def _top1_error(self, arch: Architecture, digest: str) -> float:
+        feats = extract_features(self.space, arch)
+        error = self.curve.error_at(feats.flops * self.flops_scale)
+        error += self._penalties(feats)
+        error += _digest_residual(digest, salt="standalone", sigma=self.residual_sigma)
         return float(np.clip(error, 5.0, 95.0))
 
     def top5_error(self, arch: Architecture) -> float:
@@ -167,6 +170,7 @@ class AccuracySurrogate:
         rank-correlated with it — the regime in which one-shot NAS
         actually operates.
         """
-        error = self.top1_error(arch) + self.proxy_gap
-        error += _digest_residual(arch, salt="proxy", sigma=self.proxy_sigma)
+        digest = arch.digest()
+        error = self._top1_error(arch, digest) + self.proxy_gap
+        error += _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma)
         return float(np.clip((100.0 - error) / 100.0, 0.0, 1.0))

@@ -19,7 +19,7 @@ from repro.core.cache import EvaluationCache
 from repro.core.objective import EvaluatedArch, Objective
 from repro.runstate.rng import generator_state, set_generator_state
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace
+from repro.space.search_space import SearchSpace, pick
 
 CHECKPOINT_FORMAT = 1
 
@@ -193,11 +193,9 @@ class EvolutionarySearch:
         p = self.config.per_layer_mutation_prob
         for layer in range(arch.num_layers):
             if rng.random() < p:
-                ops[layer] = int(rng.choice(self.space.candidate_ops[layer]))
+                ops[layer] = pick(rng, self.space.candidate_ops[layer])
             if rng.random() < p:
-                factors[layer] = float(
-                    rng.choice(self.space.candidate_factors[layer])
-                )
+                factors[layer] = pick(rng, self.space.candidate_factors[layer])
         return Architecture(tuple(ops), tuple(factors))
 
     def _make_child(

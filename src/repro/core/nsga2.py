@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.cache import EvaluationCache
 from repro.runstate.rng import generator_state, set_generator_state
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace
+from repro.space.search_space import SearchSpace, pick
 
 CHECKPOINT_FORMAT = 1
 
@@ -297,11 +297,9 @@ class Nsga2Search:
         p = self.config.per_layer_mutation_prob
         for layer in range(arch.num_layers):
             if rng.random() < p:
-                ops[layer] = int(rng.choice(self.space.candidate_ops[layer]))
+                ops[layer] = pick(rng, self.space.candidate_ops[layer])
             if rng.random() < p:
-                factors[layer] = float(
-                    rng.choice(self.space.candidate_factors[layer])
-                )
+                factors[layer] = pick(rng, self.space.candidate_factors[layer])
         return Architecture(tuple(ops), tuple(factors))
 
     # -- selection ----------------------------------------------------------------

@@ -141,14 +141,9 @@ class DeviceModel:
         overheads (which is precisely why the summed LUT underestimates
         end-to-end latency and the paper needs the bias ``B``).
         """
-        from repro.nn.layers.mask import channels_kept
-        from repro.space.operators import get_operator
-
-        geom = space.geometry[layer]
-        cout = channels_kept(geom.max_out_channels, factor)
-        prims = get_operator(op_index).primitives(cin, cout, geom.in_size, geom.stride)
-        total_s = sum(self.primitive_time_s(p) for p in prims)
-        return total_s * self.spec.time_scale * 1e3
+        return self.primitives_time_ms(
+            space.operator_primitives(layer, op_index, factor, cin)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeviceModel({self.spec.key!r}, batch={self.spec.batch_size})"

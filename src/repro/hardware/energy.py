@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.hardware.device import DeviceModel
-from repro.nn.layers.mask import channels_kept
 from repro.space.architecture import Architecture
 from repro.space.operators import Primitive
 from repro.space.search_space import SearchSpace
@@ -105,13 +104,7 @@ class EnergyModel:
         cin: int,
     ) -> float:
         """Isolated energy of one operator cell (for the energy LUT)."""
-        from repro.space.operators import get_operator
-
-        geom = space.geometry[layer]
-        cout = channels_kept(geom.max_out_channels, factor)
-        prims = get_operator(op_index).primitives(
-            cin, cout, geom.in_size, geom.stride
-        )
+        prims = space.operator_primitives(layer, op_index, factor, cin)
         total = sum(self.primitive_energy_j(p) for p in prims)
         return total * self.device.spec.time_scale * 1e3
 
@@ -162,7 +155,6 @@ class EnergyPredictor:
                         self.entries[key] = measured(base)
 
         # stem + per-width head cells, as in the latency LUT.
-        last_max = space.geometry[-1].max_out_channels
         scale = self.model.device.spec.time_scale
         stem_mj = measured(
             sum(
@@ -171,7 +163,7 @@ class EnergyPredictor:
             ) * scale * 1e3
         )
         for factor in space.candidate_factors[-1]:
-            cin = channels_kept(last_max, factor)
+            cin = space.out_channels(space.num_layers - 1, factor)
             if cin not in self.stem_head_mj:
                 head = sum(
                     self.model.primitive_energy_j(p)

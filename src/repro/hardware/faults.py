@@ -237,7 +237,8 @@ class FlakyDevice(DeviceModel):
             )
 
     # Every probe entry point the measurement layer uses checks the
-    # fault stream first, then delegates to the healthy implementation.
+    # fault stream first, then delegates to the healthy implementation
+    # (``operator_time_ms`` probes through ``primitives_time_ms``).
 
     def run_network_ms(self, layer_primitives, extra_primitives=(), batch=None, rng=None):
         self._maybe_fail()
@@ -248,7 +249,3 @@ class FlakyDevice(DeviceModel):
     def primitives_time_ms(self, prims):
         self._maybe_fail()
         return super().primitives_time_ms(prims)
-
-    def operator_time_ms(self, space, layer, op_index, factor, cin):
-        self._maybe_fail()
-        return super().operator_time_ms(space, layer, op_index, factor, cin)

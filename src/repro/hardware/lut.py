@@ -22,7 +22,6 @@ import numpy as np
 from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
 from repro.hardware.faults import ProbeError, RetryPolicy, run_with_retry
-from repro.nn.layers.mask import channels_kept
 from repro.space.architecture import Architecture
 from repro.space.operators import NUM_OPERATORS, get_operator
 from repro.space.search_space import SearchSpace
@@ -68,9 +67,9 @@ def layer_cin_choices(space: SearchSpace, layer: int) -> List[int]:
     """
     if layer == 0:
         return [space.config.stem_channels]
-    prev_max = space.geometry[layer - 1].max_out_channels
+    prev = layer - 1
     return sorted(
-        {channels_kept(prev_max, f) for f in space.candidate_factors[layer - 1]}
+        {space.out_channels(prev, f) for f in space.candidate_factors[prev]}
     )
 
 
@@ -144,9 +143,8 @@ class LatencyLUT:
         # the cell's seed index.
         tasks: List[Tuple] = [("stem", 0, 0, 0, 0.0)]
         head_cins: List[int] = []
-        last_max = space.geometry[-1].max_out_channels
         for factor in space.candidate_factors[-1]:
-            cin = channels_kept(last_max, factor)
+            cin = space.out_channels(space.num_layers - 1, factor)
             if cin not in head_cins:
                 head_cins.append(cin)
                 tasks.append(("head", 0, 0, cin, 0.0))

@@ -10,17 +10,28 @@ the shrunk space.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.nn.layers.mask import channels_kept
 from repro.space.architecture import Architecture
 from repro.space.config import SpaceConfig
-from repro.space.geometry import LayerGeometry, build_layer_geometry
-from repro.space.operators import NUM_OPERATORS, Primitive, get_operator
+from repro.space.cost_tables import cost_tables
+from repro.space.geometry import LayerGeometry
+from repro.space.operators import NUM_OPERATORS, Primitive
 
-_DTYPE_BYTES = 4
+_T = TypeVar("_T")
+
+
+def pick(rng: np.random.Generator, cands: Sequence[_T]) -> _T:
+    """One uniform draw from ``cands``.
+
+    Same value, and the same Generator state afterwards, as the element
+    ``rng.choice(cands)`` returns (``Generator.choice`` draws its index
+    with ``integers(0, len(cands))``), without converting ``cands`` to
+    an array first.
+    """
+    return cands[int(rng.integers(len(cands)))]
 
 
 class SearchSpace:
@@ -45,7 +56,8 @@ class SearchSpace:
         candidate_factors: Optional[Sequence[Sequence[float]]] = None,
     ):
         self.config = config
-        self.geometry: List[LayerGeometry] = build_layer_geometry(config)
+        self._costs = cost_tables(config)
+        self.geometry: List[LayerGeometry] = self._costs.geometry
         num_layers = config.num_layers
 
         if candidate_ops is None:
@@ -110,12 +122,8 @@ class SearchSpace:
 
     def sample(self, rng: np.random.Generator) -> Architecture:
         """Uniformly sample one architecture from the space."""
-        ops = tuple(
-            int(rng.choice(cands)) for cands in self.candidate_ops
-        )
-        factors = tuple(
-            float(rng.choice(cands)) for cands in self.candidate_factors
-        )
+        ops = tuple(pick(rng, cands) for cands in self.candidate_ops)
+        factors = tuple(pick(rng, cands) for cands in self.candidate_factors)
         return Architecture(ops, factors)
 
     def max_architecture(self) -> Architecture:
@@ -154,6 +162,15 @@ class SearchSpace:
         }
 
     # -- analytic costs --------------------------------------------------------
+    #
+    # Every cost below reads the geometry's shared, lazily filled cost
+    # tables (see :mod:`repro.space.cost_tables`); no primitive is built
+    # on the FLOPs/params path.
+
+    def out_channels(self, layer: int, factor: float) -> int:
+        """Active output channels ``round(S^l * c)`` (at least 1) of a
+        layer under channel factor ``factor``."""
+        return self._costs.out_channels(layer, factor)
 
     def active_channels(self, arch: Architecture) -> List[Tuple[int, int]]:
         """Active (in, out) channel counts per layer under channel scaling.
@@ -165,16 +182,18 @@ class SearchSpace:
         output is ``min(active_in, round(S^l * c^l))``.
         """
         self._check_arch(arch)
-        result: List[Tuple[int, int]] = []
-        cin = self.config.stem_channels
-        for geom, op_idx, factor in zip(self.geometry, arch.ops, arch.factors):
-            cout = channels_kept(geom.max_out_channels, factor)
-            op = get_operator(op_idx)
-            if op.is_skip and geom.stride == 1:
-                cout = min(cin, cout)
-            result.append((cin, cout))
-            cin = cout
-        return result
+        return self._costs.chain(arch.ops, arch.factors)[0]
+
+    def operator_primitives(
+        self, layer: int, op_index: int, factor: float, cin: int
+    ) -> Tuple[Primitive, ...]:
+        """Kernels of one LUT cell: operator ``op_index`` at ``layer``
+        fed ``cin`` active channels, output scaled by ``factor``.
+
+        The tuple is shared with every other caller; do not mutate it.
+        """
+        cout = self._costs.out_channels(layer, factor)
+        return self._costs.cell(layer, op_index, cin, cout).primitives
 
     def arch_primitives(self, arch: Architecture) -> List[List[Primitive]]:
         """Per-layer primitive lists (searchable layers only).
@@ -185,60 +204,16 @@ class SearchSpace:
         cost is part of the bias term's measured end-to-end latency.
         """
         self._check_arch(arch)
-        channels = self.active_channels(arch)
-        out: List[List[Primitive]] = []
-        for geom, op_idx, (cin, cout) in zip(self.geometry, arch.ops, channels):
-            op = get_operator(op_idx)
-            out.append(op.primitives(cin, cout, geom.in_size, geom.stride))
-        return out
+        cells = self._costs.chain(arch.ops, arch.factors)[1]
+        return [list(cell.primitives) for cell in cells]
 
     def stem_primitives(self) -> List[Primitive]:
         """Primitives of the fixed stem convolution."""
-        cfg = self.config
-        s_in = cfg.input_size
-        s_stem = s_in // 2
-        stem = Primitive(
-            name="stem-conv3x3",
-            kind="conv",
-            flops=float(s_stem * s_stem * cfg.input_channels * cfg.stem_channels * 9),
-            bytes_read=float(
-                (s_in * s_in * cfg.input_channels
-                 + cfg.input_channels * cfg.stem_channels * 9) * _DTYPE_BYTES
-            ),
-            bytes_written=float(s_stem * s_stem * cfg.stem_channels * _DTYPE_BYTES),
-        )
-        return [stem]
+        return list(self._costs.stem.primitives)
 
     def head_primitives(self, last_c: int) -> List[Primitive]:
         """Primitives of the classifier head for a given input width."""
-        cfg = self.config
-        s_out = self.geometry[-1].out_size
-        head_conv = Primitive(
-            name="head-conv1x1",
-            kind="conv",
-            flops=float(s_out * s_out * last_c * cfg.head_channels),
-            bytes_read=float(
-                (s_out * s_out * last_c + last_c * cfg.head_channels) * _DTYPE_BYTES
-            ),
-            bytes_written=float(s_out * s_out * cfg.head_channels * _DTYPE_BYTES),
-        )
-        gap = Primitive(
-            name="head-gap",
-            kind="memory",
-            flops=0.0,
-            bytes_read=float(s_out * s_out * cfg.head_channels * _DTYPE_BYTES),
-            bytes_written=float(cfg.head_channels * _DTYPE_BYTES),
-        )
-        fc = Primitive(
-            name="head-fc",
-            kind="conv",
-            flops=float(cfg.head_channels * cfg.num_classes),
-            bytes_read=float(
-                (cfg.head_channels + cfg.head_channels * cfg.num_classes) * _DTYPE_BYTES
-            ),
-            bytes_written=float(cfg.num_classes * _DTYPE_BYTES),
-        )
-        return [head_conv, gap, fc]
+        return list(self._costs.head(last_c).primitives)
 
     def stem_head_primitives(self, arch: Architecture) -> List[Primitive]:
         """Stem + head primitives for an architecture (head input width
@@ -248,23 +223,22 @@ class SearchSpace:
 
     def arch_flops(self, arch: Architecture) -> float:
         """Total MACs including stem and head."""
-        total = sum(
-            p.flops for layer in self.arch_primitives(arch) for p in layer
-        )
-        total += sum(p.flops for p in self.stem_head_primitives(arch))
+        self._check_arch(arch)
+        costs = self._costs
+        channels, cells = costs.chain(arch.ops, arch.factors)
+        total = costs.stem.flops + costs.head(channels[-1][1]).flops
+        for cell in cells:
+            total += cell.flops
         return total
 
     def arch_params(self, arch: Architecture) -> float:
         """Total weight count including stem and head."""
         self._check_arch(arch)
-        cfg = self.config
-        channels = self.active_channels(arch)
-        total = float(cfg.input_channels * cfg.stem_channels * 9)
-        for geom, op_idx, (cin, cout) in zip(self.geometry, arch.ops, channels):
-            total += get_operator(op_idx).params(cin, cout, geom.stride)
-        last_c = channels[-1][1]
-        total += float(last_c * cfg.head_channels)
-        total += float(cfg.head_channels * cfg.num_classes + cfg.num_classes)
+        costs = self._costs
+        channels, cells = costs.chain(arch.ops, arch.factors)
+        total = costs.stem.params + costs.head(channels[-1][1]).params
+        for cell in cells:
+            total += cell.params
         return total
 
     # -- internals ------------------------------------------------------------

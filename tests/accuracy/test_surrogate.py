@@ -14,7 +14,8 @@ from repro.accuracy import (
 )
 from repro.accuracy.calibration import CapacityCurve
 from repro.accuracy.features import extract_features
-from repro.space import Architecture
+from repro.accuracy.surrogate import _digest_residual
+from repro.space import Architecture, SearchSpace
 
 
 class TestCapacityCurve:
@@ -172,3 +173,45 @@ class TestSurrogate:
         arch = space_a.sample(np.random.default_rng(seed))
         assert 5.0 <= surrogate.top1_error(arch) <= 95.0
         assert 0.0 <= surrogate.proxy_accuracy(arch) <= 1.0
+
+
+class TestCostCallCounts:
+    """``proxy_accuracy`` scores an architecture from one FLOPs count and
+    one digest; a second computation of either must not creep back."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, name):
+        calls = []
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_proxy_accuracy_computes_flops_and_digest_once(
+        self, space_a, monkeypatch
+    ):
+        surrogate = AccuracySurrogate.for_space(space_a)
+        archs = [space_a.sample(np.random.default_rng(s)) for s in range(25)]
+        flops_calls = self._count(monkeypatch, SearchSpace, "arch_flops")
+        digest_calls = self._count(monkeypatch, Architecture, "digest")
+        for arch in archs:
+            del flops_calls[:], digest_calls[:]
+            surrogate.proxy_accuracy(arch)
+            assert len(flops_calls) == 1
+            assert len(digest_calls) == 1
+            assert digest_calls[0] is arch
+
+    def test_proxy_accuracy_is_top1_plus_gap_and_residual(self, space_a):
+        surrogate = AccuracySurrogate.for_space(space_a)
+        for seed in range(25):
+            arch = space_a.sample(np.random.default_rng(seed))
+            error = surrogate.top1_error(arch) + surrogate.proxy_gap
+            error += _digest_residual(
+                arch.digest(), salt="proxy", sigma=surrogate.proxy_sigma
+            )
+            expected = float(np.clip((100.0 - error) / 100.0, 0.0, 1.0))
+            assert surrogate.proxy_accuracy(arch) == expected
