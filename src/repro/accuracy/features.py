@@ -7,8 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.space.architecture import Architecture
-from repro.space.operators import get_operator
+from repro.space.operators import operators
 from repro.space.search_space import SearchSpace
+
+# Per-operator-index lookups: feature extraction runs once per scored
+# architecture, so it reads these instead of an ``OperatorSpec`` per layer.
+_IS_SKIP = tuple(op.is_skip for op in operators())
+_KERNEL = tuple(op.kernel_size for op in operators())
 
 
 @dataclass(frozen=True)
@@ -19,8 +24,6 @@ class ArchFeatures:
     ----------
     flops:
         Total MACs (stem + searchable layers + head).
-    params:
-        Total weight count.
     depth:
         Number of non-skip layers.
     num_layers:
@@ -34,7 +37,6 @@ class ArchFeatures:
     """
 
     flops: float
-    params: float
     depth: int
     num_layers: int
     mean_factor: float
@@ -46,17 +48,20 @@ class ArchFeatures:
 
 def extract_features(space: SearchSpace, arch: Architecture) -> ArchFeatures:
     """Compute :class:`ArchFeatures` for ``arch`` within ``space``."""
+    # Mean and std stay in numpy: its pairwise summation order is part
+    # of the surrogate's values.
     factors = np.asarray(arch.factors, dtype=np.float64)
-    non_skip = [get_operator(i) for i in arch.ops if not get_operator(i).is_skip]
-    kernels = [op.kernel_size for op in non_skip]
+    non_skip = [op for op in arch.ops if not _IS_SKIP[op]]
+    # Kernel sizes are small integers, so the float sum is exact and
+    # ``sum / len`` equals ``np.mean``.
+    kernel_sum = sum(_KERNEL[op] for op in non_skip)
     return ArchFeatures(
         flops=space.arch_flops(arch),
-        params=space.arch_params(arch),
         depth=len(non_skip),
         num_layers=arch.num_layers,
         mean_factor=float(factors.mean()),
         std_factor=float(factors.std()),
-        min_factor=float(factors.min()),
-        num_distinct_ops=len({op.name for op in non_skip}),
-        mean_kernel=float(np.mean(kernels)) if kernels else 0.0,
+        min_factor=min(arch.factors),
+        num_distinct_ops=len(set(non_skip)),
+        mean_kernel=kernel_sum / len(non_skip) if non_skip else 0.0,
     )

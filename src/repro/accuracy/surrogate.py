@@ -147,7 +147,7 @@ class AccuracySurrogate:
         error = self.curve.error_at(feats.flops * self.flops_scale)
         error += self._penalties(feats)
         error += _digest_residual(digest, salt="standalone", sigma=self.residual_sigma)
-        return float(np.clip(error, 5.0, 95.0))
+        return float(min(max(error, 5.0), 95.0))
 
     def top5_error(self, arch: Architecture) -> float:
         """Stand-alone top-5 error (%), via the fitted top-1 mapping."""
@@ -173,4 +173,4 @@ class AccuracySurrogate:
         digest = arch.digest()
         error = self._top1_error(arch, digest) + self.proxy_gap
         error += _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma)
-        return float(np.clip((100.0 - error) / 100.0, 0.0, 1.0))
+        return float(min(max((100.0 - error) / 100.0, 0.0), 1.0))

@@ -11,6 +11,7 @@ ordering between models is produced entirely by the roofline model.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -61,12 +62,21 @@ def calibrated_devices() -> dict:
     set used by the Table-I benchmark and the examples: latency numbers
     from it live on the same absolute scale as the paper's (9 / 24 /
     34 ms constraints apply directly).
+
+    The calibration runs once per process. Each call returns a fresh
+    dict over the same :class:`DeviceModel` instances, which hold
+    nothing but their frozen spec and so are safe to share.
     """
+    return dict(_calibrated_devices())
+
+
+@functools.lru_cache(maxsize=None)
+def _calibrated_devices() -> Tuple[Tuple[str, DeviceModel], ...]:
     from repro.baselines.zoo import all_baselines
     from repro.hardware.spec import cpu_spec, edge_spec, gpu_spec
 
     built = [(model, model.build()) for model in all_baselines()]
-    devices = {}
+    devices = []
     for spec in (gpu_spec(), cpu_spec(), edge_spec()):
         device = DeviceModel(spec)
         pairs = [
@@ -76,5 +86,5 @@ def calibrated_devices() -> dict:
             )
             for model, net in built
         ]
-        devices[spec.key] = calibrated_device(spec, pairs)
-    return devices
+        devices.append((spec.key, calibrated_device(spec, pairs)))
+    return tuple(devices)

@@ -144,6 +144,7 @@ def run_with_retry(
     rng: Optional[np.random.Generator] = None,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.perf_counter,
+    make_rng: Optional[Callable[[], np.random.Generator]] = None,
 ) -> Tuple[T, int]:
     """Run ``probe`` under ``policy``; returns ``(value, attempts_used)``.
 
@@ -151,10 +152,16 @@ def run_with_retry(
     exception is a bug in the probe, not a device fault, and propagates
     immediately. After the final attempt the last fault is re-raised,
     so callers see exactly what the device last said.
+
+    Without an ``rng``, ``make_rng`` (if given) builds the jitter
+    generator when the first attempt fails — a probe that succeeds at
+    once never pays for one.
     """
     last_fault: Optional[ProbeError] = None
     for attempt in range(policy.attempts):
         if attempt > 0:
+            if rng is None and make_rng is not None:
+                rng = make_rng()
             delay = policy.delay_s(attempt - 1, rng)
             if delay > 0:
                 sleep(delay)

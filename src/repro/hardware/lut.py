@@ -12,6 +12,7 @@ framework entry costs — is exactly the systematic gap the bias term
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -38,6 +39,24 @@ def _quantize_factor(factor: float) -> float:
 
 def _cell_key(layer: int, op: int, cin: int, factor: float) -> _Key:
     return (layer, op, cin, _quantize_factor(factor))
+
+
+# Noisy cells per noise block: enough for whole-array arithmetic to pay
+# off, small enough that the buffer and its bookkeeping stay a few KB.
+_NOISE_BLOCK_ROWS = 256
+
+
+def _noise_rng(seed: int, index: int) -> np.random.Generator:
+    """Measurement-noise stream of LUT cell ``index``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _jitter_rng(seed: int, index: int) -> np.random.Generator:
+    """Retry-jitter stream of LUT cell ``index``, spawn-keyed away from
+    its noise stream. Built only once the cell's first attempt fails."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(index, 1))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +148,8 @@ class LatencyLUT:
         With a :class:`~repro.hardware.faults.RetryPolicy`, each cell's
         probe is retried under backoff (jitter drawn from a per-cell
         stream spawn-keyed away from the noise stream, so healthy-device
-        values are unchanged). A cell that exhausts its retries is
+        values are unchanged; the jitter generator is only built once a
+        cell's first attempt fails). A cell that exhausts its retries is
         *omitted* rather than fatal: the build records it in the
         returned LUT's ``build_degradation`` report, and lookups can
         later fall back to the nearest present cell (see
@@ -154,37 +174,55 @@ class LatencyLUT:
                     for factor in space.candidate_factors[layer]:
                         tasks.append(("cell", layer, op, cin, factor))
 
+        def measure(kind: str, layer: int, op: int, cin: int, factor: float):
+            """One noise-free probe of a cell on the device."""
+            if kind == "stem":
+                return device.primitives_time_ms(space.stem_primitives())
+            if kind == "head":
+                return device.primitives_time_ms(space.head_primitives(cin))
+            return device.operator_time_ms(space, layer, op, factor, cin)
+
         def profile_chunk(chunk: List[Tuple[int, Tuple]]) -> List[Tuple]:
             """Per task: ``(value | None, extra_attempts, fault message)``.
 
             Fault accounting is *returned* rather than accumulated in
             place so it survives the trip back from worker processes.
+            Cells are probed one by one, in cell order (a
+            :class:`~repro.hardware.faults.FlakyDevice` consumes its
+            fault stream per probe); the noise of the noisy cells is
+            drawn into the rows of one preallocated block and averaged
+            in a handful of whole-block operations.
             """
             out = []
-            for index, (kind, layer, op, cin, factor) in chunk:
+            block = np.empty((_NOISE_BLOCK_ROWS, samples_per_cell))
+            noisy: List[int] = []  # chunk positions of the block's cells
 
-                def probe(kind=kind, layer=layer, op=op, cin=cin, factor=factor):
-                    if kind == "stem":
-                        return device.primitives_time_ms(space.stem_primitives())
-                    if kind == "head":
-                        return device.primitives_time_ms(
-                            space.head_primitives(cin)
-                        )
-                    return device.operator_time_ms(space, layer, op, factor, cin)
+            def add_noise() -> None:
+                rows = block[: len(noisy)]
+                # Row j holds the draws of the j-th noisy cell from its
+                # own stream. ``normal(0, sigma)`` computes ``0.0 +
+                # sigma * z``, which is exactly ``z * sigma``.
+                for row, pos in zip(rows, noisy):
+                    _noise_rng(seed, chunk[pos][0]).standard_normal(out=row)
+                rows *= sigma
+                np.exp(rows, out=rows)
+                rows *= np.fromiter(
+                    (out[pos][0] for pos in noisy), np.float64, len(noisy)
+                )[:, None]
+                for pos, mean in zip(noisy, rows.mean(axis=1).tolist()):
+                    out[pos] = (mean, out[pos][1], None)
+                noisy.clear()
 
+            for index, task in chunk:
                 extra_attempts = 0
                 try:
                     if retry is None:
-                        base = probe()
+                        base = measure(*task)
                     else:
                         base, attempts = run_with_retry(
-                            probe,
+                            functools.partial(measure, *task),
                             retry,
-                            rng=np.random.default_rng(
-                                np.random.SeedSequence(
-                                    seed, spawn_key=(index, 1)
-                                )
-                            ),
+                            make_rng=functools.partial(_jitter_rng, seed, index),
                         )
                         extra_attempts = attempts - 1
                 except ProbeError as fault:
@@ -192,14 +230,12 @@ class LatencyLUT:
                     out.append((None, failed_attempts, str(fault)))
                     continue
                 if sigma > 0 and base > 0:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(seed, spawn_key=(index,))
-                    )
-                    times = base * np.exp(
-                        rng.normal(0.0, sigma, size=samples_per_cell)
-                    )
-                    base = float(np.mean(times))
+                    noisy.append(len(out))
                 out.append((base, extra_attempts, None))
+                if len(noisy) == _NOISE_BLOCK_ROWS:
+                    add_noise()
+            if noisy:
+                add_noise()
             return out
 
         from repro.parallel.backend import create_backend

@@ -16,7 +16,9 @@ and the parallel LUT build. Design constraints, in order:
    ``SIGKILL``) breaks the executor; the pool rebuilds it and retries
    the in-flight chunks, and any chunk that keeps failing is evaluated
    serially in the parent. A crashed worker can therefore never change
-   results — only cost wall-clock.
+   results — only cost wall-clock. The other way round, a worker whose
+   parent dies exits within ``_PARENT_POLL_S``: a killed parent leaves
+   no orphaned workers behind.
 4. **Hang containment** — with ``dispatch_timeout_s`` set, a window
    that makes no progress for that long is treated as hung: the worker
    processes are killed outright, the executor is rebuilt, and the
@@ -41,6 +43,8 @@ serial path — same results, no processes.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -62,9 +66,31 @@ Result = TypeVar("Result")
 _WORKER_CHUNK_FN: Optional[Callable] = None
 
 
-def _init_worker(chunk_fn: Callable) -> None:
+# How often a worker checks that the process that forked it is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit the worker once its parent is gone.
+
+    A parent killed outright (``SIGKILL``, OOM) cannot shut its pool
+    down, and its workers, reparented, would block on the call queue
+    forever.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _init_worker(chunk_fn: Callable, parent_pid: int) -> None:
     global _WORKER_CHUNK_FN
     _WORKER_CHUNK_FN = chunk_fn
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(parent_pid,),
+        name="repro-parent-watch",
+        daemon=True,
+    ).start()
 
 
 def _run_chunk(chunk_id: int, items: List) -> tuple:
@@ -169,7 +195,7 @@ class WorkerPool:
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(self._chunk_fn,),
+                initargs=(self._chunk_fn, os.getpid()),
             )
         return self._executor
 

@@ -8,12 +8,22 @@ constructing new instances.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.space.operators import NUM_OPERATORS, get_operator
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_text(factor: float) -> str:
+    """JSON text of a factor rounded to six places, as in a digest.
+
+    Memoized: factors come from a few candidate grids, and every scored
+    architecture's digest writes one per layer.
+    """
+    return repr(round(factor, 6))
 
 
 @dataclass(frozen=True)
@@ -62,9 +72,12 @@ class Architecture:
 
     def digest(self) -> str:
         """Stable short hash, also used to seed per-arch surrogate noise."""
-        payload = json.dumps(
-            {"ops": list(self.ops), "factors": [round(f, 6) for f in self.factors]},
-            sort_keys=True,
+        # Byte for byte the text of ``json.dumps({"ops": ..., "factors":
+        # [round(f, 6) ...]}, sort_keys=True)``: JSON writes ints and
+        # finite floats with their ``repr``.
+        payload = '{"factors": [%s], "ops": [%s]}' % (
+            ", ".join(map(_factor_text, self.factors)),
+            ", ".join(map(repr, self.ops)),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

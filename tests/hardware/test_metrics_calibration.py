@@ -82,6 +82,22 @@ class TestCalibratedDevices:
     def test_all_three_devices(self, devices):
         assert set(devices) == {"gpu", "cpu", "edge"}
 
+    def test_repeated_calls_share_one_calibration(self):
+        from repro.hardware.calibration import _calibrated_devices
+
+        first = calibrated_devices()
+        # Mutating a returned dict must not leak into later calls.
+        first["gpu"] = None
+        del first["cpu"]
+        first["extra"] = "device"
+        second, third = calibrated_devices(), calibrated_devices()
+        assert second is not third
+        assert set(second) == {"gpu", "cpu", "edge"}
+        fresh = dict(_calibrated_devices.__wrapped__())
+        for key in ("gpu", "cpu", "edge"):
+            assert second[key] is third[key]
+            assert second[key].spec == third[key].spec == fresh[key].spec
+
     def test_scales_are_moderate(self, devices):
         """The uncalibrated specs should already be in the right ballpark
         (within ~2x), or the roofline parameters are wrong."""

@@ -7,11 +7,16 @@ the results an undisturbed run would.
 """
 
 import os
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.parallel import WorkerPool, fork_available, resolve_workers
 
 pytestmark = pytest.mark.skipif(
@@ -182,3 +187,59 @@ class TestCrashContainment:
             # assert the restart contract, not the stale read).
             pool.restart()
             assert pool.map(range(6)) == [x + 100 for x in range(6)]
+
+
+# A pool-owning process: starts two workers, prints their pids, waits.
+_POOL_OWNER = """
+import os, sys, time
+from repro.parallel import WorkerPool
+pool = WorkerPool(lambda items: [os.getpid() for _ in items], workers=2, chunk_size=1)
+pool.map(list(range(8)))
+print(" ".join(str(pid) for pid in pool._executor._processes), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has already exited)."""
+    if os.path.isdir("/proc/self"):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                # The state field follows the parenthesized command name.
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60)
+            assert ready, "the pool owner never reported its workers"
+            workers = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(workers) == 2
+            assert all(_running(pid) for pid in workers)
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            owner.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"workers {[p for p in workers if _running(p)]} outlived "
+                "their SIGKILLed parent"
+            )
+            time.sleep(0.05)
