@@ -5,8 +5,9 @@ concrete: in eval mode every layer's forward must skip the allocations it
 only needs for backprop (im2col column caches, saved inputs/outputs,
 dropout-style masks). :func:`eval_no_grad` is the sanctioned way to enter
 that mode temporarily — it snapshots each module's ``training`` flag,
-switches the tree to ``eval()``, and restores the exact per-module flags
-on exit (a plain ``train()`` would clobber mixed-mode trees).
+clears it on the whole tree (what ``eval()`` does), and restores the
+exact per-module flags on exit (a plain ``train()`` would clobber
+mixed-mode trees).
 
 :func:`assert_no_eval_caches` is the audit companion: after an eval-mode
 forward it walks the module tree and fails loudly if any layer retained a
@@ -47,7 +48,10 @@ def eval_no_grad(module: Module) -> Iterator[Module]:
     """
     modules = list(module.modules())
     saved = [m.training for m in modules]
-    module.eval()
+    # ``module.eval()`` would walk the tree a second time; the list
+    # collected above already names every module it would reach.
+    for m in modules:
+        m.training = False
     try:
         yield module
     finally:

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import col2im, im2col, pad_nchw
 from repro.nn.module import Module
 
 
@@ -24,14 +24,11 @@ class MaxPool2d(Module):
         n, c, h, w = x.shape
         k = self.kernel_size
         # Pool each channel independently by treating channels as batch.
-        cols, out_h, out_w = im2col(
-            x.reshape(n * c, 1, h, w), k, self.stride, self.padding
-        )
+        # Padding is -inf, so a padded cell can never win the max; the
+        # padded input is then unfolded without further padding.
+        padded = pad_nchw(x.reshape(n * c, 1, h, w), self.padding, value=-np.inf)
+        cols, out_h, out_w = im2col(padded, k, self.stride, 0)
         # cols: (N*C, k*k, OHW)
-        if self.padding:
-            # Padded positions must not win the max for non-negative inputs
-            # only; use -inf fill by masking zeros introduced by padding.
-            pass  # im2col pads with 0; acceptable after ReLU activations.
         idx = np.argmax(cols, axis=1)  # (N*C, OHW)
         out = np.take_along_axis(cols, idx[:, None, :], axis=1)[:, 0, :]
         if self.training:
@@ -51,13 +48,16 @@ class MaxPool2d(Module):
         cols_shape = self._cache["cols_shape"]
         n, c, h, w = self._cache["x_shape"]
         k = self.kernel_size
+        p = self.padding
 
         grad_cols = np.zeros(cols_shape, dtype=grad_out.dtype)
         flat = grad_out.reshape(n * c, -1)
         np.put_along_axis(grad_cols, idx[:, None, :], flat[:, None, :], axis=1)
-        grad_x = col2im(
-            grad_cols, (n * c, 1, h, w), k, self.stride, self.padding
-        ).reshape(n, c, h, w)
+        # Fold into the padded shape, then crop the padding away.
+        grad_padded = col2im(
+            grad_cols, (n * c, 1, h + 2 * p, w + 2 * p), k, self.stride, 0
+        )
+        grad_x = grad_padded[:, :, p : p + h, p : p + w].reshape(n, c, h, w)
         self._cache = None
         return grad_x
 

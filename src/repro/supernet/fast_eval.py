@@ -9,12 +9,14 @@ host the per-arch training-style forward is the wall (ROADMAP item 5).
   :func:`repro.nn.eval_no_grad`, so no layer allocates backward caches
   (asserted by ``tests/nn/test_eval_caches.py``), and 1x1 convolutions
   skip im2col entirely.
-* **Batched candidate evaluation** — :meth:`forward_many` stacks all N
-  candidate architectures into one activation tensor and runs *one*
-  forward per distinct operator per layer (at most 5) instead of N
-  per-arch passes, so the GEMMs see batch ``N_archs x N_images`` and the
-  Python/layer-dispatch overhead is paid once per layer, not per arch.
-  Channel masks are applied vectorized across the arch axis.
+* **Batched candidate evaluation with shared prefixes** —
+  :meth:`forward_many` keeps one activation row per distinct path
+  prefix (architectures that agree on ``(operator, channels kept)`` up
+  to a layer share its input) and runs *one* forward per distinct
+  operator per layer (at most 5) over the rows that take it, instead of
+  N per-arch passes. The stem runs once, duplicate architectures cost
+  nothing extra, and the Python/layer-dispatch overhead is paid once
+  per layer, not per arch.
 * **Opt-in int8 GEMMs** — ``precision="int8"`` runs every conv/linear
   GEMM against the *deployment* int8 weight grid (the per-output-channel
   scales of :mod:`repro.deploy.quantize`, via
@@ -43,16 +45,67 @@ from repro.nn.functional import conv_output_size, im2col, pad_nchw
 from repro.nn.inference import eval_no_grad
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.mask import make_mask
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.module import Module, Sequential
 from repro.nn.quantized import QuantizedTensor, quantize_weight
 from repro.space.architecture import Architecture
+from repro.space.cost_tables import cost_tables
 from repro.supernet.blocks import ShuffleV2Block, ShuffleXceptionBlock, SkipOp
 from repro.supernet.model import Supernet
 from repro.train.metrics import top_k_accuracy
 
 PRECISIONS = ("float", "int8")
+
+#: Bytes of running sums per sample block of :func:`_depthwise_taps`.
+_DW_BLOCK_BYTES = 1 << 17
+
+
+def _depthwise_taps(
+    x: np.ndarray, taps: np.ndarray, k: int, stride: int, padding: int
+) -> np.ndarray:
+    """Depthwise convolution by direct tap accumulation (float32).
+
+    ``taps`` is ``(C, k*k, 1)``; every output sums ``tap * input`` over
+    the taps in row-major order. Two layout tricks keep numpy's inner
+    loops long and in cache without changing that order:
+
+    * each channel's padded input is flattened, so output ``(i, j)``
+      sits at flat offset ``i * Wp + j`` and every tap is one strided
+      run over the flat array (the ``Wp - OW`` columns past the right
+      edge are computed and dropped);
+    * the taps are accumulated over one block of samples at a time, so
+      the running sum stays in cache across all ``k*k`` taps.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, k, stride, padding)
+    out_w = conv_output_size(w, k, stride, padding)
+    xp = pad_nchw(x, padding)
+    wp = xp.shape[3]
+    flat = xp.reshape(n, c, -1)
+    span = (out_h - 1) * wp + out_w
+    out = np.empty((n, c, out_h, out_w), dtype=np.float32)
+    step = max(1, _DW_BLOCK_BYTES // (c * span * 4))
+    acc_buf = np.empty((min(step, n), c, span), dtype=np.float32)
+    prod_buf = np.empty_like(acc_buf)
+    for lo in range(0, n, step):
+        xb = flat[lo : lo + step]
+        acc = acc_buf[: len(xb)]
+        prod = prod_buf[: len(xb)]
+        for t in range(k * k):
+            first = (t // k) * wp + t % k
+            view = xb[:, :, first : first + stride * (span - 1) + 1 : stride]
+            if t == 0:
+                np.multiply(view, taps[:, 0], out=acc)
+            else:
+                np.multiply(view, taps[:, t], out=prod)
+                acc += prod
+        out[lo : lo + step] = np.lib.stride_tricks.as_strided(
+            acc,
+            shape=(len(xb), c, out_h, out_w),
+            strides=acc.strides[:2] + (wp * acc.itemsize, acc.itemsize),
+            writeable=False,
+        )
+    return out
 
 
 class SupernetFastEval:
@@ -193,22 +246,8 @@ class SupernetFastEval:
 
         if g == conv.in_channels and cout_g == 1:  # depthwise, direct
             t0 = time.perf_counter()
-            out_h = conv_output_size(h, k, conv.stride, conv.padding)
-            out_w = conv_output_size(w, k, conv.stride, conv.padding)
-            xp = pad_nchw(x, conv.padding)
-            taps = qw.q.reshape(c, k * k, 1, 1)
-            out = np.empty((n, c, out_h, out_w), dtype=np.float32)
-            tmp = np.empty_like(out)
-            for ki in range(k):
-                hi_end = ki + conv.stride * out_h
-                for kj in range(k):
-                    wj_end = kj + conv.stride * out_w
-                    view = xp[:, :, ki:hi_end:conv.stride, kj:wj_end:conv.stride]
-                    if ki == 0 and kj == 0:
-                        np.multiply(view, taps[None, :, 0], out=out)
-                    else:
-                        np.multiply(view, taps[None, :, ki * k + kj], out=tmp)
-                        out += tmp
+            taps = qw.q.reshape(c, k * k, 1)
+            out = _depthwise_taps(x, taps, k, conv.stride, conv.padding)
             out *= wscale[None, :, None, None]
             self._times["gemm_s"] += time.perf_counter() - t0
         else:
@@ -321,77 +360,110 @@ class SupernetFastEval:
     ) -> np.ndarray:
         """Logits ``(A, N, num_classes)`` for a batch of architectures.
 
-        The stem runs once; each choice layer runs one forward per
-        *distinct* active operator over the stacked arch axis. Exact:
-        every sample's logits are bit-identical to :meth:`forward` on
-        its own (eval-mode layers are per-sample independent).
+        Every layer is per-sample, so architectures that agree on
+        ``(operator, channels kept)`` over layers ``< l`` see identical
+        inputs at layer ``l``. The pass keeps one activation row (all N
+        images) per distinct path prefix: the stem runs once, each
+        choice layer runs one forward per distinct operator over the
+        rows that take it, the mask is applied once per distinct
+        ``(row, operator, channels kept)``, and the head and classifier
+        run once per final row. Exact: every architecture's logits are
+        bit-identical to :meth:`forward` on its own.
 
         ``chunk_archs`` bounds peak activation memory (which scales with
-        ``A x N``) by processing the arch batch in slices.
+        the row count, at most ``A x N`` images) by running at most that
+        many architectures per pass. The batch is sorted by path first,
+        so shared prefixes land in the same chunk; the logits come back
+        in the caller's order.
         """
         if len(archs) == 0:
             raise ValueError("need at least one architecture")
-        if chunk_archs is not None:
-            if chunk_archs < 1:
-                raise ValueError("chunk_archs must be >= 1")
-            pieces = [
-                self.forward_many(archs[i : i + chunk_archs], images)
-                for i in range(0, len(archs), chunk_archs)
-            ]
-            return np.concatenate(pieces, axis=0)
-
+        if chunk_archs is not None and chunk_archs < 1:
+            raise ValueError("chunk_archs must be >= 1")
         net = self.supernet
-        num_archs = len(archs)
         for arch in archs:
             if arch.num_layers != len(net.blocks):
                 raise ValueError(
                     f"architecture has {arch.num_layers} layers; "
                     f"supernet has {len(net.blocks)}"
                 )
+        # Key the mask on the channels it keeps, not the raw factor:
+        # several factors keep the same channels on narrow layers.
+        tables = cost_tables(net.space.config)
+        paths = [
+            tuple(
+                (op, tables.out_channels(li, factor))
+                for li, (op, factor) in enumerate(zip(arch.ops, arch.factors))
+            )
+            for arch in archs
+        ]
+        order = sorted(range(len(paths)), key=paths.__getitem__)
+        step = len(order) if chunk_archs is None else chunk_archs
+        logits = None
         t0 = time.perf_counter()
         with eval_no_grad(net):
-            stem_out = self._module(net.stem, images)
-            acts = np.repeat(stem_out[None], num_archs, axis=0)
-            for li, block in enumerate(net.blocks):
-                ops = np.array([arch.ops[li] for arch in archs])
-                new_acts = None
-                for op_idx in np.unique(ops):
-                    rows = np.nonzero(ops == op_idx)[0]
-                    sub = acts[rows]
-                    flat = sub.reshape(-1, *sub.shape[2:])
-                    out = self._module(block.ops[int(op_idx)], flat)
-                    out = out.reshape(len(rows), sub.shape[1], *out.shape[1:])
-                    if new_acts is None:
-                        new_acts = np.empty(
-                            (num_archs,) + out.shape[1:], dtype=out.dtype
-                        )
-                    new_acts[rows] = out
-                masks = np.stack(
-                    [
-                        make_mask(block.geometry.max_out_channels, arch.factors[li])
-                        for arch in archs
-                    ]
-                )
-                if self.precision == "int8":
-                    masks = masks.astype(np.float32)
-                acts = new_acts * masks[:, None, :, None, None]
-            flat = acts.reshape(-1, *acts.shape[2:])
-            x = self._module(net.head, flat)
-            x = net.pool(x)
-            # The classifier is the one 2-D GEMM in the whole pass: its
-            # BLAS blocking (and thus summation order) depends on the
-            # row count, so run it per arch block of N rows to keep the
-            # result bit-identical to the per-arch path. All conv GEMMs
-            # are per-sample slices already.
-            features = x.reshape(num_archs, images.shape[0], -1)
-            logits = np.stack(
-                [
-                    self._linear(net.classifier, features[i])
-                    for i in range(num_archs)
-                ]
-            )
+            for lo in range(0, len(order), step):
+                idx = order[lo : lo + step]
+                part = self._forward_paths([paths[i] for i in idx], images)
+                if logits is None:
+                    logits = np.empty((len(paths),) + part.shape[1:], part.dtype)
+                logits[idx] = part
         self._times["total_s"] += time.perf_counter() - t0
         return logits
+
+    def _forward_paths(
+        self, paths: Sequence[tuple], images: np.ndarray
+    ) -> np.ndarray:
+        """Logits for ``(op, channels kept)`` paths, one row per prefix."""
+        net = self.supernet
+        n_img = images.shape[0]
+        mask_dtype = np.float32 if self.precision == "int8" else np.float64
+        acts = self._module(net.stem, images)[None]  # (rows, N, C, H, W)
+        rows = [0] * len(paths)  # activation row of each path
+        for li, block in enumerate(net.blocks):
+            keys = [(p[li][0], row, p[li][1]) for p, row in zip(paths, rows)]
+            # New rows are numbered in (op, row, kept) order, so each
+            # operator's rows form one contiguous block of ``new_acts``.
+            distinct = sorted(set(keys))
+            new_row = {key: i for i, key in enumerate(distinct)}
+            rows = [new_row[key] for key in keys]
+            new_acts = None
+            lo = 0
+            for op in sorted({key[0] for key in distinct}):
+                group = [key for key in distinct if key[0] == op]
+                src = sorted({row for _, row, _ in group})
+                sub = acts if len(src) == len(acts) else acts[src]
+                out = self._module(block.ops[op], sub.reshape(-1, *sub.shape[2:]))
+                out = out.reshape(len(src), n_img, *out.shape[1:])
+                if len(group) != len(src):
+                    local = {row: i for i, row in enumerate(src)}
+                    out = out[[local[row] for _, row, _ in group]]
+                masks = np.zeros((len(group), out.shape[2]), dtype=mask_dtype)
+                for i, (_, _, kept) in enumerate(group):
+                    masks[i, :kept] = 1.0
+                if new_acts is None:
+                    new_acts = np.empty(
+                        (len(distinct),) + out.shape[1:], dtype=out.dtype
+                    )
+                np.multiply(
+                    out,
+                    masks[:, None, :, None, None],
+                    out=new_acts[lo : lo + len(group)],
+                )
+                lo += len(group)
+            acts = new_acts
+        x = self._module(net.head, acts.reshape(-1, *acts.shape[2:]))
+        x = net.pool(x)
+        # The classifier is the one 2-D GEMM in the whole pass: its BLAS
+        # blocking (and thus summation order) depends on the row count,
+        # so run it per block of N image rows to keep the result
+        # bit-identical to the per-arch path. All conv GEMMs are
+        # per-sample slices already.
+        features = x.reshape(len(acts), n_img, -1)
+        row_logits = np.stack(
+            [self._linear(net.classifier, features[i]) for i in range(len(acts))]
+        )
+        return row_logits[rows]
 
     # -- accuracy proxies ------------------------------------------------------
 

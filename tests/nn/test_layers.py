@@ -147,6 +147,34 @@ class TestPooling:
         x = rng.permutation(36).astype(np.float64).reshape(1, 1, 6, 6)
         check_layer_gradients(MaxPool2d(2), x, check_params=False)
 
+    def test_maxpool_padding_never_wins(self):
+        # All inputs negative: zero padding would win every border cell.
+        x = -np.arange(1, 17, dtype=np.float64).reshape(1, 1, 4, 4)
+        out = MaxPool2d(3, stride=1, padding=1)(x)
+        expected = [
+            [-1, -1, -2, -3],
+            [-1, -1, -2, -3],
+            [-5, -5, -6, -7],
+            [-9, -9, -10, -11],
+        ]
+        np.testing.assert_array_equal(out[0, 0], expected)
+
+    def test_maxpool_padded_strided_values(self):
+        x = -np.arange(1, 26, dtype=np.float64).reshape(1, 1, 5, 5)
+        out = MaxPool2d(3, stride=2, padding=1)(x)
+        np.testing.assert_array_equal(out[0, 0], [[-1, -2, -4],
+                                                  [-6, -7, -9],
+                                                  [-16, -17, -19]])
+
+    @pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (2, 2, 1)])
+    def test_maxpool_padded_gradients_all_negative(self, k, stride, padding):
+        rng = np.random.default_rng(1)
+        # Distinct, strictly negative values: every max is a real input.
+        x = -(rng.permutation(50) + 1.0).reshape(1, 2, 5, 5)
+        check_layer_gradients(
+            MaxPool2d(k, stride=stride, padding=padding), x, check_params=False
+        )
+
     def test_avgpool_values(self):
         x = np.ones((1, 2, 4, 4))
         out = AvgPool2d(2)(x)

@@ -5,7 +5,9 @@ import pytest
 
 from repro.nn import assert_no_eval_caches, ranking_fidelity
 from repro.nn.inference import CACHE_ATTRS
+from repro.space import Architecture
 from repro.supernet import SupernetFastEval
+from repro.supernet.fast_eval import _depthwise_taps
 from repro.train import SupernetTrainer, TrainConfig, top_k_accuracy
 
 
@@ -206,3 +208,146 @@ class TestApiAndTiming:
         assert attributed <= times["total_s"] + times["scoring_s"] + 1e-9
         fe.reset_stage_times()
         assert all(v == 0.0 for v in fe.stage_times().values())
+
+
+def prefix_sharing_batch(space, seed=3):
+    """Architectures that share work in every way ``forward_many`` uses.
+
+    Duplicates, prefixes shared up to every layer, and factor pairs that
+    keep the same channels on 8-channel layers (0.2/0.3 keep 2, 0.7/0.8
+    keep 6), shuffled so equal paths are not adjacent.
+    """
+    rng = np.random.default_rng(seed)
+    base = space.sample(rng)
+    archs = [base, base, space.sample(rng)]
+    for li in range(space.num_layers):
+        ops = list(base.ops)
+        ops[li] = (ops[li] + 1) % 5
+        archs.append(Architecture(tuple(ops), base.factors))
+    for a, b in ((0.2, 0.3), (0.7, 0.8)):
+        for factor in (a, b):
+            archs.append(
+                Architecture(base.ops, (factor, factor) + base.factors[2:])
+            )
+    archs += [archs[3], archs[-1], base]
+    order = rng.permutation(len(archs))
+    return [archs[i] for i in order]
+
+
+class TestPrefixSharing:
+    @pytest.mark.parametrize("chunk", [None, 1, 3, "len"])
+    def test_float_bit_exact_per_arch(
+        self, trained, tiny_space, tiny_dataset, chunk
+    ):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:5]
+        archs = prefix_sharing_batch(tiny_space)
+        chunk_archs = len(archs) if chunk == "len" else chunk
+        ref = per_arch_eval_logits(net, archs, images)
+        fast = SupernetFastEval(net).forward_many(
+            archs, images, chunk_archs=chunk_archs
+        )
+        np.testing.assert_array_equal(fast, ref)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3, "len"])
+    def test_int8_batched_matches_single(
+        self, trained, tiny_space, tiny_dataset, chunk
+    ):
+        images = tiny_dataset.test_x[:4]
+        archs = prefix_sharing_batch(tiny_space, seed=5)
+        chunk_archs = len(archs) if chunk == "len" else chunk
+        fe = SupernetFastEval(trained.supernet, precision="int8")
+        batched = fe.forward_many(archs, images, chunk_archs=chunk_archs)
+        singles = np.stack([fe.forward(a, images) for a in archs])
+        np.testing.assert_array_equal(batched, singles)
+
+    @staticmethod
+    def count_op_calls(fe, net):
+        """Record ``(layer, images)`` per operator forward of ``fe``."""
+        op_layer = {
+            id(block.ops[op]): li
+            for li, block in enumerate(net.blocks)
+            for op in range(len(block.ops))
+        }
+        calls = []
+        dispatch = fe._module
+
+        def counting(m, x):
+            if id(m) in op_layer:
+                calls.append((op_layer[id(m)], x.shape[0]))
+            return dispatch(m, x)
+
+        fe._module = counting
+        return calls
+
+    def test_identical_archs_run_each_op_once(
+        self, trained, tiny_space, tiny_dataset
+    ):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:6]
+        n = images.shape[0]
+        (arch,) = sample_archs(tiny_space, 1)
+        single = SupernetFastEval(net).forward(arch, images)
+        fe = SupernetFastEval(net)
+        calls = self.count_op_calls(fe, net)
+        logits = fe.forward_many([arch] * 10, images)
+        assert calls == [(li, n) for li in range(len(net.blocks))]
+        del calls[:]
+        # Chunks of 4, 4 and 2 copies: one row per chunk.
+        chunked = fe.forward_many([arch] * 10, images, chunk_archs=4)
+        assert calls == [(li, n) for li in range(len(net.blocks))] * 3
+        for row in np.concatenate([logits, chunked]):
+            np.testing.assert_array_equal(row, single)
+
+    def test_factors_keeping_same_channels_share_a_row(
+        self, trained, tiny_space, tiny_dataset
+    ):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:3]
+        (base,) = sample_archs(tiny_space, 1)
+        # Layers 0 and 1 have 8 channels: 0.2 and 0.3 both keep 2.
+        archs = [
+            Architecture(base.ops, (f, f) + base.factors[2:]) for f in (0.2, 0.3)
+        ]
+        fe = SupernetFastEval(net)
+        calls = self.count_op_calls(fe, net)
+        logits = fe.forward_many(archs, images)
+        assert calls == [(li, 3) for li in range(len(net.blocks))]
+        np.testing.assert_array_equal(
+            logits, per_arch_eval_logits(net, archs, images)
+        )
+
+
+def reference_depthwise_taps(x, taps, k, stride, padding):
+    """The per-tap loop over strided 4-D views that the int8 path used."""
+    n, c, h, w = x.shape
+    out_h = (h + 2 * padding - k) // stride + 1
+    out_w = (w + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.empty((n, c, out_h, out_w), dtype=np.float32)
+    tmp = np.empty_like(out)
+    for ki in range(k):
+        for kj in range(k):
+            view = xp[
+                :, :, ki : ki + stride * out_h : stride,
+                kj : kj + stride * out_w : stride,
+            ]
+            tap = taps[None, :, ki * k + kj, :, None]
+            if ki == 0 and kj == 0:
+                np.multiply(view, tap, out=out)
+            else:
+                np.multiply(view, tap, out=tmp)
+                out += tmp
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 700])
+@pytest.mark.parametrize("k,stride", [(3, 1), (5, 1), (7, 1), (3, 2), (7, 2)])
+def test_depthwise_taps_match_per_tap_loop(n, k, stride):
+    rng = np.random.default_rng(k * 10 + stride)
+    x = rng.standard_normal((n, 6, 9, 7)).astype(np.float32)
+    taps = rng.integers(-127, 128, size=(6, k * k, 1)).astype(np.float32)
+    got = _depthwise_taps(x, taps, k, stride, k // 2)
+    want = reference_depthwise_taps(x, taps, k, stride, k // 2)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
