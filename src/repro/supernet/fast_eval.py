@@ -36,6 +36,7 @@ accumulated in :meth:`stage_times` for ``benchmarks/bench_hotpaths.py``.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -429,8 +430,8 @@ class SupernetFastEval:
             rows = [new_row[key] for key in keys]
             new_acts = None
             lo = 0
-            for op in sorted({key[0] for key in distinct}):
-                group = [key for key in distinct if key[0] == op]
+            for op, keys_of_op in itertools.groupby(distinct, key=lambda key: key[0]):
+                group = list(keys_of_op)
                 src = sorted({row for _, row, _ in group})
                 sub = acts if len(src) == len(acts) else acts[src]
                 out = self._module(block.ops[op], sub.reshape(-1, *sub.shape[2:]))
