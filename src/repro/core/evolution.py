@@ -11,17 +11,15 @@ also on the channel level".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cache import EvaluationCache
+from repro.core.generational import GenerationalSearch
 from repro.core.objective import EvaluatedArch, Objective
-from repro.runstate.rng import generator_state, set_generator_state
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace, pick
-
-CHECKPOINT_FORMAT = 1
+from repro.space.search_space import SearchSpace
 
 
 @dataclass(frozen=True)
@@ -63,6 +61,19 @@ class GenerationRecord:
     def accuracies(self) -> List[float]:
         return [e.accuracy for e in self.population]
 
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "population": [e.to_dict() for e in self.population],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "GenerationRecord":
+        return cls(
+            index=int(payload["index"]),
+            population=[EvaluatedArch.from_dict(e) for e in payload["population"]],
+        )
+
 
 @dataclass
 class SearchResult:
@@ -88,13 +99,7 @@ class SearchResult:
             "best": self.best.to_dict(),
             "num_evaluations": self.num_evaluations,
             "cache_stats": self.cache_stats,
-            "generations": [
-                {
-                    "index": g.index,
-                    "population": [e.to_dict() for e in g.population],
-                }
-                for g in self.generations
-            ],
+            "generations": [g.to_dict() for g in self.generations],
         }
 
     @classmethod
@@ -103,18 +108,12 @@ class SearchResult:
         result.num_evaluations = int(payload["num_evaluations"])
         result.cache_stats = payload.get("cache_stats")
         result.generations = [
-            GenerationRecord(
-                index=int(g["index"]),
-                population=[
-                    EvaluatedArch.from_dict(e) for e in g["population"]
-                ],
-            )
-            for g in payload["generations"]
+            GenerationRecord.from_dict(g) for g in payload["generations"]
         ]
         return result
 
 
-class EvolutionarySearch:
+class EvolutionarySearch(GenerationalSearch):
     """Regularized-evolution-style search over a :class:`SearchSpace`.
 
     Parameters
@@ -152,6 +151,8 @@ class EvolutionarySearch:
         time is bit-identical with or without a token.
     """
 
+    STAGE = "evolution"
+
     def __init__(
         self,
         space: SearchSpace,
@@ -162,264 +163,61 @@ class EvolutionarySearch:
         checkpoint=None,
         cancel=None,
     ):
-        self.space = space
+        super().__init__(
+            space,
+            config if config is not None else EvolutionConfig(),
+            cache,
+            checkpoint,
+            cancel,
+        )
         self.objective = objective
-        self.config = config if config is not None else EvolutionConfig()
-        self.cache = cache if cache is not None else EvaluationCache()
         self.evaluator = evaluator
-        self.checkpoint = checkpoint
-        self.cancel = cancel
-
-    # -- genetic operators ------------------------------------------------------
-
-    def _crossover(
-        self, a: Architecture, b: Architecture, rng: np.random.Generator
-    ) -> Architecture:
-        """Uniform crossover: each layer's (op, factor) pair comes from
-        one of the two parents."""
-        take_a = rng.random(a.num_layers) < 0.5
-        ops = tuple(
-            a.ops[i] if take_a[i] else b.ops[i] for i in range(a.num_layers)
-        )
-        factors = tuple(
-            a.factors[i] if take_a[i] else b.factors[i] for i in range(a.num_layers)
-        )
-        return Architecture(ops, factors)
-
-    def _mutate(self, arch: Architecture, rng: np.random.Generator) -> Architecture:
-        """Per-layer resampling of the op and/or factor genes."""
-        ops = list(arch.ops)
-        factors = list(arch.factors)
-        p = self.config.per_layer_mutation_prob
-        for layer in range(arch.num_layers):
-            if rng.random() < p:
-                ops[layer] = pick(rng, self.space.candidate_ops[layer])
-            if rng.random() < p:
-                factors[layer] = pick(rng, self.space.candidate_factors[layer])
-        return Architecture(tuple(ops), tuple(factors))
-
-    def _make_child(
-        self, parents: List[EvaluatedArch], rng: np.random.Generator
-    ) -> Architecture:
-        """One offspring: crossover w.p. 0.25, mutation w.p. 0.25,
-        otherwise clone a parent (then dedup forces diversity)."""
-        idx = rng.integers(len(parents))
-        child = parents[idx].arch
-        if rng.random() < self.config.crossover_prob and len(parents) > 1:
-            other = parents[int(rng.integers(len(parents)))].arch
-            child = self._crossover(child, other, rng)
-        if rng.random() < self.config.mutation_prob:
-            child = self._mutate(child, rng)
-        return child
-
-    # -- cancellation ------------------------------------------------------------
-
-    def _check_cancel(self, generations_done: int, misses_before: int) -> None:
-        if self.cancel is not None:
-            self.cancel.check(
-                stage="evolution",
-                generations_done=generations_done,
-                total_generations=self.config.generations,
-                evaluations=self.cache.misses - misses_before,
-            )
-
-    # -- evaluation --------------------------------------------------------------
-
-    def _evaluate(self, arch: Architecture) -> EvaluatedArch:
-        return self.cache.get_or_eval(arch, self.objective.evaluate)
-
-    def _eval_batch(self, archs: List[Architecture]) -> List[EvaluatedArch]:
-        """Score a batch through the cache (misses fan out if parallel).
-
-        Batched semantics are bit-identical to mapping :meth:`_evaluate`:
-        misses are evaluated in first-occurrence order, duplicate and
-        already-cached architectures cost the same hits, and
-        ``Objective.evaluate_many`` matches ``evaluate`` per item.
-        """
-        eval_many = (
-            self.evaluator.map
-            if self.evaluator is not None
-            else self.objective.evaluate_many
-        )
-        return self.cache.get_or_eval_many(archs, eval_many)
-
-    # -- checkpointing -----------------------------------------------------------
-
-    def _save_checkpoint(
-        self,
-        rng: np.random.Generator,
-        result: SearchResult,
-        misses_before: int,
-        next_generation: int,
-        complete: bool = False,
-    ) -> None:
-        if self.checkpoint is None:
-            return
-        self.checkpoint.save(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "next_generation": next_generation,
-                "rng": generator_state(rng),
-                "best": result.best.to_dict(),
-                "generations": [
-                    {
-                        "index": g.index,
-                        "population": [e.to_dict() for e in g.population],
-                    }
-                    for g in result.generations
-                ],
-                # Fresh-evaluation count relative to *this run's* cache
-                # baseline; a resumed run re-derives its baseline from
-                # it so the final ``num_evaluations`` matches exactly.
-                "evaluations_so_far": self.cache.misses - misses_before,
-            },
-            complete=complete,
-        )
-
-    def _restore(self, saved: dict) -> SearchResult:
-        if int(saved.get("format", 0)) != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"unsupported EA checkpoint format {saved.get('format')!r}"
-            )
-        result = SearchResult(best=EvaluatedArch.from_dict(saved["best"]))
-        result.generations = [
-            GenerationRecord(
-                index=int(g["index"]),
-                population=[
-                    EvaluatedArch.from_dict(e) for e in g["population"]
-                ],
-            )
-            for g in saved["generations"]
-        ]
-        return result
-
-    # -- main loop ---------------------------------------------------------------
+        self._result: Optional[SearchResult] = None
 
     def run(self) -> SearchResult:
         """Run the EA; deterministic for a fixed config seed.
 
-        Each generation *breeds* first (every rng draw, dedup, and
-        containment check — parent-side, sequential) and *evaluates*
-        second (one batch). Evaluation consumes no randomness, so the
-        reordering leaves the rng stream — and therefore the whole
-        run — identical to evaluating each child as it is bred.
-
-        With a ``checkpoint``, a run killed at any point replays the
-        completed generations from the saved state (restoring the rng
-        stream mid-sequence) and continues; every number in the final
-        :class:`SearchResult` matches the uninterrupted run.
+        A run resumed from a checkpoint — killed at any point — matches
+        the uninterrupted run in every number of the final
+        :class:`SearchResult`.
         """
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        misses_before = self.cache.misses
+        self._evolve(self.evaluator, self.objective.evaluate_many)
+        self._result.num_evaluations = self._evaluations()
+        self._result.cache_stats = self.cache.stats()
+        return self._result
 
-        result: Optional[SearchResult] = None
-        start_gen = 1
-        if self.checkpoint is not None:
-            saved = self.checkpoint.load()
-            if saved is not None:
-                result = self._restore(saved)
-                set_generator_state(rng, saved["rng"])
-                misses_before = self.cache.misses - int(
-                    saved["evaluations_so_far"]
-                )
-                start_gen = int(saved["next_generation"])
-                if self.checkpoint.is_complete():
-                    result.num_evaluations = self.cache.misses - misses_before
-                    result.cache_stats = self.cache.stats()
-                    return result
+    # -- generational hooks ------------------------------------------------------
 
-        forwarded_cancel = self.cancel is not None and hasattr(
-            self.evaluator, "set_cancel"
-        )
-        if forwarded_cancel:
-            self.evaluator.set_cancel(self.cancel)
-        try:
-            if result is None:
-                self._check_cancel(0, misses_before)
-                population = self._eval_batch(
-                    [
-                        self.space.sample(rng)
-                        for _ in range(cfg.population_size)
-                    ]
-                )
-                result = SearchResult(
-                    best=max(population, key=lambda e: e.score)
-                )
-                result.generations.append(
-                    GenerationRecord(0, list(population))
-                )
-                self._save_checkpoint(
-                    rng, result, misses_before, next_generation=1
-                )
-            else:
-                population = list(result.generations[-1].population)
+    def _initial_archs(self, rng: np.random.Generator) -> List[Architecture]:
+        return [self.space.sample(rng) for _ in range(self.config.population_size)]
 
-            for gen in range(start_gen, cfg.generations):
-                self._check_cancel(gen, misses_before)
-                self._run_generation(
-                    gen, population, result, rng, misses_before
-                )
-                population = result.generations[-1].population
-        finally:
-            # The evaluator outlives this run (the caller owns it);
-            # leaving a request-scoped token installed would expire
-            # every later run through it.
-            if forwarded_cancel:
-                self.evaluator.set_cancel(None)
-
-        # Fresh objective evaluations this run — identical to the old
-        # ``len(private_dict)`` accounting when the cache is private, and
-        # still meaningful when a shared cache arrives pre-warmed.
-        result.num_evaluations = self.cache.misses - misses_before
-        result.cache_stats = self.cache.stats()
-        self._save_checkpoint(
-            rng,
-            result,
-            misses_before,
-            next_generation=cfg.generations,
-            complete=True,
-        )
-        return result
-
-    def _run_generation(
-        self,
-        gen: int,
-        population: List[EvaluatedArch],
-        result: SearchResult,
-        rng: np.random.Generator,
-        misses_before: int,
-    ) -> None:
-        """Breed and score generation ``gen`` in place on ``result``."""
-        cfg = self.config
-        ranked = sorted(population, key=lambda e: e.score, reverse=True)
-        parents = ranked[: cfg.num_parents]
+    def _select(self, population: List[EvaluatedArch]) -> List[EvaluatedArch]:
         # Elitism: parents survive; the rest of the population is
         # regenerated from them.
-        child_archs: List[Architecture] = []
-        seen = {p.arch.key() for p in parents}
-        attempts = 0
-        needed = cfg.population_size - len(parents)
-        while len(child_archs) < needed and attempts < needed * 40:
-            attempts += 1
-            child = self._make_child(parents, rng)
-            if child.key() in seen:
-                continue
-            if not self.space.contains(child):
-                continue
-            seen.add(child.key())
-            child_archs.append(child)
-        # If dedup starved us (tiny shrunk spaces), fill with samples.
-        while len(child_archs) < needed:
-            child_archs.append(self.space.sample(rng))
-        children = self._eval_batch(child_archs)
-        record = GenerationRecord(gen, parents + children)
-        result.generations.append(record)
-        if record.best.score > result.best.score:
-            result.best = record.best
-        self._save_checkpoint(
-            rng, result, misses_before, next_generation=gen + 1
+        ranked = sorted(population, key=lambda e: e.score, reverse=True)
+        return ranked[: self.config.num_parents]
+
+    def _record(self, gen: int, population: List[EvaluatedArch]) -> None:
+        record = GenerationRecord(gen, population)
+        if gen == 0:
+            self._result = SearchResult(best=record.best)
+        elif record.best.score > self._result.best.score:
+            self._result.best = record.best
+        self._result.generations.append(record)
+
+    def _state(self, next_generation: int) -> dict:
+        return {
+            "next_generation": next_generation,
+            "best": self._result.best.to_dict(),
+            "generations": [g.to_dict() for g in self._result.generations],
+        }
+
+    def _restore(self, saved: dict) -> Tuple[int, List[EvaluatedArch]]:
+        self._result = SearchResult(
+            best=EvaluatedArch.from_dict(saved["best"]),
+            generations=[GenerationRecord.from_dict(g) for g in saved["generations"]],
         )
+        return int(saved["next_generation"]), self._result.generations[-1].population
 
 
 class RandomSearch:

@@ -12,17 +12,17 @@ evaluations (see ``benchmarks/bench_nsga2_front.py``).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cache import EvaluationCache
-from repro.runstate.rng import generator_state, set_generator_state
+from repro.core.generational import GenerationalSearch
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace, pick
-
-CHECKPOINT_FORMAT = 1
+from repro.space.operators import NUM_OPERATORS
+from repro.space.search_space import SearchSpace
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class Nsga2Config:
     crossover_prob: float = 0.25
     mutation_prob: float = 0.25
     per_layer_mutation_prob: float = 0.1
-    seed_corners: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -154,8 +153,10 @@ def crowding_distance(points: List[BiObjective], front: List[int]) -> Dict[int, 
     return distance
 
 
-class Nsga2Search:
+class Nsga2Search(GenerationalSearch):
     """NSGA-II over a search space with (latency, accuracy) objectives."""
+
+    STAGE = "nsga2"
 
     def __init__(
         self,
@@ -173,7 +174,14 @@ class Nsga2Search:
         evaluator=None,
         cancel=None,
     ):
-        self.space = space
+        # The shared-cache contract: a cache passed in here must only
+        # ever hold BiObjective values (i.e. be private to NSGA-II runs
+        # over the same accuracy/latency functions). ``checkpoint``
+        # saves the state once per generation; a resumed run is
+        # bit-identical. ``cancel`` is an optional cooperative
+        # CancelToken (repro.resilience.deadline), checked once per
+        # generation and forwarded to the evaluation backend.
+        super().__init__(space, config, cache, checkpoint, cancel)
         self.accuracy_fn = accuracy_fn
         self.latency_fn = latency_fn
         # Optional batched latency counterpart ``archs -> [ms]`` (e.g.
@@ -181,11 +189,6 @@ class Nsga2Search:
         # ``latency_fn`` would per architecture — the batched path is a
         # throughput knob, never a semantics change.
         self.latency_many_fn = latency_many_fn
-        self.config = config
-        # The shared-cache contract: a cache passed in here must only
-        # ever hold BiObjective values (i.e. be private to NSGA-II runs
-        # over the same accuracy/latency functions).
-        self.cache = cache if cache is not None else EvaluationCache()
         # Worker processes for population evaluation; 0/1 = serial.
         # Results are identical either way (see docs/parallel.md).
         # ``backend`` picks the evaluation backend explicitly; "auto"
@@ -198,62 +201,7 @@ class Nsga2Search:
         # this is how the serving layer funnels every query through one
         # observable backend.
         self.evaluator = evaluator
-        # Optional per-generation checkpoint slot (see
-        # EvolutionarySearch); a resumed run is bit-identical.
-        self.checkpoint = checkpoint
-        # Optional cooperative CancelToken (repro.resilience.deadline),
-        # checked once per generation and forwarded to the evaluation
-        # backend; expiry raises DeadlineExceeded with the generation
-        # counters as partial progress. Checks draw no randomness, so a
-        # run that finishes in time is bit-identical with or without a
-        # token.
-        self.cancel = cancel
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def _save_checkpoint(
-        self,
-        rng: np.random.Generator,
-        population: List[BiObjective],
-        misses_before: int,
-        completed_generations: int,
-        complete: bool = False,
-    ) -> None:
-        if self.checkpoint is None:
-            return
-        self.checkpoint.save(
-            {
-                "format": CHECKPOINT_FORMAT,
-                "completed_generations": completed_generations,
-                "rng": generator_state(rng),
-                "population": [p.to_dict() for p in population],
-                "evaluations_so_far": self.cache.misses - misses_before,
-            },
-            complete=complete,
-        )
-
-    # -- cancellation -------------------------------------------------------------
-
-    def _check_cancel(self, generations_done: int, misses_before: int) -> None:
-        if self.cancel is not None:
-            self.cancel.check(
-                stage="nsga2",
-                generations_done=generations_done,
-                total_generations=self.config.generations,
-                evaluations=self.cache.misses - misses_before,
-            )
-
-    # -- evaluation -------------------------------------------------------------
-
-    def _evaluate(self, arch: Architecture) -> BiObjective:
-        return self.cache.get_or_eval(
-            arch,
-            lambda a: BiObjective(
-                arch=a,
-                latency_ms=self.latency_fn(a),
-                accuracy=self.accuracy_fn(a),
-            ),
-        )
+        self._population: List[BiObjective] = []
 
     def eval_many(self, archs: List[Architecture]) -> List[BiObjective]:
         """Uncached batch scoring (the worker-pool chunk function).
@@ -280,69 +228,6 @@ class Nsga2Search:
             for a in archs
         ]
 
-    # -- genetic operators (same shapes as the Sec. III-D EA) -------------------
-
-    def _crossover(self, a: Architecture, b: Architecture,
-                   rng: np.random.Generator) -> Architecture:
-        take_a = rng.random(a.num_layers) < 0.5
-        ops = tuple(a.ops[i] if take_a[i] else b.ops[i]
-                    for i in range(a.num_layers))
-        factors = tuple(a.factors[i] if take_a[i] else b.factors[i]
-                        for i in range(a.num_layers))
-        return Architecture(ops, factors)
-
-    def _mutate(self, arch: Architecture, rng: np.random.Generator) -> Architecture:
-        ops = list(arch.ops)
-        factors = list(arch.factors)
-        p = self.config.per_layer_mutation_prob
-        for layer in range(arch.num_layers):
-            if rng.random() < p:
-                ops[layer] = pick(rng, self.space.candidate_ops[layer])
-            if rng.random() < p:
-                factors[layer] = pick(rng, self.space.candidate_factors[layer])
-        return Architecture(tuple(ops), tuple(factors))
-
-    # -- selection ----------------------------------------------------------------
-
-    @staticmethod
-    def _rank_population(points: List[BiObjective]) -> List[int]:
-        """Indices ordered by (front rank, descending crowding)."""
-        fronts = non_dominated_sort(points)
-        ordered: List[int] = []
-        for front in fronts:
-            crowd = crowding_distance(points, front)
-            ordered.extend(sorted(front, key=lambda i: -crowd[i]))
-        return ordered
-
-    # -- main loop ------------------------------------------------------------------
-
-    def _corner_architectures(self) -> List[Architecture]:
-        """Full-width single-operator networks — high-latency anchors.
-
-        Uniform sampling almost never draws the slow-accurate corner of
-        the space, so the front would otherwise take many generations to
-        stretch there; seeding with the corners is standard practice.
-        """
-        corners = []
-        for op in range(5):
-            try:
-                arch = Architecture(
-                    tuple(
-                        op if op in self.space.candidate_ops[layer]
-                        else self.space.candidate_ops[layer][0]
-                        for layer in range(self.space.num_layers)
-                    ),
-                    tuple(
-                        max(self.space.candidate_factors[layer])
-                        for layer in range(self.space.num_layers)
-                    ),
-                )
-            except ValueError:  # pragma: no cover - defensive
-                continue
-            if self.space.contains(arch):
-                corners.append(arch)
-        return corners
-
     def run(self) -> Nsga2Result:
         """Run NSGA-II; deterministic for a fixed config seed.
 
@@ -351,32 +236,7 @@ class Nsga2Search:
         the offspring in one cached batch — with ``workers >= 2`` the
         batch fans out across processes, with identical results.
         """
-        import contextlib
-
         from repro.parallel.backend import create_backend
-
-        cfg = self.config
-        rng = np.random.default_rng(cfg.seed)
-        misses_before = self.cache.misses
-
-        population: Optional[List[BiObjective]] = None
-        done = 0
-        if self.checkpoint is not None:
-            saved = self.checkpoint.load()
-            if saved is not None:
-                if int(saved.get("format", 0)) != CHECKPOINT_FORMAT:
-                    raise ValueError(
-                        "unsupported NSGA-II checkpoint format "
-                        f"{saved.get('format')!r}"
-                    )
-                population = [
-                    BiObjective.from_dict(p) for p in saved["population"]
-                ]
-                set_generator_state(rng, saved["rng"])
-                misses_before = self.cache.misses - int(
-                    saved["evaluations_so_far"]
-                )
-                done = int(saved["completed_generations"])
 
         # An externally-owned evaluator outlives this run (the caller
         # closes it); an internally-built one is torn down on exit.
@@ -387,87 +247,62 @@ class Nsga2Search:
                 self.backend, self.eval_many, workers=self.workers
             )
         with backend_ctx as pool:
-            # Forward the deadline into the backend so it also stops
-            # between chunk dispatches, not just between generations.
-            # An externally-owned evaluator gets the token cleared on
-            # exit — it outlives this run.
-            forwarded_cancel = self.cancel is not None and hasattr(
-                pool, "set_cancel"
-            )
-            if forwarded_cancel:
-                pool.set_cancel(self.cancel)
-
-            def eval_batch(archs: List[Architecture]) -> List[BiObjective]:
-                return self.cache.get_or_eval_many(archs, pool.map)
-
-            try:
-                if population is None:
-                    self._check_cancel(done, misses_before)
-                    seeds: List[Architecture] = (
-                        self._corner_architectures() if cfg.seed_corners else []
-                    )
-                    seeds = seeds[: cfg.population_size // 2]
-                    population = eval_batch(
-                        seeds
-                        + [
-                            self.space.sample(rng)
-                            for _ in range(cfg.population_size - len(seeds))
-                        ]
-                    )
-                    self._save_checkpoint(rng, population, misses_before, 0)
-
-                for gen in range(done, cfg.generations - 1):
-                    self._check_cancel(gen, misses_before)
-                    ranked = self._rank_population(population)
-                    parents = [
-                        population[i]
-                        for i in ranked[: cfg.population_size // 2]
-                    ]
-                    child_archs: List[Architecture] = []
-                    seen = {p.arch.key() for p in parents}
-                    attempts = 0
-                    needed = cfg.population_size - len(parents)
-                    while len(child_archs) < needed and attempts < needed * 40:
-                        attempts += 1
-                        child = parents[int(rng.integers(len(parents)))].arch
-                        if (
-                            rng.random() < cfg.crossover_prob
-                            and len(parents) > 1
-                        ):
-                            other = parents[
-                                int(rng.integers(len(parents)))
-                            ].arch
-                            child = self._crossover(child, other, rng)
-                        if rng.random() < cfg.mutation_prob:
-                            child = self._mutate(child, rng)
-                        if (
-                            child.key() in seen
-                            or not self.space.contains(child)
-                        ):
-                            continue
-                        seen.add(child.key())
-                        child_archs.append(child)
-                    while len(child_archs) < needed:
-                        child_archs.append(self.space.sample(rng))
-                    population = parents + eval_batch(child_archs)
-                    self._save_checkpoint(
-                        rng, population, misses_before, gen + 1
-                    )
-            finally:
-                if forwarded_cancel:
-                    pool.set_cancel(None)
+            population = self._evolve(pool)
             pool_stats = pool.stats()
-
         fronts = non_dominated_sort(population)
         front = sorted(
             (population[i] for i in fronts[0]), key=lambda p: p.latency_ms
         )
-        self._save_checkpoint(
-            rng, population, misses_before, cfg.generations - 1, complete=True
-        )
         return Nsga2Result(
             front=front,
             population=population,
-            num_evaluations=self.cache.misses - misses_before,
+            num_evaluations=self._evaluations(),
             backend_stats=pool_stats,
         )
+
+    # -- generational hooks ------------------------------------------------------
+
+    def _corner_architectures(self) -> List[Architecture]:
+        """Full-width single-operator networks — high-latency anchors.
+
+        Uniform sampling almost never draws the slow-accurate corner of
+        the space, so the front would otherwise take many generations to
+        stretch there; seeding with the corners is standard practice.
+        """
+        space = self.space
+        factors = tuple(max(f) for f in space.candidate_factors)
+        corners = []
+        for op in range(NUM_OPERATORS):
+            arch = Architecture(
+                tuple(op if op in ops else ops[0] for ops in space.candidate_ops),
+                factors,
+            )
+            if space.contains(arch):
+                corners.append(arch)
+        return corners
+
+    def _initial_archs(self, rng: np.random.Generator) -> List[Architecture]:
+        size = self.config.population_size
+        seeds = self._corner_architectures()[: size // 2]
+        return seeds + [self.space.sample(rng) for _ in range(size - len(seeds))]
+
+    def _select(self, population: List[BiObjective]) -> List[BiObjective]:
+        """The best half by (front rank, descending crowding)."""
+        ranked: List[int] = []
+        for front in non_dominated_sort(population):
+            crowd = crowding_distance(population, front)
+            ranked.extend(sorted(front, key=lambda i: -crowd[i]))
+        return [population[i] for i in ranked[: self.config.population_size // 2]]
+
+    def _record(self, gen: int, population: List[BiObjective]) -> None:
+        self._population = population
+
+    def _state(self, next_generation: int) -> dict:
+        return {
+            "completed_generations": next_generation - 1,
+            "population": [p.to_dict() for p in self._population],
+        }
+
+    def _restore(self, saved: dict) -> Tuple[int, List[BiObjective]]:
+        self._population = [BiObjective.from_dict(p) for p in saved["population"]]
+        return int(saved["completed_generations"]) + 1, self._population

@@ -137,3 +137,37 @@ class TestEvolutionCancel:
         assert bare.best.arch == timed.best.arch
         assert bare.best.score == timed.best.score
         assert len(bare.generations) == len(timed.generations)
+
+
+def _evolution(space, cancel=None, generations=5):
+    return EvolutionarySearch(
+        space,
+        make_objective(space),
+        EvolutionConfig(
+            generations=generations,
+            population_size=10,
+            num_parents=5,
+            seed=0,
+        ),
+        cancel=cancel,
+    )
+
+
+@pytest.mark.parametrize("stage", ["evolution", "nsga2"])
+def test_checks_count_generations_already_evaluated(proxy_space, stage):
+    """One check per generation, before it is bred: 0, 1, ..., G-1."""
+    make = {"evolution": _evolution, "nsga2": _nsga2}[stage]
+    token = CancelToken(deadline_s=3600)
+    done = []
+    original_check = token.check
+
+    def recording_check(**progress):
+        # The evaluation backend also checks the token between
+        # dispatches, under its own stage name.
+        if progress.get("stage") == stage:
+            done.append(progress["generations_done"])
+        original_check(**progress)
+
+    token.check = recording_check
+    make(proxy_space, cancel=token, generations=5).run()
+    assert done == [0, 1, 2, 3, 4]

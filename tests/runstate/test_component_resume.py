@@ -84,41 +84,6 @@ class TestEvolutionResume:
         ).run()
         assert ea_fingerprint(resumed) == ea_fingerprint(baseline)
 
-    def test_resume_of_complete_run_skips_work(self, proxy_space):
-        obj = make_objective(proxy_space)
-        ckpt = MemoryCheckpoint()
-        cache = EvaluationCache()
-        first = EvolutionarySearch(
-            proxy_space, obj, self.CFG, cache=cache, checkpoint=ckpt
-        ).run()
-        misses = cache.misses
-        again = EvolutionarySearch(
-            proxy_space, obj, self.CFG, cache=cache, checkpoint=ckpt
-        ).run()
-        assert cache.misses == misses  # nothing re-evaluated
-        assert ea_fingerprint(again) == ea_fingerprint(first)
-
-    def test_interrupt_at_every_boundary(self, proxy_space):
-        """No matter which checkpoint the crash lands on, resume matches."""
-        obj = make_objective(proxy_space)
-        cfg = EvolutionConfig(
-            generations=3, population_size=6, num_parents=3, seed=1
-        )
-        baseline = EvolutionarySearch(proxy_space, obj, cfg).run()
-        for stop_after in (1, 2, 3):
-            ckpt = InterruptingCheckpoint(stop_after=stop_after)
-            cache = EvaluationCache()
-            with pytest.raises(KeyboardInterrupt):
-                EvolutionarySearch(
-                    proxy_space, obj, cfg, cache=cache, checkpoint=ckpt
-                ).run()
-            resumed = EvolutionarySearch(
-                proxy_space, obj, cfg, cache=cache, checkpoint=ckpt
-            ).run()
-            assert ea_fingerprint(resumed) == ea_fingerprint(baseline), (
-                f"mismatch when interrupted after save #{stop_after}"
-            )
-
 
 def nsga2_fingerprint(result):
     return {
@@ -151,6 +116,57 @@ class TestNsga2Resume:
             self._search(proxy_space, cache=cache, checkpoint=ckpt).run()
         resumed = self._search(proxy_space, cache=cache, checkpoint=ckpt).run()
         assert nsga2_fingerprint(resumed) == nsga2_fingerprint(baseline)
+
+
+def run_search(engine, space, cache=None, checkpoint=None, **config):
+    """Fingerprint of one ``engine`` run ("ea" or "nsga2")."""
+    if engine == "ea":
+        cfg = EvolutionConfig(num_parents=config["population_size"] // 2, **config)
+        return ea_fingerprint(
+            EvolutionarySearch(
+                space, make_objective(space), cfg, cache=cache, checkpoint=checkpoint
+            ).run()
+        )
+    return nsga2_fingerprint(
+        Nsga2Search(
+            space,
+            accuracy_fn=lambda a: space.arch_flops(a) / 3e5,
+            latency_fn=lambda a: space.arch_flops(a) / 1e4,
+            config=Nsga2Config(**config),
+            cache=cache,
+            checkpoint=checkpoint,
+        ).run()
+    )
+
+
+@pytest.mark.parametrize("engine", ["ea", "nsga2"])
+class TestSearchResume:
+    """Resume contracts the EA and NSGA-II share through one loop."""
+
+    def test_resume_of_complete_run_skips_work(self, proxy_space, engine):
+        cfg = dict(generations=6, population_size=8, seed=5)
+        ckpt = MemoryCheckpoint()
+        cache = EvaluationCache()
+        first = run_search(engine, proxy_space, cache, ckpt, **cfg)
+        misses, saves = cache.misses, ckpt.saves
+        again = run_search(engine, proxy_space, cache, ckpt, **cfg)
+        assert cache.misses == misses  # nothing re-evaluated
+        assert ckpt.saves == saves  # nothing re-saved
+        assert again == first
+
+    def test_interrupt_at_every_boundary(self, proxy_space, engine):
+        """No matter which checkpoint the crash lands on, resume matches."""
+        cfg = dict(generations=3, population_size=6, seed=1)
+        baseline = run_search(engine, proxy_space, **cfg)
+        for stop_after in (1, 2, 3):
+            ckpt = InterruptingCheckpoint(stop_after=stop_after)
+            cache = EvaluationCache()
+            with pytest.raises(KeyboardInterrupt):
+                run_search(engine, proxy_space, cache, ckpt, **cfg)
+            resumed = run_search(engine, proxy_space, cache, ckpt, **cfg)
+            assert resumed == baseline, (
+                f"mismatch when interrupted after save #{stop_after}"
+            )
 
 
 def shrink_fingerprint(result):
