@@ -87,7 +87,7 @@ from repro.data.synthetic import SyntheticImageDataset
 from repro.nn.functional import grouped_conv2d_loop, grouped_conv2d_loop_backward
 from repro.nn.layers.conv import Conv2d
 from repro.nn.quantized import ranking_fidelity
-from repro.parallel import create_backend, resolve_backend_name
+from repro.parallel import TabularBackend, create_backend, resolve_backend_name
 from repro.runstate.atomic import atomic_write_json
 from repro.space import SearchSpace, imagenet_a, proxy
 from repro.supernet import Supernet, SupernetFastEval
@@ -836,7 +836,7 @@ def bench_tabular_replay(quick: bool) -> dict:
             accuracy_many_fn=lookup.accuracy_many,
             latency_many_fn=lookup.latency_many,
         )
-        with create_backend("tabular", obj.evaluate_many) as evaluator:
+        with TabularBackend(obj.evaluate_many) as evaluator:
             return EvolutionarySearch(
                 space, obj, ea_cfg, evaluator=evaluator
             ).run()

@@ -32,7 +32,7 @@ from repro.hardware.ledger import MeasurementLedger
 from repro.hardware.lut import LatencyLUT
 from repro.hardware.predictor import LatencyPredictor
 from repro.hardware.profiler import OnDeviceProfiler
-from repro.parallel.backend import BACKEND_NAMES, create_backend
+from repro.parallel.backend import BACKEND_NAMES, TabularBackend, create_backend
 from repro.runstate import PhaseCheckpoint, RunDir
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
@@ -339,9 +339,7 @@ class HSCoNAS:
             # predictor (and surrogate) outputs, recorded at build time.
             predictor = None
             objective = self._replay_objective()
-            evaluator = create_backend(
-                "tabular", eval_many_fn=objective.evaluate_many
-            )
+            evaluator = TabularBackend(objective.evaluate_many)
         else:
             predictor = self.checkpointed_predictor(run_state)
             objective = Objective(

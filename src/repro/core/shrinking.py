@@ -300,7 +300,7 @@ class ProgressiveSpaceShrinking:
                     cache.clear()
                 # Tuning changed the weights the evaluation function
                 # reads; a parallel evaluator must propagate that to its
-                # workers (shared-memory refresh or pool restart).
+                # workers (it re-forks them).
                 evaluator = getattr(self.quality, "evaluator", None)
                 if evaluator is not None:
                     evaluator.sync()

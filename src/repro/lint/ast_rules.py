@@ -12,10 +12,8 @@ or is structurally prone to:
   LUT cells. Keys must be quantized (``round``/``_quantize_factor``).
 * **RL103 workspace-mutation** — arrays handed out by cache/workspace
   accessors (``Im2colWorkspace.get``, ``LatencyLUT.as_table``,
-  ``EvaluationCache.get_or_eval``, ``SharedWeightStore.shared_view``)
-  are shared; mutating them in place corrupts every other alias (the
-  im2col aliasing hazard — or, for shared-memory views, every worker
-  process at once).
+  ``EvaluationCache.get_or_eval``) are shared; mutating them in place
+  corrupts every other alias (the im2col aliasing hazard).
 * **RL104 mutable-default** — mutable default arguments alias across
   calls.
 * **RL105 bare-except** — a bare ``except:`` swallows
@@ -27,8 +25,8 @@ or is structurally prone to:
   readers only ever see a complete old or complete new file.
 * **RL107 direct-worker-pool** — constructing ``WorkerPool`` directly
   hard-wires the multiprocess dispatch path; call sites must go through
-  ``repro.parallel.create_backend`` so ``--backend serial`` (and future
-  tabular replay) keeps working everywhere. The backend layer itself
+  ``repro.parallel.create_backend`` so ``--backend serial`` keeps
+  working everywhere. The backend layer itself
   (``repro/parallel/``) and its tests (``tests/parallel/``) are exempt.
 * **RL108 direct-socket-server** — constructing sockets, HTTP servers,
   or HTTP connections outside :mod:`repro.serve` forks the serving
@@ -120,8 +118,8 @@ RL107 = CODE_RULES.register(
         "direct-worker-pool",
         Severity.ERROR,
         "direct WorkerPool construction bypasses the backend factory; "
-        "use repro.parallel.create_backend so the serial/multiprocess/"
-        "tabular choice stays a config knob",
+        "use repro.parallel.create_backend so the serial/multiprocess "
+        "choice stays a config knob",
     )
 )
 
@@ -227,14 +225,10 @@ _GLOBAL_RANDOM_FNS = {
 }
 
 # Accessor method names whose return value is a shared buffer (RL103).
-# ``shared_view`` is the SharedWeightStore accessor: its arrays alias
-# memory mapped into every worker process, so in-place mutation corrupts
-# concurrent evaluations (not just other call sites).
 _SHARED_ACCESSORS = {
     "as_table",
     "get_or_eval",
     "get_or_eval_many",
-    "shared_view",
 }
 # ``.get(...)`` only counts when the receiver looks like a workspace or
 # cache object — plain dict.get is not a shared-buffer accessor.

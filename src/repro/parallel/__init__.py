@@ -4,15 +4,13 @@ Layers, bottom to top:
 
 * :class:`~repro.parallel.pool.WorkerPool` — forked workers, chunked
   order-preserving dispatch, crash retry with serial fallback.
-* :class:`~repro.parallel.shared_weights.SharedWeightStore` — supernet
-  parameters in shared memory; workers mount read-only views, the owner
-  refreshes after tuning.
-* :class:`~repro.parallel.evaluator.ParallelEvaluator` — the
-  multiprocess backend: batched evaluation with parent-side caching
-  and worker-state synchronization.
 * :mod:`~repro.parallel.backend` — the :class:`EvaluationBackend`
-  interface the search stack talks to, with serial / multiprocess /
-  tabular implementations behind the :func:`create_backend` factory.
+  interface the search stack talks to (parent-side caching, counters,
+  lifecycle), its serial and tabular-replay implementations, and the
+  :func:`create_backend` factory for live backends.
+* :class:`~repro.parallel.evaluator.ParallelEvaluator` — the
+  multiprocess backend over a :class:`WorkerPool`; :meth:`sync`
+  re-forks the workers after parent state changes.
 
 See ``docs/parallel.md`` for the architecture and determinism
 guarantees, and ``docs/performance.md`` for backend selection.
@@ -33,15 +31,12 @@ from repro.parallel.pool import (
     fork_available,
     resolve_workers,
 )
-from repro.parallel.shared_weights import SharedWeightHandle, SharedWeightStore
 
 __all__ = [
     "BACKEND_NAMES",
     "EvaluationBackend",
     "ParallelEvaluator",
     "SerialBackend",
-    "SharedWeightHandle",
-    "SharedWeightStore",
     "TabularBackend",
     "WorkerHangError",
     "WorkerPool",

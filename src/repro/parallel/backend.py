@@ -18,10 +18,10 @@ Three implementations ship: :class:`SerialBackend` (inline calls — the
 default, bit-exact with the historical serial path), the multiprocess
 backend (:class:`~repro.parallel.evaluator.ParallelEvaluator`, which
 *is* the backend for forked workers), and :class:`TabularBackend`
-(per-architecture lookup against a recorded table, the replay path of
+(a serial backend over recorded columns, the replay path of
 :class:`repro.tabular.TabularBenchmark`).
 
-Construction goes through :func:`create_backend` — the only sanctioned
+Live backends are built by :func:`create_backend` — the only sanctioned
 place that instantiates :class:`~repro.parallel.pool.WorkerPool`-backed
 evaluation outside this package (lint rule RL107 enforces this). Name
 ``"auto"`` keeps the historical behaviour of the ``workers`` knob:
@@ -84,7 +84,7 @@ class EvaluationBackend:
 
     # -- state synchronization ----------------------------------------------------
 
-    def sync(self, module=None) -> str:
+    def sync(self) -> str:
         """Observe parent-state mutations; returns the strategy used."""
         return "noop"
 
@@ -99,7 +99,7 @@ class EvaluationBackend:
         return out
 
     def close(self) -> None:
-        """Release any resources (processes, shared memory views)."""
+        """Release any resources (worker processes)."""
 
     def __enter__(self) -> "EvaluationBackend":
         return self
@@ -130,52 +130,24 @@ class SerialBackend(EvaluationBackend):
         return list(self.eval_many_fn(archs))
 
 
-class TabularBackend(EvaluationBackend):
-    """Replay recorded per-architecture results instead of evaluating.
+class TabularBackend(SerialBackend):
+    """Replay recorded results instead of evaluating.
 
-    Two wiring styles, exactly one of which must be given:
-
-    * ``eval_many_fn`` — a *batched* replay function scoring a whole
-      population in one call, e.g. an :class:`repro.core.Objective`
-      whose accuracy/latency functions are a
-      :class:`repro.tabular.TabularEvaluator`'s vectorized column
-      gathers. This is the fast path: one fancy-indexed gather per
-      generation.
-    * ``lookup_fn`` — a per-architecture lookup, e.g. ``table.query``
-      of a :class:`repro.tabular.TabularBenchmark`, or any closure
-      assembling the search stack's expected result type from a table
-      row.
-
-    Either way, missing architectures raise ``KeyError`` (a tabular
-    run that silently falls back to live evaluation would not be a
-    replay).
+    ``eval_many_fn`` must be a pure lookup over recorded columns — e.g.
+    an :class:`repro.core.Objective` whose accuracy/latency functions
+    are a :class:`repro.tabular.TabularEvaluator`'s vectorized gathers,
+    one fancy-indexed gather per generation. Missing architectures
+    raise ``KeyError``: a tabular run that silently fell back to live
+    evaluation would not be a replay. Built directly, never through
+    :func:`create_backend`, which makes live backends only.
     """
 
     name = "tabular"
 
-    def __init__(
-        self,
-        lookup_fn: Optional[Callable[[object], object]] = None,
-        cache=None,
-        eval_many_fn: Optional[Callable[[List], Sequence]] = None,
-    ):
-        super().__init__(cache=cache)
-        if (lookup_fn is None) == (eval_many_fn is None):
-            raise ValueError(
-                "tabular backend requires exactly one of lookup_fn "
-                "(per-arch) or eval_many_fn (batched replay)"
-            )
-        self.lookup_fn = lookup_fn
-        self.eval_many_fn = eval_many_fn
-
-    def map(self, archs: Sequence) -> List:
-        self._check_cancel()
-        archs = list(archs)
-        self.batches += 1
-        self.items += len(archs)
-        if self.eval_many_fn is not None:
-            return list(self.eval_many_fn(archs))
-        return [self.lookup_fn(arch) for arch in archs]
+    # Own attribute rather than inherited: instrumentation that wraps
+    # ``SerialBackend.map`` and ``TabularBackend.map`` separately then
+    # counts each replay batch once, not twice.
+    map = SerialBackend.map
 
 
 def resolve_backend_name(name: str, workers: int = 0) -> str:
@@ -194,35 +166,28 @@ def create_backend(
     eval_many_fn: Optional[Callable[[List], Sequence]] = None,
     workers: int = 0,
     cache=None,
-    weight_store=None,
-    source_module=None,
     on_worker_items: Optional[Callable[[int], None]] = None,
     chunk_size: Optional[int] = None,
     max_retries: int = 1,
-    lookup_fn: Optional[Callable[[object], object]] = None,
     dispatch_timeout_s: Optional[float] = None,
 ) -> EvaluationBackend:
-    """Build an evaluation backend by name — the single factory.
+    """Build a live evaluation backend by name — the single factory.
 
     ``"auto"`` resolves via :func:`resolve_backend_name`, preserving the
-    historical meaning of ``workers``. ``"serial"`` and
-    ``"multiprocess"`` require ``eval_many_fn``; ``"tabular"`` requires
-    ``lookup_fn`` (per-arch replay) or ``eval_many_fn`` (batched replay
-    — preferred, one vectorized gather per generation). The
-    multiprocess-only options (``weight_store``, ``source_module``,
-    ``on_worker_items``, ``chunk_size``, ``max_retries``,
-    ``dispatch_timeout_s``) are accepted and ignored by the in-process
-    backends so call sites don't need to branch.
+    historical meaning of ``workers``; ``"serial"`` and
+    ``"multiprocess"`` require ``eval_many_fn``. ``"tabular"`` is
+    rejected: replay is not a live evaluation, so replay sites build a
+    :class:`TabularBackend` over recorded columns themselves. The
+    multiprocess-only options (``on_worker_items``, ``chunk_size``,
+    ``max_retries``, ``dispatch_timeout_s``) are accepted and ignored by
+    the serial backend so call sites don't need to branch.
     """
     resolved = resolve_backend_name(name, workers=workers)
     if resolved == "tabular":
-        if lookup_fn is None and eval_many_fn is None:
-            raise ValueError(
-                "tabular backend requires lookup_fn or eval_many_fn"
-            )
-        if lookup_fn is not None:
-            return TabularBackend(lookup_fn, cache=cache)
-        return TabularBackend(cache=cache, eval_many_fn=eval_many_fn)
+        raise ValueError(
+            "create_backend builds live backends only; replay a recorded "
+            "table with TabularBackend(eval_many_fn) over its columns"
+        )
     if eval_many_fn is None:
         raise ValueError(f"{resolved} backend requires eval_many_fn")
     if resolved == "serial":
@@ -235,8 +200,6 @@ def create_backend(
         eval_many_fn,
         workers=workers,
         cache=cache,
-        weight_store=weight_store,
-        source_module=source_module,
         on_worker_items=on_worker_items,
         chunk_size=chunk_size,
         max_retries=max_retries,

@@ -1,4 +1,5 @@
-"""Cache- and weight-store-aware front end over :class:`WorkerPool`.
+"""The multiprocess evaluation backend: one :class:`WorkerPool` behind
+the :class:`~repro.parallel.backend.EvaluationBackend` interface.
 
 One :class:`ParallelEvaluator` wraps one batched evaluation function
 (typically :meth:`~repro.core.objective.Objective.evaluate_many`) and is
@@ -28,11 +29,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.cache import EvaluationCache
+from repro.parallel.backend import EvaluationBackend
 from repro.parallel.pool import WorkerPool
-from repro.parallel.shared_weights import SharedWeightStore
 
 
-class ParallelEvaluator:
+class ParallelEvaluator(EvaluationBackend):
     """Fan a batched evaluation function out across worker processes.
 
     Parameters
@@ -47,12 +48,6 @@ class ParallelEvaluator:
         Optional :class:`EvaluationCache` consulted by
         :meth:`evaluate_many`. Lives in the parent only — workers never
         see it — so cache semantics are identical to serial runs.
-    weight_store, source_module:
-        Optional shared-memory weight block and the live module it
-        mirrors. When both are set, :meth:`sync` refreshes the block in
-        place (running workers observe the update); otherwise
-        :meth:`sync` restarts the pool so the next fork snapshots
-        current parent state.
     on_worker_items:
         Optional ``count -> None`` callback invoked after each
         :meth:`map` with the number of items that were evaluated in
@@ -73,13 +68,12 @@ class ParallelEvaluator:
         eval_many_fn: Callable[[List], Sequence],
         workers: int = 0,
         cache: Optional[EvaluationCache] = None,
-        weight_store: Optional[SharedWeightStore] = None,
-        source_module=None,
         on_worker_items: Optional[Callable[[int], None]] = None,
         chunk_size: Optional[int] = None,
         max_retries: int = 1,
         dispatch_timeout_s: Optional[float] = None,
     ):
+        super().__init__(cache=cache)
         self._pool = WorkerPool(
             eval_many_fn,
             workers=workers,
@@ -87,14 +81,7 @@ class ParallelEvaluator:
             max_retries=max_retries,
             dispatch_timeout_s=dispatch_timeout_s,
         )
-        self.cache = cache
-        self.weight_store = weight_store
-        self.source_module = source_module
         self.on_worker_items = on_worker_items
-        self.batches = 0
-        self.items = 0
-
-    # -- evaluation --------------------------------------------------------------
 
     @property
     def workers(self) -> int:
@@ -106,7 +93,6 @@ class ParallelEvaluator:
         return self._pool.parallel
 
     def map(self, archs: Sequence) -> List:
-        """Evaluate ``archs`` (no caching), preserving input order."""
         archs = list(archs)
         self.batches += 1
         self.items += len(archs)
@@ -118,16 +104,6 @@ class ParallelEvaluator:
                 self.on_worker_items(len(archs) - in_parent)
         return results
 
-    def evaluate_many(self, archs: Sequence) -> List:
-        """Evaluate ``archs`` through the shared cache, if one is set.
-
-        Cache lookups, dedup, and bookkeeping happen parent-side; only
-        the missing architectures are dispatched to workers.
-        """
-        if self.cache is not None:
-            return self.cache.get_or_eval_many(archs, self.map)
-        return self.map(archs)
-
     def set_cancel(self, token) -> None:
         """Install (or clear, with ``None``) a cooperative cancel token.
 
@@ -136,55 +112,32 @@ class ParallelEvaluator:
         """
         self._pool.set_cancel(token)
 
-    # -- state synchronization ----------------------------------------------------
-
-    def sync(self, module=None) -> str:
+    def sync(self) -> str:
         """Make workers see the parent's current evaluation state.
 
         Call after anything the evaluation function depends on mutates
-        (e.g. supernet tuning between shrinking stages). With a weight
-        store, the shared block is refreshed in place and running
-        workers pick the new weights up immediately; without one, the
-        worker processes are restarted so the next dispatch re-forks
-        from current parent memory. Returns which strategy ran
-        (``"refreshed"`` / ``"restarted"``) for logging.
+        (e.g. supernet tuning between shrinking stages). Forked workers
+        snapshot parent memory, so the pool is restarted and the next
+        dispatch re-forks from current parent state.
         """
-        source = module if module is not None else self.source_module
-        if self.weight_store is not None and source is not None:
-            self.weight_store.refresh_from(source)
-            return "refreshed"
         self._pool.restart()
         return "restarted"
 
-    # -- observability -----------------------------------------------------------
-
     def stats(self) -> dict:
         """Dispatch/fault counters for run artifacts and logs."""
-        out = {
-            "backend": self.name,
-            "workers": self._pool.workers,
-            "parallel": self._pool.parallel,
-            "batches": self.batches,
-            "items": self.items,
-            "chunks_dispatched": self._pool.chunks_dispatched,
-            "chunk_retries": self._pool.chunk_retries,
-            "serial_fallbacks": self._pool.serial_fallbacks,
-            "pool_rebuilds": self._pool.pool_rebuilds,
-            "hang_kills": self._pool.hang_kills,
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
+        pool = self._pool
+        out = super().stats()
+        out.update(
+            workers=pool.workers,
+            parallel=pool.parallel,
+            chunks_dispatched=pool.chunks_dispatched,
+            chunk_retries=pool.chunk_retries,
+            serial_fallbacks=pool.serial_fallbacks,
+            pool_rebuilds=pool.pool_rebuilds,
+            hang_kills=pool.hang_kills,
+        )
         return out
 
-    # -- lifecycle ---------------------------------------------------------------
-
     def close(self) -> None:
-        """Shut worker processes down (the weight store is not closed:
-        the evaluator borrows it, the creator owns its lifecycle)."""
+        """Shut worker processes down."""
         self._pool.close()
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

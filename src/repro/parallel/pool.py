@@ -246,9 +246,8 @@ class WorkerPool:
 
         Forked workers snapshot the parent's memory at creation time, so
         a caller that mutates evaluation state (e.g. tunes the supernet
-        between shrinking stages) must either restart the pool or route
-        the mutable state through a
-        :class:`~repro.parallel.SharedWeightStore`.
+        between shrinking stages) restarts the pool to make the workers
+        see it.
         """
         self._discard_executor()
 

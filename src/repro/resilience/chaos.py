@@ -270,8 +270,8 @@ class FlakyBackend:
         if hasattr(self.inner, "set_cancel"):
             self.inner.set_cancel(token)
 
-    def sync(self, module=None) -> str:
-        return self.inner.sync(module)
+    def sync(self) -> str:
+        return self.inner.sync()
 
     def stats(self) -> dict:
         out = dict(self.inner.stats())

@@ -124,19 +124,17 @@ def replay_front_search(
 
     Populations are scored by one vectorized gather per generation
     (:meth:`repro.tabular.TabularEvaluator.bi_objective_many`) through
-    ``create_backend("tabular")`` — no predictor, no surrogate, no
-    per-arch lookups. Bit-identical to the live recipe when ``table``
-    was built with the ``"front"`` recipe at this seed; untabulated
-    architectures raise ``KeyError`` rather than silently falling back
-    to live evaluation.
+    a :class:`~repro.parallel.TabularBackend` — no predictor, no
+    surrogate, no per-arch lookups. Bit-identical to the live recipe
+    when ``table`` was built with the ``"front"`` recipe at this seed;
+    untabulated architectures raise ``KeyError`` rather than silently
+    falling back to live evaluation.
     """
-    from repro.parallel.backend import create_backend
+    from repro.parallel.backend import TabularBackend
     from repro.tabular.evaluator import TabularEvaluator
 
     replay = TabularEvaluator(table, device=device)
-    evaluator = create_backend(
-        "tabular", eval_many_fn=replay.bi_objective_many
-    )
+    evaluator = TabularBackend(replay.bi_objective_many)
     try:
         return Nsga2Search(
             space,

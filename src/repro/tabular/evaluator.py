@@ -3,9 +3,9 @@
 :class:`TabularEvaluator` is the bridge between the searchers and the
 table's dense columns: a generation of architectures becomes one row-
 position batch (:meth:`TabularBenchmark.rows_of`) plus one fancy-
-indexed gather per metric — no per-architecture ``lookup_fn`` round
-trips. Wire it into the search stack through
-``create_backend("tabular", eval_many_fn=...)``:
+indexed gather per metric — no per-architecture round trips. Wire it
+into the search stack as the ``eval_many_fn`` of a
+:class:`~repro.parallel.TabularBackend`:
 
 * EA / pipeline replay — hand an :class:`~repro.core.Objective` the
   ``accuracy``/``latency`` scalar functions plus the ``*_many``

@@ -10,8 +10,9 @@ hundreds of scenarios where one live search used to fit.
 
 Each scenario is a faithful replay: the same
 :class:`~repro.core.Objective`, the same EA configuration and seed,
-scored through ``create_backend("tabular")`` — so any single scenario
-is bit-identical to the live search it replaces.
+scored through a :class:`~repro.parallel.TabularBackend` over the
+table's columns — so any single scenario is bit-identical to the live
+search it replaces.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.objective import Objective
-from repro.parallel.backend import create_backend
+from repro.parallel.backend import TabularBackend
 from repro.space.encoding import space_cardinality
 from repro.tabular.evaluator import TabularEvaluator
 from repro.tabular.table import TabularBenchmark
@@ -140,9 +141,7 @@ def run_scenario(
         accuracy_many_fn=evaluator.accuracy_many,
         latency_many_fn=evaluator.latency_many,
     )
-    backend = create_backend(
-        "tabular", eval_many_fn=objective.evaluate_many
-    )
+    backend = TabularBackend(objective.evaluate_many)
     try:
         result = EvolutionarySearch(
             table.space,

@@ -152,36 +152,6 @@ class TestWorkspaceMutation:
             """
         ) == ["RL103"]
 
-    def test_store_on_shared_view_fires(self):
-        # SharedWeightStore views alias memory mapped into every worker
-        # process — in-place writes there corrupt concurrent evaluations.
-        assert _rule_ids(
-            """
-            def poke(store, name):
-                view = store.shared_view(name)
-                view[0] = 1.0
-            """
-        ) == ["RL103"]
-
-    def test_augassign_on_shared_view_fires(self):
-        assert _rule_ids(
-            """
-            def decay(store, name):
-                weights = store.shared_view(name)
-                weights *= 0.99
-            """
-        ) == ["RL103"]
-
-    def test_shared_view_copy_is_clean(self):
-        assert _rule_ids(
-            """
-            def snapshot(store, name):
-                local = store.shared_view(name).copy()
-                local += 1.0
-                return local
-            """
-        ) == []
-
     def test_copy_then_mutate_is_clean(self):
         assert _rule_ids(
             """

@@ -9,7 +9,6 @@ a :class:`TabularBackend` replaying recorded results.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -21,6 +20,7 @@ from repro.core import (
     Objective,
     SubspaceQuality,
 )
+from repro.hardware import LatencyLUT, get_device
 from repro.parallel import (
     BACKEND_NAMES,
     EvaluationBackend,
@@ -31,6 +31,8 @@ from repro.parallel import (
     fork_available,
     resolve_backend_name,
 )
+from repro.space import space_for_layout
+from repro.tabular import TabularBenchmark, tabulate
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
@@ -92,8 +94,8 @@ class TestResolveAndFactory:
     def test_required_arguments(self):
         with pytest.raises(ValueError, match="eval_many_fn"):
             create_backend("serial")
-        with pytest.raises(ValueError, match="lookup_fn"):
-            create_backend("tabular")
+        with pytest.raises(ValueError, match="eval_many_fn"):
+            create_backend("multiprocess")
 
     def test_factory_types_and_names(self):
         serial = create_backend("serial", eval_many_fn=lambda a: a)
@@ -101,10 +103,11 @@ class TestResolveAndFactory:
         assert serial.name == "serial"
         mp = create_backend("multiprocess", eval_many_fn=lambda a: a)
         assert isinstance(mp, ParallelEvaluator)
+        assert isinstance(mp, EvaluationBackend)
         assert mp.name == "multiprocess"
         mp.close()
-        tab = create_backend("tabular", lookup_fn=lambda a: a)
-        assert isinstance(tab, TabularBackend)
+        tab = TabularBackend(lambda a: a)
+        assert isinstance(tab, SerialBackend)
         assert tab.name == "tabular"
         assert set(BACKEND_NAMES) == {"auto", "serial", "multiprocess", "tabular"}
 
@@ -118,10 +121,41 @@ class TestResolveAndFactory:
             on_worker_items=lambda n: None,
             chunk_size=3,
             max_retries=2,
-            weight_store=None,
-            source_module=None,
+            dispatch_timeout_s=5.0,
         )
         assert isinstance(backend, SerialBackend)
+
+    def test_factory_rejects_tabular(self):
+        # Replay is not a live evaluation: the factory refuses the
+        # name rather than evaluating live under it.
+        with pytest.raises(ValueError, match="TabularBackend"):
+            create_backend("tabular", eval_many_fn=lambda a: a)
+
+    @pytest.mark.parametrize("builder", ["lut", "tabulate", "table"])
+    def test_live_builders_reject_tabular(self, builder):
+        space = space_for_layout("mini")
+        with pytest.raises(ValueError, match="TabularBackend"):
+            if builder == "lut":
+                LatencyLUT.build(space, get_device("edge"), backend="tabular")
+            elif builder == "tabulate":
+                tabulate(space, ("edge",), num_archs=20, backend="tabular")
+            else:
+                TabularBenchmark.build(
+                    space,
+                    latency_fn=space.arch_flops,
+                    accuracy_fn=space.arch_flops,
+                    num_archs=20,
+                    backend="tabular",
+                )
+
+
+BACKENDS = ("serial", "tabular", pytest.param("multiprocess", marks=needs_fork))
+
+
+def make_backend(name, eval_many_fn, cache=None):
+    if name == "tabular":
+        return TabularBackend(eval_many_fn, cache=cache)
+    return create_backend(name, eval_many_fn, workers=2, cache=cache)
 
 
 class TestSerialBackend:
@@ -134,49 +168,63 @@ class TestSerialBackend:
             "backend": "serial", "batches": 2, "items": 4,
         }
 
-    def test_evaluate_many_routes_through_cache(self):
-        calls = []
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_evaluate_many_routes_through_cache(self, name, tmp_path):
+        # Evaluations are logged to a file so worker-side calls are
+        # visible to the parent too.
+        log = tmp_path / "calls.log"
 
         def eval_many(archs):
-            calls.append([a.value for a in archs])
+            with open(log, "a") as handle:
+                handle.write(" ".join(str(a.value) for a in archs) + "\n")
             return [a.value + 1 for a in archs]
 
         one, two, three = _Item(1), _Item(2), _Item(3)
         cache = EvaluationCache()
-        backend = SerialBackend(eval_many, cache=cache)
-        assert backend.evaluate_many([one, two, one]) == [2, 3, 2]
-        assert backend.evaluate_many([two, three]) == [3, 4]
+        with make_backend(name, eval_many, cache=cache) as backend:
+            assert backend.evaluate_many([one, two, one]) == [2, 3, 2]
+            assert backend.evaluate_many([two, three]) == [3, 4]
+            stats = backend.stats()
         # Dedup and hits happen in the cache: 1 appears once, 2 only in
         # the first batch.
-        assert calls == [[1, 2], [3]]
-        assert backend.stats()["cache"] == cache.stats()
+        assert sorted(log.read_text().split()) == ["1", "2", "3"]
+        assert stats["batches"] == 2
+        assert stats["items"] == 3
+        assert stats["cache"] == cache.stats()
 
-    def test_sync_is_noop_and_context_manager(self):
-        with SerialBackend(lambda a: a) as backend:
-            assert backend.sync() == "noop"
-            assert backend.sync(module=object()) == "noop"
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_sync_and_context_manager(self, name):
+        with make_backend(name, lambda archs: list(archs)) as backend:
+            assert backend.map([1, 2]) == [1, 2]
+            expected = "restarted" if name == "multiprocess" else "noop"
+            assert backend.sync() == expected
+        closed = []
+        backend.close = lambda: closed.append(True)
+        with backend:
+            pass
+        assert closed == [True]
 
 
 class TestTabularBackend:
     def test_replays_and_raises_on_miss(self):
         table = {1: "one", 2: "two"}
-        backend = TabularBackend(lambda a: table[a])
+        backend = TabularBackend(lambda archs: [table[a] for a in archs])
         assert backend.map([2, 1]) == ["two", "one"]
         with pytest.raises(KeyError):
             backend.map([3])
 
     def test_evaluate_many_with_cache_counts_hits(self):
-        lookups = []
+        gathers = []
 
-        def lookup(a):
-            lookups.append(a.value)
-            return a.value * 2
+        def gather(archs):
+            gathers.append([a.value for a in archs])
+            return [a.value * 2 for a in archs]
 
         one, two = _Item(1), _Item(2)
-        backend = TabularBackend(lookup, cache=EvaluationCache())
+        backend = TabularBackend(gather, cache=EvaluationCache())
         assert backend.evaluate_many([one, one, two]) == [2, 2, 4]
         assert backend.evaluate_many([two]) == [4]
-        assert lookups == [1, 2]
+        assert gathers == [[1, 2]]
 
     def test_batched_replay_via_eval_many_fn(self):
         batches = []
@@ -185,7 +233,7 @@ class TestTabularBackend:
             batches.append(list(archs))
             return [a * 3 for a in archs]
 
-        backend = TabularBackend(eval_many_fn=gather)
+        backend = TabularBackend(gather)
         assert backend.map([2, 1, 4]) == [6, 3, 12]
         # One vectorized gather per batch, never per-item lookups.
         assert batches == [[2, 1, 4]]
@@ -201,26 +249,31 @@ class TestTabularBackend:
         with pytest.raises(KeyError, match="not tabulated"):
             backend.map([1])
 
-    def test_exactly_one_evaluation_path_required(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            TabularBackend(lookup_fn=lambda a: a, eval_many_fn=lambda a: a)
-        with pytest.raises(ValueError, match="exactly one"):
-            TabularBackend()
+    def test_owns_its_map(self):
+        # Instrumentation patches SerialBackend.map and TabularBackend.map
+        # separately; an inherited map would count replay batches twice.
+        assert "map" in vars(TabularBackend)
 
-    def test_factory_accepts_eval_many_fn(self):
-        backend = create_backend(
-            "tabular", eval_many_fn=lambda archs: [a + 1 for a in archs]
-        )
-        assert isinstance(backend, TabularBackend)
-        assert backend.map([1, 2]) == [2, 3]
-        # When both are given the factory prefers per-arch lookup (the
-        # historical signature); the backend itself rejects ambiguity.
-        preferred = create_backend(
-            "tabular",
-            lookup_fn=lambda a: a * 10,
-            eval_many_fn=lambda archs: [a + 1 for a in archs],
-        )
-        assert preferred.map([1, 2]) == [10, 20]
+
+@needs_fork
+class TestParallelEvaluatorSync:
+    def test_sync_reforks_workers_onto_current_parent_state(self):
+        state = {"offset": 0}
+
+        def eval_many(archs):
+            return [a + state["offset"] for a in archs]
+
+        archs = [1, 2, 3, 4]
+        with create_backend("multiprocess", eval_many, workers=2) as backend:
+            assert backend.parallel
+            assert backend.map(archs) == [1, 2, 3, 4]
+            # The workers forked before the mutation: they keep their
+            # snapshot until the pool is re-forked.
+            state["offset"] = 100
+            assert backend.map(archs) == [1, 2, 3, 4]
+            assert backend.sync() == "restarted"
+            assert backend.map(archs) == [101, 102, 103, 104]
+            assert backend.stats()["chunks_dispatched"] > 0
 
 
 class TestSearchFingerprints:
@@ -264,8 +317,8 @@ class TestSearchFingerprints:
             live = fingerprint(self._run_ea(proxy_space, backend))
         # Replay: same seeds -> same candidate stream -> every lookup
         # hits; a miss would KeyError, which is the tabular contract.
-        with create_backend(
-            "tabular", lookup_fn=lambda a: table[a.key()]
+        with TabularBackend(
+            lambda archs: [table[a.key()] for a in archs]
         ) as backend:
             replay = fingerprint(self._run_ea(proxy_space, backend))
         assert replay == live

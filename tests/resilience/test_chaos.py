@@ -133,7 +133,7 @@ class _Recorder:
         self.calls.append(tuple(archs))
         return [a * 2 for a in archs]
 
-    def sync(self, module=None):
+    def sync(self):
         return "synced"
 
     def stats(self):
