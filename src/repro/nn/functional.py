@@ -126,10 +126,10 @@ def grouped_conv2d_loop(
 ) -> Tuple[np.ndarray, list]:
     """Per-group Python-loop reference forward (pre-vectorization path).
 
-    Kept as the ground truth for the equivalence tests and the
-    ``bench_hotpaths`` speedup baseline. Returns ``(out, cols_per_group)``
-    so :func:`grouped_conv2d_loop_backward` can mirror the old training
-    cache exactly.
+    Kept as the reference implementation the equivalence tests check
+    :class:`~repro.nn.layers.conv.Conv2d` against. Returns
+    ``(out, cols_per_group)`` so :func:`grouped_conv2d_loop_backward`
+    can mirror the old training cache exactly.
     """
     n = x.shape[0]
     cout, cin_g, k, _ = weight.shape

@@ -31,7 +31,8 @@ identical numpy operations in the identical order, just batched — which
 the equivalence tests assert byte-for-byte.
 
 Per-stage wall-time attribution (im2col / GEMM / scoring / other) is
-accumulated in :meth:`stage_times` for ``benchmarks/bench_hotpaths.py``.
+accumulated in :meth:`stage_times`; the end-to-end benchmark's
+``supernet_proxy`` workload reads it for its per-operation table.
 """
 
 from __future__ import annotations

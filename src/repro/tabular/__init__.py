@@ -13,10 +13,11 @@ The subsystem has two ends:
   including whole ``(device x target x seed)`` scenario sweeps.
 
 See ``docs/performance.md`` ("Tabular replay") for the artifact format
-and the speedup numbers.
+and how replay is checked against live search.
 """
 
 from repro.tabular.artifact import (
+    SCHEMA_VERSION,
     TabularArtifactError,
     load_artifact,
     load_manifest,
@@ -32,7 +33,6 @@ from repro.tabular.sweep import (
     run_sweep,
 )
 from repro.tabular.table import (
-    SCHEMA_VERSION,
     TableEntry,
     TabularBenchmark,
     decode_indices,

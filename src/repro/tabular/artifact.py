@@ -29,11 +29,11 @@ import numpy as np
 from repro.runstate.atomic import atomic_path, atomic_write_json
 from repro.space.encoding import space_cardinality
 from repro.space.search_space import SearchSpace
-from repro.tabular.table import (
-    SCHEMA_VERSION,
-    TabularBenchmark,
-    space_fingerprint,
-)
+from repro.tabular.table import TabularBenchmark, space_fingerprint
+
+# Bump when the artifact's payload shape changes; loaders refuse other
+# versions loudly instead of returning garbage lookups.
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 COLUMNS_NAME = "columns.npz"

@@ -9,10 +9,10 @@ named recipes ship:
   (:func:`repro.serve.pipeline.build_front_predictor`: 2 LUT samples
   per cell, 25 calibration architectures, calibration at ``seed + 1``)
   with :class:`~repro.accuracy.AccuracySurrogate`'s proxy accuracy;
-* ``"search"`` — the HSCoNAS pipeline recipe
-  (:meth:`repro.core.search.HSCoNAS.build_predictor`: 4 samples per
-  cell, 40 calibration architectures) with the space-calibrated
-  ``AccuracySurrogate.for_space`` accuracy.
+* ``"search"`` — the HSCoNAS pipeline recipe, built by
+  :meth:`repro.core.search.HSCoNAS.build_predictor` itself at the
+  :class:`~repro.core.search.HSCoNASConfig` defaults, with the
+  space-calibrated ``AccuracySurrogate.for_space`` accuracy.
 
 Accuracy evaluation fans out through
 :func:`repro.parallel.create_backend` (``workers``/``backend`` are
@@ -51,24 +51,12 @@ def recipe_predictor(
             space, device_name, seed, workers=workers, backend=backend
         )
     if recipe == "search":
-        from repro.hardware import (
-            LatencyLUT,
-            LatencyPredictor,
-            OnDeviceProfiler,
-        )
+        from repro.core.search import HSCoNAS, HSCoNASConfig
         from repro.hardware.calibration import calibrated_devices
 
+        config = HSCoNASConfig(seed=seed, workers=workers, backend=backend)
         device = calibrated_devices()[device_name]
-        lut = LatencyLUT.build(
-            space, device, samples_per_cell=4, seed=seed,
-            workers=workers, backend=backend,
-        )
-        predictor = LatencyPredictor(lut, space)
-        profiler = OnDeviceProfiler(device, seed=seed)
-        predictor.calibrate_bias(
-            space, profiler, num_archs=40, seed=seed + 1
-        )
-        return predictor
+        return HSCoNAS(space, device, config).build_predictor()
     raise ValueError(
         f"unknown recipe {recipe!r}; expected one of {RECIPES}"
     )

@@ -16,15 +16,15 @@ tabulated *exhaustively*; paper-scale spaces are sampled without
 replacement.
 
 Every table knows the :func:`space_fingerprint` of the space it was
-built from; (de)serialization embeds it together with a schema version
-so a table can never be silently replayed against the wrong space.
+built from; the artifact (:mod:`repro.tabular.artifact`) records it
+together with a schema version so a table can never be silently
+replayed against the wrong space.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -33,12 +33,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
-from repro.runstate.atomic import atomic_write_text, sha256_text
+from repro.runstate.atomic import sha256_text
 from repro.space.architecture import Architecture
 from repro.space.encoding import (
     _layer_choices,
@@ -46,10 +45,6 @@ from repro.space.encoding import (
     space_cardinality,
 )
 from repro.space.search_space import SearchSpace
-
-# Bump when the serialized payload shape changes; loaders refuse other
-# versions loudly instead of returning garbage lookups.
-SCHEMA_VERSION = 2
 
 # Exhaustive tabulation guard (paper-scale spaces must be sampled).
 EXHAUSTIVE_CAP = 1_000_000
@@ -520,68 +515,3 @@ class TabularBenchmark:
             index_to_architecture(self.space, self._indices[row]),
             self._entry(row, latency),
         )
-
-    # -- (de)serialization ----------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "format": SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
-            "cardinality": str(self._cardinality),
-            "exhaustive": self.exhaustive,
-            "recipe": self.recipe,
-            "build_seed": self.build_seed,
-            "primary_device": self.primary_device,
-            "indices": [str(i) for i in self._indices],  # big ints as strings
-            "accuracy": self._accuracy.tolist(),
-            "latency": {
-                name: col.tolist() for name, col in self._latency.items()
-            },
-            "energy": (
-                self._energy.tolist() if self._energy is not None else None
-            ),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, space: SearchSpace, text: str) -> "TabularBenchmark":
-        payload = json.loads(text)
-        if "format" not in payload:
-            raise ValueError(
-                "tabular payload has no schema version (pre-v2 format); "
-                "rebuild the table with TabularBenchmark.build"
-            )
-        if int(payload["format"]) != SCHEMA_VERSION:
-            raise ValueError(
-                f"tabular payload is schema v{payload['format']}; this "
-                f"build reads v{SCHEMA_VERSION} — rebuild the table"
-            )
-        expected = space_fingerprint(space)
-        found = str(payload["fingerprint"])
-        if found != expected:
-            raise ValueError(
-                "table was built for a different space: fingerprint "
-                f"{found[:12]} != {expected[:12]} (check the layout and "
-                "any shrink state before replaying)"
-            )
-        energy = payload.get("energy")
-        return cls(
-            space,
-            indices=[int(i) for i in payload["indices"]],
-            accuracy=payload["accuracy"],
-            latency=payload["latency"],
-            energy=energy,
-            exhaustive=bool(payload["exhaustive"]),
-            primary_device=payload["primary_device"],
-            recipe=payload.get("recipe", "custom"),
-            build_seed=int(payload.get("build_seed", 0)),
-        )
-
-    def save(self, path: Union[str, Path]) -> Path:
-        return atomic_write_text(Path(path), self.to_json() + "\n")
-
-    @classmethod
-    def load(
-        cls, space: SearchSpace, path: Union[str, Path]
-    ) -> "TabularBenchmark":
-        return cls.from_json(space, Path(path).read_text())

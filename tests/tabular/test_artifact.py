@@ -22,17 +22,39 @@ def saved(micro_table, tmp_path):
 
 
 class TestRoundTrip:
-    def test_bit_identical_columns(self, micro_table, saved, micro_space):
-        restored = load_artifact(saved, space=micro_space)
-        assert restored.indices == micro_table.indices
-        assert np.array_equal(
-            restored.accuracy_column(), micro_table.accuracy_column()
+    def test_bit_identical_columns(
+        self, micro_table, saved, micro_space, tmp_path
+    ):
+        with_energy = TabularBenchmark(
+            micro_space,
+            indices=micro_table.indices,
+            accuracy=micro_table.accuracy_column(),
+            latency={
+                device: micro_table.latency_column(device)
+                for device in micro_table.devices
+            },
+            energy=micro_table.accuracy_column() * 3.0,
+            exhaustive=micro_table.exhaustive,
+            primary_device=micro_table.primary_device,
         )
-        for device in micro_table.devices:
+        for table, path in (
+            (micro_table, saved),
+            (with_energy, save_artifact(with_energy, tmp_path / "energy")),
+        ):
+            restored = load_artifact(path, space=micro_space)
+            assert restored.indices == table.indices
             assert np.array_equal(
-                restored.latency_column(device),
-                micro_table.latency_column(device),
+                restored.accuracy_column(), table.accuracy_column()
             )
+            for device in table.devices:
+                assert np.array_equal(
+                    restored.latency_column(device),
+                    table.latency_column(device),
+                )
+            energy = table.energy_column()
+            assert (restored.energy_column() is None) == (energy is None)
+            if energy is not None:
+                assert np.array_equal(restored.energy_column(), energy)
 
     def test_provenance_preserved(self, micro_table, saved, micro_space):
         restored = load_artifact(saved, space=micro_space)

@@ -10,14 +10,11 @@ from repro.space.encoding import (
     space_cardinality,
 )
 from repro.tabular import (
-    SCHEMA_VERSION,
     TabularBenchmark,
     decode_indices,
     sample_indices,
     space_fingerprint,
 )
-
-from tests.tabular.conftest import micro_accuracy, micro_latency
 
 
 class TestSampleIndices:
@@ -212,49 +209,3 @@ class TestColumns:
                 primary_device="tpu",
             )
 
-
-class TestJsonPayload:
-    def _table(self, micro_space):
-        return TabularBenchmark(
-            micro_space,
-            indices=[1, 8],
-            accuracy=[
-                micro_accuracy(micro_space, a)
-                for a in decode_indices(micro_space, [1, 8])
-            ],
-            latency={
-                "edge": [
-                    micro_latency(micro_space, a)
-                    for a in decode_indices(micro_space, [1, 8])
-                ]
-            },
-            recipe="custom",
-            build_seed=4,
-        )
-
-    def test_roundtrip_preserves_provenance(self, micro_space):
-        table = self._table(micro_space)
-        restored = TabularBenchmark.from_json(micro_space, table.to_json())
-        assert restored.build_seed == 4
-        assert restored.recipe == "custom"
-        assert restored.fingerprint == table.fingerprint
-        assert np.array_equal(
-            restored.accuracy_column(), table.accuracy_column()
-        )
-
-    def test_schema_version_enforced(self, micro_space):
-        import json
-
-        table = self._table(micro_space)
-        payload = json.loads(table.to_json())
-        payload["format"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema"):
-            TabularBenchmark.from_json(micro_space, json.dumps(payload))
-        del payload["format"]
-        with pytest.raises(ValueError, match="no schema version"):
-            TabularBenchmark.from_json(micro_space, json.dumps(payload))
-
-    def test_wrong_space_rejected(self, micro_space, proxy_space):
-        table = self._table(micro_space)
-        with pytest.raises(ValueError, match="different space"):
-            TabularBenchmark.from_json(proxy_space, table.to_json())

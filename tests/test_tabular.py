@@ -118,23 +118,6 @@ class TestQuery:
             table.best_under(1e-9)
 
 
-class TestSerialization:
-    def test_json_roundtrip(self, micro_space, tmp_path):
-        lat, acc = _fns(micro_space)
-        table = TabularBenchmark.build(
-            micro_space, lat, acc, energy_fn=lambda a: 1.5, num_archs=None
-        )
-        path = table.save(tmp_path / "table.json")
-        restored = TabularBenchmark.load(micro_space, path)
-        assert len(restored) == len(table)
-        assert restored.exhaustive
-        for (arch_a, e_a), (arch_b, e_b) in zip(
-            table.entries(), restored.entries()
-        ):
-            assert arch_a == arch_b
-            assert e_a == e_b
-
-
 class TestSearchOnTable:
     def test_ea_runs_against_table(self, micro_space):
         """A table can replace the simulator in the Eq. 1 objective —
