@@ -27,7 +27,7 @@ supernets).
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +40,23 @@ from repro.accuracy.calibration import (
 from repro.accuracy.features import ArchFeatures, extract_features
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace  # noqa: F401 (docs reference)
+from repro.streams import seeded_generators
+
+
+def _digest_seed(digest: str, salt: str) -> int:
+    salted = hashlib.sha256((digest + salt).encode()).digest()
+    return int.from_bytes(salted[:8], "little")
 
 
 def _digest_residual(digest: str, salt: str, sigma: float) -> float:
     """Deterministic ~N(0, sigma) draw keyed by an architecture digest."""
-    salted = hashlib.sha256((digest + salt).encode()).digest()
-    seed = int.from_bytes(salted[:8], "little")
-    return float(np.random.default_rng(seed).normal(0.0, sigma))
+    return float(np.random.default_rng(_digest_seed(digest, salt)).normal(0.0, sigma))
+
+
+def _digest_residuals(digests: List[str], salt: str, sigma: float) -> List[float]:
+    """:func:`_digest_residual` of every digest, seeded in one pass."""
+    seeds = [_digest_seed(digest, salt) for digest in digests]
+    return [float(rng.normal(0.0, sigma)) for rng in seeded_generators(seeds)]
 
 
 class AccuracySurrogate:
@@ -140,13 +150,16 @@ class AccuracySurrogate:
 
     def top1_error(self, arch: Architecture) -> float:
         """Stand-alone top-1 error (%) after full training."""
-        return self._top1_error(arch, arch.digest())
+        residual = _digest_residual(
+            arch.digest(), salt="standalone", sigma=self.residual_sigma
+        )
+        return self._top1_error(arch, residual)
 
-    def _top1_error(self, arch: Architecture, digest: str) -> float:
+    def _top1_error(self, arch: Architecture, residual: float) -> float:
         feats = extract_features(self.space, arch)
         error = self.curve.error_at(feats.flops * self.flops_scale)
         error += self._penalties(feats)
-        error += _digest_residual(digest, salt="standalone", sigma=self.residual_sigma)
+        error += residual
         return float(min(max(error, 5.0), 95.0))
 
     def top5_error(self, arch: Architecture) -> float:
@@ -171,6 +184,27 @@ class AccuracySurrogate:
         actually operates.
         """
         digest = arch.digest()
-        error = self._top1_error(arch, digest) + self.proxy_gap
-        error += _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma)
+        return self._proxy_accuracy(
+            arch,
+            _digest_residual(digest, salt="standalone", sigma=self.residual_sigma),
+            _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma),
+        )
+
+    def proxy_accuracy_many(self, archs: Sequence[Architecture]) -> List[float]:
+        """:meth:`proxy_accuracy` of every architecture, bit for bit,
+        with the residual streams of the whole batch seeded in bulk."""
+        archs = list(archs)
+        digests = [arch.digest() for arch in archs]
+        standalone = _digest_residuals(digests, "standalone", self.residual_sigma)
+        proxy = _digest_residuals(digests, "proxy", self.proxy_sigma)
+        return [
+            self._proxy_accuracy(arch, s, p)
+            for arch, s, p in zip(archs, standalone, proxy)
+        ]
+
+    def _proxy_accuracy(
+        self, arch: Architecture, standalone: float, proxy: float
+    ) -> float:
+        error = self._top1_error(arch, standalone) + self.proxy_gap
+        error += proxy
         return float(min(max((100.0 - error) / 100.0, 0.0), 1.0))

@@ -76,7 +76,7 @@ def space_statistics(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    archs = [space.sample(rng) for _ in range(num_samples)]
+    archs = space.sample_many(rng, num_samples)
     flops = np.array([space.arch_flops(a) for a in archs])
     params = np.array([space.arch_params(a) for a in archs])
     depth = np.array([float(a.depth()) for a in archs])

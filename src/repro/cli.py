@@ -268,6 +268,7 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         accuracy_fn=surrogate.proxy_accuracy,
         latency_fn=predictor.predict,
         target_ms=args.target,
+        accuracy_many_fn=surrogate.proxy_accuracy_many,
         latency_many_fn=predictor.predict_many,
     )
 
@@ -347,7 +348,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     bias = predictor.calibrate_bias(space, profiler, num_archs=40,
                                     seed=args.seed + 2)
     rng = np.random.default_rng(args.seed + 3)
-    holdout = [space.sample(rng) for _ in range(40)]
+    holdout = space.sample_many(rng, 40)
     report = predictor.evaluate(space, profiler, holdout)
     print(f"bias B = {bias:+.2f} ms")
     print(report)

@@ -189,7 +189,7 @@ class EvolutionarySearch(GenerationalSearch):
     # -- generational hooks ------------------------------------------------------
 
     def _initial_archs(self, rng: np.random.Generator) -> List[Architecture]:
-        return [self.space.sample(rng) for _ in range(self.config.population_size)]
+        return self.space.sample_many(rng, self.config.population_size)
 
     def _select(self, population: List[EvaluatedArch]) -> List[EvaluatedArch]:
         # Elitism: parents survive; the rest of the population is
@@ -234,8 +234,8 @@ class RandomSearch:
     def run(self) -> SearchResult:
         rng = np.random.default_rng(self.seed)
         evaluated = [
-            self.objective.evaluate(self.space.sample(rng))
-            for _ in range(self.budget)
+            self.objective.evaluate(arch)
+            for arch in self.space.sample_many(rng, self.budget)
         ]
         record = GenerationRecord(0, evaluated)
         return SearchResult(

@@ -129,8 +129,8 @@ class GenerationalSearch:
                 continue
             seen.add(child.key())
             children.append(child)
-        while len(children) < needed:
-            children.append(self.space.sample(rng))
+        if len(children) < needed:
+            children += self.space.sample_many(rng, needed - len(children))
         return children
 
     # -- bookkeeping ---------------------------------------------------------------

@@ -173,6 +173,9 @@ class Nsga2Search(GenerationalSearch):
         ] = None,
         evaluator=None,
         cancel=None,
+        accuracy_many_fn: Optional[
+            Callable[[List[Architecture]], "List[float]"]
+        ] = None,
     ):
         # The shared-cache contract: a cache passed in here must only
         # ever hold BiObjective values (i.e. be private to NSGA-II runs
@@ -184,11 +187,13 @@ class Nsga2Search(GenerationalSearch):
         super().__init__(space, config, cache, checkpoint, cancel)
         self.accuracy_fn = accuracy_fn
         self.latency_fn = latency_fn
-        # Optional batched latency counterpart ``archs -> [ms]`` (e.g.
-        # LatencyPredictor.predict_many). Must return exactly what
-        # ``latency_fn`` would per architecture — the batched path is a
+        # Optional batched counterparts ``archs -> [value]`` (e.g.
+        # LatencyPredictor.predict_many, AccuracySurrogate.
+        # proxy_accuracy_many). Each must return exactly what its scalar
+        # function would per architecture — the batched path is a
         # throughput knob, never a semantics change.
         self.latency_many_fn = latency_many_fn
+        self.accuracy_many_fn = accuracy_many_fn
         # Worker processes for population evaluation; 0/1 = serial.
         # Results are identical either way (see docs/parallel.md).
         # ``backend`` picks the evaluation backend explicitly; "auto"
@@ -206,26 +211,22 @@ class Nsga2Search(GenerationalSearch):
     def eval_many(self, archs: List[Architecture]) -> List[BiObjective]:
         """Uncached batch scoring (the worker-pool chunk function).
 
-        With ``latency_many_fn`` set, one batched call scores every
-        latency (bit-exact with the scalar path by contract).
+        With ``latency_many_fn``/``accuracy_many_fn`` set, one batched
+        call scores each objective (bit-exact with the scalar path by
+        contract).
         """
+        archs = list(archs)
         if self.latency_many_fn is not None:
-            latencies = self.latency_many_fn(list(archs))
-            return [
-                BiObjective(
-                    arch=a,
-                    latency_ms=float(lat),
-                    accuracy=self.accuracy_fn(a),
-                )
-                for a, lat in zip(archs, latencies)
-            ]
+            latencies = [float(v) for v in self.latency_many_fn(archs)]
+        else:
+            latencies = [self.latency_fn(a) for a in archs]
+        if self.accuracy_many_fn is not None:
+            accuracies = list(self.accuracy_many_fn(archs))
+        else:
+            accuracies = [self.accuracy_fn(a) for a in archs]
         return [
-            BiObjective(
-                arch=a,
-                latency_ms=self.latency_fn(a),
-                accuracy=self.accuracy_fn(a),
-            )
-            for a in archs
+            BiObjective(arch=a, latency_ms=lat, accuracy=acc)
+            for a, lat, acc in zip(archs, latencies, accuracies)
         ]
 
     def run(self) -> Nsga2Result:
@@ -284,7 +285,7 @@ class Nsga2Search(GenerationalSearch):
     def _initial_archs(self, rng: np.random.Generator) -> List[Architecture]:
         size = self.config.population_size
         seeds = self._corner_architectures()[: size // 2]
-        return seeds + [self.space.sample(rng) for _ in range(size - len(seeds))]
+        return seeds + self.space.sample_many(rng, size - len(seeds))
 
     def _select(self, population: List[BiObjective]) -> List[BiObjective]:
         """The best half by (front rank, descending crowding)."""

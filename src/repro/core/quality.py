@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.cache import EvaluationCache
 from repro.core.objective import Objective
+from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
 
 
@@ -116,11 +117,6 @@ class SubspaceQuality:
 
     # -- estimation --------------------------------------------------------------
 
-    def _eval_many_fn(self):
-        if self.evaluator is not None:
-            return self.evaluator.map
-        return self.objective.evaluate_many
-
     def estimate(
         self,
         subspace: SearchSpace,
@@ -135,20 +131,9 @@ class SubspaceQuality:
         owns the stream).
         """
         if rng is None:
-            if index is None:
-                (index,) = self.reserve_indices(1)
-            rng = self.rng_for(index)
-        archs = [subspace.sample(rng) for _ in range(self.num_samples)]
-        eval_many = self._eval_many_fn()
-        if self.cache is not None:
-            evaluated = self.cache.get_or_eval_many(archs, eval_many)
-        else:
-            evaluated = eval_many(archs)
-        self.evaluations += self.num_samples
-        total = 0.0
-        for e in evaluated:
-            total += e.score
-        return total / self.num_samples
+            indices = None if index is None else [index]
+            return self.estimate_many([subspace], indices)[0]
+        return self._mean_scores(subspace.sample_many(rng, self.num_samples))[0]
 
     def estimate_many(
         self,
@@ -176,24 +161,26 @@ class SubspaceQuality:
             raise ValueError(
                 f"got {len(indices)} indices for {len(subspaces)} subspaces"
             )
-        all_archs = []
+        archs = []
         for subspace, index in zip(subspaces, indices):
-            rng = self.rng_for(index)
-            all_archs.extend(
-                subspace.sample(rng) for _ in range(self.num_samples)
-            )
-        eval_many = self._eval_many_fn()
-        if self.cache is not None:
-            evaluated = self.cache.get_or_eval_many(all_archs, eval_many)
+            archs += subspace.sample_many(self.rng_for(index), self.num_samples)
+        return self._mean_scores(archs)
+
+    def _mean_scores(self, archs: List[Architecture]) -> List[float]:
+        """Mean objective of each run of N samples, scored in one batch."""
+        if self.evaluator is not None:
+            eval_many = self.evaluator.map
         else:
-            evaluated = eval_many(all_archs)
-        self.evaluations += self.num_samples * len(subspaces)
+            eval_many = self.objective.evaluate_many
+        if self.cache is not None:
+            evaluated = self.cache.get_or_eval_many(archs, eval_many)
+        else:
+            evaluated = eval_many(archs)
+        self.evaluations += len(archs)
         qualities = []
-        for group in range(len(subspaces)):
+        for start in range(0, len(archs), self.num_samples):
             total = 0.0
-            for e in evaluated[
-                group * self.num_samples : (group + 1) * self.num_samples
-            ]:
+            for e in evaluated[start : start + self.num_samples]:
                 total += e.score
             qualities.append(total / self.num_samples)
         return qualities

@@ -347,6 +347,7 @@ class HSCoNAS:
                 latency_fn=predictor.predict,
                 target_ms=cfg.target_ms,
                 beta=cfg.beta,
+                accuracy_many_fn=self.surrogate.proxy_accuracy_many,
                 latency_many_fn=predictor.predict_many,
             )
             # One evaluation backend serves both phases; "auto"

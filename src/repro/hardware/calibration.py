@@ -64,8 +64,9 @@ def calibrated_devices() -> dict:
     34 ms constraints apply directly).
 
     The calibration runs once per process. Each call returns a fresh
-    dict over the same :class:`DeviceModel` instances, which hold
-    nothing but their frozen spec and so are safe to share.
+    dict over the same :class:`DeviceModel` instances. Each holds its
+    frozen spec and a memo of noise-free kernel times derived from it
+    alone, so they are safe to share, across threads too.
     """
     return dict(_calibrated_devices())
 

@@ -190,7 +190,7 @@ class EnergyPredictor:
         """Fit the constant bias against noisy end-to-end measurements."""
         rng = np.random.default_rng(seed)
         noise_rng = np.random.default_rng(seed + 1)
-        archs = [self.space.sample(rng) for _ in range(num_archs)]
+        archs = self.space.sample_many(rng, num_archs)
         measured = [
             self.model.arch_energy_mj(self.space, a, rng=noise_rng)
             for a in archs

@@ -26,6 +26,7 @@ from repro.hardware.faults import ProbeError, RetryPolicy, run_with_retry
 from repro.space.architecture import Architecture
 from repro.space.operators import NUM_OPERATORS, get_operator
 from repro.space.search_space import SearchSpace
+from repro.streams import seeded_generators
 
 _Key = Tuple[int, int, int, float]
 
@@ -44,11 +45,6 @@ def _cell_key(layer: int, op: int, cin: int, factor: float) -> _Key:
 # Noisy cells per noise block: enough for whole-array arithmetic to pay
 # off, small enough that the buffer and its bookkeeping stay a few KB.
 _NOISE_BLOCK_ROWS = 256
-
-
-def _noise_rng(seed: int, index: int) -> np.random.Generator:
-    """Measurement-noise stream of LUT cell ``index``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
 def _jitter_rng(seed: int, index: int) -> np.random.Generator:
@@ -200,10 +196,14 @@ class LatencyLUT:
             def add_noise() -> None:
                 rows = block[: len(noisy)]
                 # Row j holds the draws of the j-th noisy cell from its
-                # own stream. ``normal(0, sigma)`` computes ``0.0 +
-                # sigma * z``, which is exactly ``z * sigma``.
-                for row, pos in zip(rows, noisy):
-                    _noise_rng(seed, chunk[pos][0]).standard_normal(out=row)
+                # own ``SeedSequence(seed, spawn_key=(i,))`` stream, all
+                # seeded in one pass. ``normal(0, sigma)`` computes
+                # ``0.0 + sigma * z``, which is exactly ``z * sigma``.
+                rngs = seeded_generators(
+                    [seed] * len(noisy), [(chunk[pos][0],) for pos in noisy]
+                )
+                for row, rng in zip(rows, rngs):
+                    rng.standard_normal(out=row)
                 rows *= sigma
                 np.exp(rows, out=rows)
                 rows *= np.fromiter(

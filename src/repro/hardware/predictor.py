@@ -182,7 +182,7 @@ class LatencyPredictor:
         """
         if archs is None:
             rng = np.random.default_rng(seed)
-            archs = [space.sample(rng) for _ in range(num_archs)]
+            archs = space.sample_many(rng, num_archs)
         if not archs:
             raise ValueError("bias calibration needs at least one architecture")
         archs = list(archs)

@@ -42,7 +42,7 @@ class FlopsLatencyPredictor:
         """Fit the affine map on measured (FLOPs, latency) pairs."""
         if archs is None:
             rng = np.random.default_rng(seed)
-            archs = [self.space.sample(rng) for _ in range(num_archs)]
+            archs = self.space.sample_many(rng, num_archs)
         if len(archs) < 2:
             raise ValueError("need at least two architectures to fit a line")
         flops = np.array([self.space.arch_flops(a) for a in archs])

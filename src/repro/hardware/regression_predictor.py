@@ -87,7 +87,7 @@ class FeatureLatencyPredictor:
         """Fit on measured architectures (ridge-regularized lstsq)."""
         if archs is None:
             rng = np.random.default_rng(seed)
-            archs = [self.space.sample(rng) for _ in range(num_archs)]
+            archs = self.space.sample_many(rng, num_archs)
         if len(archs) < len(_FEATURE_NAMES):
             raise ValueError(
                 f"need at least {len(_FEATURE_NAMES)} architectures to fit"

@@ -82,8 +82,9 @@ def front_search(
     """One NSGA-II accuracy/latency front, deterministic in ``seed``.
 
     Latencies go through :meth:`LatencyPredictor.predict_many` (one LUT
-    gather per population batch — the PR-1 batched scorer), which is
-    bit-exact with per-arch ``predict``. ``cancel`` is an optional
+    gather per population batch) and accuracies through
+    :meth:`AccuracySurrogate.proxy_accuracy_many`, each bit-exact with
+    its per-arch form. ``cancel`` is an optional
     :class:`~repro.resilience.CancelToken` checked per generation; a
     run that finishes before expiry is bit-identical with or without
     it.
@@ -95,6 +96,7 @@ def front_search(
         accuracy_fn=surrogate.proxy_accuracy,
         latency_fn=predictor.predict,
         latency_many_fn=predictor.predict_many,
+        accuracy_many_fn=surrogate.proxy_accuracy_many,
         config=Nsga2Config(
             seed=seed,
             generations=generations,

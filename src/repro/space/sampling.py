@@ -31,7 +31,7 @@ def sample_architectures(
     if count < 0:
         raise ValueError("count must be non-negative")
     if not unique:
-        return [space.sample(rng) for _ in range(count)]
+        return space.sample_many(rng, count)
 
     seen = set()
     out: List[Architecture] = []

@@ -9,6 +9,7 @@ the shrunk space.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -19,6 +20,7 @@ from repro.space.config import SpaceConfig
 from repro.space.cost_tables import cost_tables
 from repro.space.geometry import LayerGeometry
 from repro.space.operators import NUM_OPERATORS, Primitive
+from repro.streams import bounded_draws
 
 _T = TypeVar("_T")
 
@@ -122,9 +124,36 @@ class SearchSpace:
 
     def sample(self, rng: np.random.Generator) -> Architecture:
         """Uniformly sample one architecture from the space."""
-        ops = tuple(pick(rng, cands) for cands in self.candidate_ops)
-        factors = tuple(pick(rng, cands) for cands in self.candidate_factors)
-        return Architecture(ops, factors)
+        return self.sample_many(rng, 1)[0]
+
+    def sample_many(self, rng: np.random.Generator, n: int) -> List[Architecture]:
+        """``n`` uniform samples, decoded from one block of draws.
+
+        Each sample picks every layer's operator, then every layer's
+        factor, with :func:`pick`; the architectures, and the state
+        ``rng`` is left in, are exactly those of ``n`` such loops.
+        """
+        bounds, op_table, factor_table = self._draw_tables
+        idx = bounded_draws(rng, np.tile(bounds, n)).reshape(n, len(bounds))
+        layers = np.arange(self.num_layers)
+        ops = op_table[layers, idx[:, : self.num_layers]].tolist()
+        factors = factor_table[layers, idx[:, self.num_layers :]].tolist()
+        return [Architecture(tuple(o), tuple(f)) for o, f in zip(ops, factors)]
+
+    @functools.cached_property
+    def _draw_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-draw bounds (ops then factors, by layer) and the padded
+        per-layer candidate tables the draws index."""
+        bounds = [len(c) for c in self.candidate_ops]
+        bounds += [len(c) for c in self.candidate_factors]
+        op_table = np.zeros((self.num_layers, max(bounds)), dtype=np.int64)
+        factor_table = np.ones((self.num_layers, max(bounds)))
+        for layer, (ops, factors) in enumerate(
+            zip(self.candidate_ops, self.candidate_factors)
+        ):
+            op_table[layer, : len(ops)] = ops
+            factor_table[layer, : len(factors)] = factors
+        return np.array(bounds, dtype=np.int64), op_table, factor_table
 
     def max_architecture(self) -> Architecture:
         """The largest architecture (first op candidates, factor 1.0-ish)."""

@@ -104,13 +104,10 @@ def tabulate(
 
     surrogate = recipe_surrogate(recipe, space)
 
-    def _accuracy_rows(batch):
-        return [float(surrogate.proxy_accuracy(a)) for a in batch]
-
     from repro.parallel.backend import create_backend
 
     with create_backend(
-        backend, _accuracy_rows, workers=workers
+        backend, surrogate.proxy_accuracy_many, workers=workers
     ) as pool:
         accuracy = pool.map(archs)
 
