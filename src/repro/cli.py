@@ -127,40 +127,6 @@ def _run_state(
     return None
 
 
-def _checkpointed_lut_predictor(
-    run_state: Optional[RunDir],
-    space: SearchSpace,
-    build,
-) -> LatencyPredictor:
-    """Build (or restore) the ``predictor`` phase of a run directory.
-
-    ``build()`` does the actual work and returns the calibrated
-    predictor; its LUT and bias are checkpointed so a resumed run skips
-    straight past stage 1.
-    """
-    if run_state is None:
-        return build()
-    checkpoint = PhaseCheckpoint(run_state, "predictor")
-    saved = checkpoint.load()
-    if saved is not None and checkpoint.is_complete():
-        lut = LatencyLUT.from_json(saved["lut"])
-        predictor = LatencyPredictor(
-            lut, space, bias_ms=float(saved["bias_ms"])
-        )
-        predictor.calibrated = True
-        return predictor
-    predictor = build()
-    checkpoint.save(
-        {
-            "format": 1,
-            "lut": predictor.lut.to_json(),
-            "bias_ms": predictor.bias_ms,
-        },
-        complete=True,
-    )
-    return predictor
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     space = _space(args.layout)
     device = calibrated_devices()[args.device]
@@ -226,18 +192,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.core import (
-        EvaluatedArch,
-        EvaluationCache,
-        Objective,
-        ProgressiveSpaceShrinking,
-        SubspaceQuality,
-    )
-    from repro.parallel import create_backend
-
     space = _space(args.layout)
     device = calibrated_devices()[args.device]
-    surrogate = AccuracySurrogate(space)
     run_state = _run_state(
         args,
         "shrink",
@@ -250,56 +206,23 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         },
         ("predictor", "shrink"),
     )
-
-    def build_predictor() -> LatencyPredictor:
-        lut = LatencyLUT.build(
-            space, device, samples_per_cell=3, seed=args.seed,
-            workers=args.workers, backend=args.backend,
-        )
-        predictor = LatencyPredictor(lut, space)
-        profiler = OnDeviceProfiler(device, seed=args.seed)
-        predictor.calibrate_bias(
-            space, profiler, num_archs=25, seed=args.seed + 1
-        )
-        return predictor
-
-    predictor = _checkpointed_lut_predictor(run_state, space, build_predictor)
-    objective = Objective(
-        accuracy_fn=surrogate.proxy_accuracy,
-        latency_fn=predictor.predict,
+    # The shrink recipe: HSCoNAS's stage 1 at 3 LUT samples per cell
+    # and 25 calibration architectures (no retries, strict lookups),
+    # then exactly the shrink phase a full pipeline run performs.
+    config = HSCoNASConfig(
         target_ms=args.target,
-        accuracy_many_fn=surrogate.proxy_accuracy_many,
-        latency_many_fn=predictor.predict_many,
+        lut_samples_per_cell=3,
+        bias_calibration_archs=25,
+        quality_samples=args.quality_samples,
+        seed=args.seed,
+        workers=args.workers,
+        backend=args.backend,
+        retry=None,
+        degraded_ok=False,
     )
-
-    cache = EvaluationCache()
-    shrink_ckpt = None
-    if run_state is not None:
-        shrink_ckpt = PhaseCheckpoint(
-            run_state,
-            "shrink",
-            extra_save=lambda: {
-                "cache": cache.snapshot(lambda e: e.to_dict())
-            },
-            extra_restore=lambda state: cache.restore(
-                state["cache"], EvaluatedArch.from_dict
-            ),
-        )
-    with create_backend(
-        args.backend, objective.evaluate_many, workers=args.workers,
-        cache=cache,
-    ) as evaluator:
-        quality = SubspaceQuality(
-            objective,
-            num_samples=args.quality_samples,
-            seed=args.seed + 2,
-            cache=cache,
-            evaluator=evaluator,
-        )
-        result = ProgressiveSpaceShrinking(
-            quality, checkpoint=shrink_ckpt
-        ).run(space)
-        dispatch_stats = evaluator.stats()
+    result, dispatch_stats = HSCoNAS(
+        space, device, config, surrogate=AccuracySurrogate(space)
+    ).shrink(run_state)
 
     removed = sum(result.orders_of_magnitude_removed())
     print(
@@ -450,13 +373,12 @@ def _replay_front(args: argparse.Namespace, space: SearchSpace):
 
 def cmd_front(args: argparse.Namespace) -> int:
     from repro.core import BiObjective, EvaluationCache
-    from repro.serve.pipeline import build_front_predictor, front_search
+    from repro.serve.pipeline import front_pipeline, front_search
 
     space = _space(args.layout)
     if args.backend == "tabular":
         result = _replay_front(args, space)
         return _write_front(args, result)
-    surrogate = AccuracySurrogate(space)
     run_state = _run_state(
         args,
         "front",
@@ -467,14 +389,11 @@ def cmd_front(args: argparse.Namespace) -> int:
     # The predictor build and NSGA-II run are the shared serving-layer
     # recipe (repro.serve.pipeline): the daemon must stay bit-identical
     # to this offline path, so both call the same functions.
-    predictor = _checkpointed_lut_predictor(
-        run_state,
-        space,
-        lambda: build_front_predictor(
-            space, args.device, args.seed,
-            workers=args.workers, backend=args.backend,
-        ),
+    stage = front_pipeline(
+        space, args.device, args.seed,
+        workers=args.workers, backend=args.backend,
     )
+    predictor = stage.checkpointed_predictor(run_state)
     cache = EvaluationCache()
     front_ckpt = None
     if run_state is not None:
@@ -497,7 +416,7 @@ def cmd_front(args: argparse.Namespace) -> int:
         workers=args.workers,
         backend=args.backend,
         checkpoint=front_ckpt,
-        surrogate=surrogate,
+        surrogate=stage.surrogate,
         cancel=_cancel_token(args),
     )
     return _write_front(args, result)

@@ -16,7 +16,7 @@ Given a target device and latency constraint ``T``, the pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 
 from repro.accuracy.surrogate import AccuracySurrogate
@@ -32,8 +32,13 @@ from repro.hardware.ledger import MeasurementLedger
 from repro.hardware.lut import LatencyLUT
 from repro.hardware.predictor import LatencyPredictor
 from repro.hardware.profiler import OnDeviceProfiler
-from repro.parallel.backend import BACKEND_NAMES, TabularBackend, create_backend
-from repro.runstate import PhaseCheckpoint, RunDir
+from repro.parallel.backend import (
+    BACKEND_NAMES,
+    EvaluationBackend,
+    TabularBackend,
+    create_backend,
+)
+from repro.runstate import PhaseCheckpoint, RunDir, RunStateError
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
 
@@ -228,6 +233,9 @@ class HSCoNAS:
     # -- checkpoint plumbing -----------------------------------------------------
 
     PHASES = ("predictor", "shrink", "search")
+    # Everything a resumed run needs to continue exactly where stage 1
+    # left off; a payload missing any of these predates this format.
+    _PREDICTOR_KEYS = ("lut", "bias_ms", "profiler_rng", "ledger", "degradation")
 
     def _restore_predictor(self, saved: dict) -> LatencyPredictor:
         lut = LatencyLUT.from_json(saved["lut"])
@@ -270,10 +278,54 @@ class HSCoNAS:
         checkpoint = PhaseCheckpoint(run_state, "predictor")
         saved = checkpoint.load()
         if saved is not None and checkpoint.is_complete():
+            missing = [k for k in self._PREDICTOR_KEYS if k not in saved]
+            if missing:
+                raise RunStateError(
+                    f"predictor checkpoint in {run_state.path} lacks "
+                    f"{', '.join(missing)} (written by an older version); "
+                    "start a new run with --run-dir"
+                )
             return self._restore_predictor(saved)
         predictor = self.build_predictor()
         checkpoint.save(self._predictor_payload(predictor), complete=True)
         return predictor
+
+    def _phase_checkpoint(
+        self,
+        run_state: Optional[RunDir],
+        phase: str,
+        cache: EvaluationCache,
+        evaluator: EvaluationBackend,
+    ) -> Optional[PhaseCheckpoint]:
+        """The ``shrink``/``search`` checkpoint, or ``None`` unchecked.
+
+        Every save piggybacks the pipeline-owned state (shared cache,
+        ledger, degradation report, dispatch counters), so a resume
+        restores the exact counters and memo the searcher saw — without
+        the searchers knowing any of it exists.
+        """
+        if run_state is None:
+            return None
+
+        def save() -> dict:
+            return {
+                "cache": cache.snapshot(lambda e: e.to_dict()),
+                "ledger": self.ledger.to_dict(),
+                "degradation": self.degradation.to_dict(),
+                "dispatch": [evaluator.batches, evaluator.items],
+            }
+
+        def restore(state: dict) -> None:
+            cache.restore(state["cache"], EvaluatedArch.from_dict)
+            self.ledger.restore(state["ledger"])
+            self.degradation.restore(state["degradation"])
+            evaluator.batches, evaluator.items = state.get(
+                "dispatch", (evaluator.batches, evaluator.items)
+            )
+
+        return PhaseCheckpoint(
+            run_state, phase, extra_save=save, extra_restore=restore
+        )
 
     # -- tabular replay -----------------------------------------------------------
 
@@ -312,6 +364,93 @@ class HSCoNAS:
             latency_many_fn=evaluator.latency_many,
         )
 
+    # -- run steps: stage 1 + objective, space shrinking -------------------------
+
+    def _objective_and_backend(
+        self, run_state: Optional[RunDir], cache: EvaluationCache
+    ) -> Tuple[Optional[LatencyPredictor], Objective, EvaluationBackend]:
+        """Stage 1 and the Eq. 1 objective, plus the one evaluation
+        backend that serves every later phase through ``cache``.
+
+        The predictor is ``None`` on a tabular replay: the artifact's
+        columns *are* the predictor (and surrogate) outputs, recorded at
+        build time.
+        """
+        cfg = self.config
+        if cfg.backend == "tabular":
+            objective = self._replay_objective()
+            return None, objective, TabularBackend(
+                objective.evaluate_many, cache=cache
+            )
+        predictor = self.checkpointed_predictor(run_state)
+        objective = Objective(
+            accuracy_fn=self.surrogate.proxy_accuracy,
+            latency_fn=predictor.predict,
+            target_ms=cfg.target_ms,
+            beta=cfg.beta,
+            accuracy_many_fn=self.surrogate.proxy_accuracy_many,
+            latency_many_fn=predictor.predict_many,
+        )
+        # "auto" resolves to multiprocess when workers >= 2, serial
+        # otherwise. Worker-side evaluations query the predictor in the
+        # workers' address space, where its ledger increments are lost
+        # — the hook replays them (one query per architecture) so
+        # search-cost accounting matches the serial run. The serial
+        # backend performs those increments inline and ignores the hook.
+        evaluator = create_backend(
+            cfg.backend,
+            objective.evaluate_many,
+            workers=cfg.workers,
+            cache=cache,
+            on_worker_items=self.ledger.record_prediction,
+        )
+        return predictor, objective, evaluator
+
+    def _shrink(
+        self,
+        run_state: Optional[RunDir],
+        objective: Objective,
+        evaluator: EvaluationBackend,
+        cache: EvaluationCache,
+    ) -> ShrinkResult:
+        """Progressive space shrinking of the initial space (Sec. III-C)."""
+        cfg = self.config
+        quality = SubspaceQuality(
+            objective,
+            num_samples=cfg.quality_samples,
+            seed=cfg.seed + 2,
+            cache=cache,
+            evaluator=evaluator,
+        )
+        return ProgressiveSpaceShrinking(
+            quality,
+            stage_layers=cfg.shrink_stage_layers,
+            checkpoint=self._phase_checkpoint(
+                run_state, "shrink", cache, evaluator
+            ),
+        ).run(self.space)
+
+    def shrink(
+        self, run_state: Optional[RunDir] = None
+    ) -> Tuple[ShrinkResult, dict]:
+        """Stage 1 and space shrinking only — ``repro shrink``.
+
+        Exactly the shrink phase :meth:`run` performs (same objective,
+        quality seed, and checkpoints, so a run directory resumes the
+        same way), stopping before the EA. Returns the shrink result
+        and the evaluation backend's dispatch counters.
+        """
+        cache = EvaluationCache()
+        _, objective, evaluator = self._objective_and_backend(
+            run_state, cache
+        )
+        self.ledger.freeze_measurements()
+        with evaluator:
+            result = self._shrink(run_state, objective, evaluator, cache)
+            dispatch_stats = evaluator.stats()
+        self.ledger.thaw_measurements()
+        return result, dispatch_stats
+
     # -- full pipeline --------------------------------------------------------------
 
     def run(
@@ -333,96 +472,26 @@ class HSCoNAS:
         remain resumable.
         """
         cfg = self.config
-        replay = cfg.backend == "tabular"
-        if replay:
-            # Stage 1 is already done: the artifact's columns *are* the
-            # predictor (and surrogate) outputs, recorded at build time.
-            predictor = None
-            objective = self._replay_objective()
-            evaluator = TabularBackend(objective.evaluate_many)
-        else:
-            predictor = self.checkpointed_predictor(run_state)
-            objective = Objective(
-                accuracy_fn=self.surrogate.proxy_accuracy,
-                latency_fn=predictor.predict,
-                target_ms=cfg.target_ms,
-                beta=cfg.beta,
-                accuracy_many_fn=self.surrogate.proxy_accuracy_many,
-                latency_many_fn=predictor.predict_many,
-            )
-            # One evaluation backend serves both phases; "auto"
-            # resolves to multiprocess when workers >= 2, serial
-            # otherwise. Worker-side evaluations query the predictor in
-            # the workers' address space, where its ledger increments
-            # are lost — the hook replays them (one query per
-            # architecture) so search-cost accounting matches the
-            # serial run. The serial backend performs those increments
-            # inline and ignores the hook.
-            evaluator = create_backend(
-                cfg.backend,
-                objective.evaluate_many,
-                workers=cfg.workers,
-                on_worker_items=self.ledger.record_prediction,
-            )
         # One cache spans shrinking and the EA: the proxy accuracy and
         # the predictor (or the replay table) are both frozen for the
         # whole run, so a score computed during shrinking is still
         # valid when the EA re-visits the same architecture.
         eval_cache = EvaluationCache()
+        predictor, objective, evaluator = self._objective_and_backend(
+            run_state, eval_cache
+        )
 
         # From here until the final verification measurement the search
         # is measurement-free — the property Eq. 2-3 buys. The frozen
         # ledger turns an accidental on-device call into a hard error.
         self.ledger.freeze_measurements()
-
-        # Shrink/search checkpoints piggyback the pipeline-owned state
-        # (shared cache, ledger, degradation report) on every save, so
-        # a resume restores the exact counters and memo the searcher
-        # saw — without the searchers knowing any of it exists.
-        def _owner_save() -> dict:
-            return {
-                "cache": eval_cache.snapshot(lambda e: e.to_dict()),
-                "ledger": self.ledger.to_dict(),
-                "degradation": self.degradation.to_dict(),
-            }
-
-        def _owner_restore(state: dict) -> None:
-            eval_cache.restore(state["cache"], EvaluatedArch.from_dict)
-            self.ledger.restore(state["ledger"])
-            self.degradation.restore(state["degradation"])
-
-        shrink_ckpt = search_ckpt = None
-        if run_state is not None:
-            shrink_ckpt = PhaseCheckpoint(
-                run_state,
-                "shrink",
-                extra_save=_owner_save,
-                extra_restore=_owner_restore,
-            )
-            search_ckpt = PhaseCheckpoint(
-                run_state,
-                "search",
-                extra_save=_owner_save,
-                extra_restore=_owner_restore,
-            )
-
         try:
             shrink_result: Optional[ShrinkResult] = None
             search_space = self.space
             if cfg.enable_shrinking:
-                quality = SubspaceQuality(
-                    objective,
-                    num_samples=cfg.quality_samples,
-                    seed=cfg.seed + 2,
-                    cache=eval_cache,
-                    evaluator=evaluator,
+                shrink_result = self._shrink(
+                    run_state, objective, evaluator, eval_cache
                 )
-                shrinker = ProgressiveSpaceShrinking(
-                    quality,
-                    stage_layers=cfg.shrink_stage_layers,
-                    checkpoint=shrink_ckpt,
-                )
-                shrink_result = shrinker.run(search_space)
                 assert shrink_result.final_space is not None
                 search_space = shrink_result.final_space
 
@@ -444,7 +513,9 @@ class HSCoNAS:
                 evolution_cfg,
                 cache=eval_cache,
                 evaluator=evaluator,
-                checkpoint=search_ckpt,
+                checkpoint=self._phase_checkpoint(
+                    run_state, "search", eval_cache, evaluator
+                ),
                 cancel=cancel,
             )
             search_result = search.run()
@@ -453,7 +524,7 @@ class HSCoNAS:
 
         self.ledger.thaw_measurements()
         best = search_result.best.arch
-        if replay:
+        if predictor is None:
             # Replay never touches a device: the recorded column is
             # both the prediction and the "measurement", and the bias
             # is whatever the build recipe calibrated into the column.

@@ -2,8 +2,8 @@
 
 When probes fail for good (retries exhausted), the stack degrades
 rather than crashes: failed LUT cells are omitted and later served by
-the nearest present cell (or a regression predictor), failed bias-
-calibration measurements are dropped from the Eq. 3 average. Every such
+the nearest present cell, failed bias-calibration measurements are
+dropped from the Eq. 3 average. Every such
 concession is recorded here, so a run that degraded *says so* — in the
 artifact, the summary line, and the logs — instead of silently
 returning slightly different numbers.
@@ -35,9 +35,6 @@ class DegradationReport:
         fallback at least once.
     fallback_lookups:
         Individual lookups answered by a fallback value.
-    regression_fallbacks:
-        Whole-architecture predictions served by the regression
-        predictor because the LUT could not answer.
     dropped_measurements:
         End-to-end measurement sessions abandoned after retries
         (e.g. a bias-calibration architecture skipped).
@@ -51,7 +48,6 @@ class DegradationReport:
     missing_cells: int = 0
     fallback_cells: int = 0
     fallback_lookups: int = 0
-    regression_fallbacks: int = 0
     dropped_measurements: int = 0
     events: List[str] = field(default_factory=list)
 
@@ -61,7 +57,6 @@ class DegradationReport:
         "missing_cells",
         "fallback_cells",
         "fallback_lookups",
-        "regression_fallbacks",
         "dropped_measurements",
     )
 

@@ -304,6 +304,26 @@ class LatencyLUT:
             return self._fallback_value(key, report)
         return self.entries[key]
 
+    def head_lookup(
+        self,
+        cin: int,
+        fallback: bool = False,
+        report: Optional[DegradationReport] = None,
+    ) -> float:
+        """Latency (ms) of the head at final width ``cin``.
+
+        ``0.0`` for a LUT without head cells; a missing width raises
+        ``KeyError`` or, with ``fallback=True``, is served by the
+        nearest head cell exactly as :meth:`lookup` serves operators.
+        """
+        if not self.head_ms:
+            return 0.0
+        if cin in self.head_ms:
+            return self.head_ms[cin]
+        if not fallback:
+            raise KeyError(f"LUT has no head cell for cin={cin}")
+        return self._head_fallback_value(cin, report)
+
     def _fallback_value(
         self, key: _Key, report: Optional[DegradationReport]
     ) -> float:
@@ -406,14 +426,9 @@ class LatencyLUT:
             total += self.lookup(
                 layer, op, cin, factor, fallback=fallback, report=report
             )
-        last_c = channels[-1][1]
-        if self.head_ms:
-            if last_c not in self.head_ms:
-                if not fallback:
-                    raise KeyError(f"LUT has no head cell for cin={last_c}")
-                total += self._head_fallback_value(last_c, report)
-            else:
-                total += self.head_ms[last_c]
+        total += self.head_lookup(
+            channels[-1][1], fallback=fallback, report=report
+        )
         return total
 
     # -- batched queries ---------------------------------------------------------

@@ -66,7 +66,6 @@ class LatencyPredictor:
         bias_ms: float = 0.0,
         ledger=None,
         degraded_ok: bool = False,
-        regression_fallback=None,
         degradation: Optional[DegradationReport] = None,
     ):
         self.lut = lut
@@ -75,12 +74,9 @@ class LatencyPredictor:
         self.calibrated = False
         self.ledger = ledger
         # Graceful-degradation policy: with degraded_ok, a missing LUT
-        # cell is served by the nearest present cell (or, for a LUT too
-        # empty to interpolate, by the regression predictor when one is
-        # supplied) and recorded on the degradation report — instead of
-        # a mid-search KeyError.
+        # cell is served by the nearest present cell and recorded on the
+        # degradation report — instead of a mid-search KeyError.
         self.degraded_ok = degraded_ok
-        self.regression_fallback = regression_fallback
         self.degradation = (
             degradation if degradation is not None else DegradationReport()
         )
@@ -95,31 +91,18 @@ class LatencyPredictor:
 
     # -- Eq. 2 ----------------------------------------------------------------
 
-    def _regression_predict(self, arch: Architecture) -> float:
-        self.degradation.regression_fallbacks += 1
-        self.degradation.record_event(
-            "LUT could not answer; prediction served by the regression "
-            "fallback predictor"
-        )
-        return float(self.regression_fallback.predict(arch))
-
     def predict(self, arch: Architecture) -> float:
         """Predicted end-to-end latency in milliseconds."""
         if self.ledger is not None:
             self.ledger.record_prediction()
         if not self.degraded_ok:
             return self.lut.sum_ops_ms(arch, self.space) + self.bias_ms
-        try:
-            return (
-                self.lut.sum_ops_ms(
-                    arch, self.space, fallback=True, report=self.degradation
-                )
-                + self.bias_ms
+        return (
+            self.lut.sum_ops_ms(
+                arch, self.space, fallback=True, report=self.degradation
             )
-        except KeyError:
-            if self.regression_fallback is None:
-                raise
-            return self._regression_predict(arch) + self.bias_ms
+            + self.bias_ms
+        )
 
     def predict_many(self, archs: Sequence[Architecture]) -> List[float]:
         """Batched :meth:`predict` via the dense LUT table.
@@ -135,14 +118,9 @@ class LatencyPredictor:
         if not self.degraded_ok:
             sums = self.lut.sum_ops_ms_batch(archs, self.space)
             return [float(s) + self.bias_ms for s in sums]
-        try:
-            sums = self.lut.sum_ops_ms_batch(
-                archs, self.space, fallback=True, report=self.degradation
-            )
-        except KeyError:
-            if self.regression_fallback is None:
-                raise
-            return [self._regression_predict(a) + self.bias_ms for a in archs]
+        sums = self.lut.sum_ops_ms_batch(
+            archs, self.space, fallback=True, report=self.degradation
+        )
         return [float(s) + self.bias_ms for s in sums]
 
     def breakdown(self, arch: Architecture) -> List[Tuple[str, float]]:
@@ -150,16 +128,23 @@ class LatencyPredictor:
 
         The per-layer terms are the LUT cells the prediction sums —
         useful for seeing *where* an architecture spends its budget
-        (e.g. which layers the EA should thin out).
+        (e.g. which layers the EA should thin out). Cells resolve as in
+        :meth:`predict`: on a degraded LUT a missing cell shows the
+        substitute value the prediction serves (``degraded_ok``) or
+        raises ``KeyError`` (otherwise).
         """
+        fallback, report = self.degraded_ok, self.degradation
         channels = self.space.active_channels(arch)
         parts: List[Tuple[str, float]] = [("stem", self.lut.stem_ms)]
         for layer, (op, factor) in enumerate(zip(arch.ops, arch.factors)):
             cin = channels[layer][0]
             name = f"layer{layer:02d}:{get_operator(op).name}@{factor:.1f}"
-            parts.append((name, self.lut.lookup(layer, op, cin, factor)))
-        last_c = channels[-1][1]
-        parts.append(("head", self.lut.head_ms.get(last_c, 0.0)))
+            parts.append((name, self.lut.lookup(
+                layer, op, cin, factor, fallback=fallback, report=report
+            )))
+        parts.append(("head", self.lut.head_lookup(
+            channels[-1][1], fallback=fallback, report=report
+        )))
         parts.append(("bias B", self.bias_ms))
         return parts
 

@@ -10,8 +10,12 @@ module is that shared recipe:
 * :func:`space_for_layout` — layout name -> :class:`SearchSpace`
   (re-exported from :mod:`repro.space`, where the tabular artifact
   loader resolves the same names);
-* :func:`build_front_predictor` — the LUT build + Eq. 3 bias
-  calibration exactly as ``repro front`` has always seeded it;
+* :func:`front_pipeline` — the :class:`~repro.core.HSCoNAS` preset
+  whose stage 1 (LUT build + Eq. 3 bias calibration, exactly as
+  ``repro front`` has always seeded it) is the front recipe's
+  predictor; :func:`build_front_predictor` runs that stage, and
+  ``repro front`` runs it resumably through
+  :meth:`~repro.core.HSCoNAS.checkpointed_predictor`;
 * :func:`front_search` — the NSGA-II run, funneling population
   batches through ``predict_many`` and (optionally) an externally-owned
   :class:`~repro.parallel.EvaluationBackend`;
@@ -26,17 +30,56 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.accuracy import AccuracySurrogate
-from repro.core import EvaluationCache, Nsga2Config, Nsga2Result, Nsga2Search
-from repro.hardware import LatencyLUT, LatencyPredictor, OnDeviceProfiler
+from repro.core import (
+    EvaluationCache,
+    HSCoNAS,
+    HSCoNASConfig,
+    Nsga2Config,
+    Nsga2Result,
+    Nsga2Search,
+)
+from repro.hardware import LatencyPredictor
 from repro.hardware.calibration import calibrated_devices
 from repro.space import SearchSpace, space_for_layout
 
 __all__ = [
     "space_for_layout",
+    "front_pipeline",
     "build_front_predictor",
     "front_search",
     "replay_front_search",
 ]
+
+
+def front_pipeline(
+    space: SearchSpace,
+    device_name: str,
+    seed: int,
+    workers: int = 0,
+    backend: str = "auto",
+) -> HSCoNAS:
+    """The HSCoNAS preset whose stage 1 every front computation uses.
+
+    Sampling budgets and seed offsets are the historical ``repro
+    front`` recipe (2 samples per LUT cell, 25 calibration
+    architectures, profiler seeded at ``seed``, calibration at
+    ``seed + 1``) — changing any of them changes every served front.
+    No retry policy and strict LUT lookups: a failed probe fails the
+    build loudly. ``workers``/``backend`` only move the LUT build's
+    wall-clock. Its surrogate is the recipe's plain
+    :class:`~repro.accuracy.AccuracySurrogate`.
+    """
+    config = HSCoNASConfig(
+        seed=seed,
+        lut_samples_per_cell=2,
+        bias_calibration_archs=25,
+        retry=None,
+        degraded_ok=False,
+        workers=workers,
+        backend=backend,
+    )
+    device = calibrated_devices()[device_name]
+    return HSCoNAS(space, device, config, surrogate=AccuracySurrogate(space))
 
 
 def build_front_predictor(
@@ -46,23 +89,11 @@ def build_front_predictor(
     workers: int = 0,
     backend: str = "auto",
 ) -> LatencyPredictor:
-    """The calibrated latency predictor behind a front computation.
-
-    Sampling budgets and seed offsets are the historical ``repro
-    front`` recipe (2 samples per LUT cell, 25 calibration
-    architectures, profiler seeded at ``seed``, calibration at
-    ``seed + 1``) — changing any of them changes every served front.
-    ``workers``/``backend`` only move the LUT build's wall-clock.
-    """
-    device = calibrated_devices()[device_name]
-    lut = LatencyLUT.build(
-        space, device, samples_per_cell=2, seed=seed,
-        workers=workers, backend=backend,
-    )
-    predictor = LatencyPredictor(lut, space)
-    profiler = OnDeviceProfiler(device, seed=seed)
-    predictor.calibrate_bias(space, profiler, num_archs=25, seed=seed + 1)
-    return predictor
+    """The calibrated latency predictor behind a front computation:
+    stage 1 of :func:`front_pipeline`."""
+    return front_pipeline(
+        space, device_name, seed, workers=workers, backend=backend
+    ).build_predictor()
 
 
 def front_search(

@@ -51,7 +51,7 @@ from repro.runstate.manifest import MANIFEST_NAME
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pipeline import (
-    build_front_predictor,
+    front_pipeline,
     front_search,
     replay_front_search,
     space_for_layout,
@@ -99,6 +99,15 @@ class CachedFront:
     query: FrontQuery
     front: Tuple[BiObjective, ...]
     num_evaluations: int
+
+    @classmethod
+    def of(cls, query: FrontQuery, result: Nsga2Result) -> "CachedFront":
+        """The cacheable form of one search ``result`` for ``query``."""
+        return cls(
+            query=query,
+            front=tuple(result.front),
+            num_evaluations=result.num_evaluations,
+        )
 
     def key(self) -> Tuple:
         return self.query.key()
@@ -231,7 +240,7 @@ class SearchService:
 
         return load_artifact(self.config.table)
 
-    def _table_covers(self, query: FrontQuery) -> bool:
+    def _table_covers(self, query: FrontQuery, any_seed: bool = False) -> bool:
         """Whether the artifact can answer ``query`` bit-identically.
 
         Replay is only byte-equal to the live recipe when the table is
@@ -239,30 +248,31 @@ class SearchService:
         ``"front"`` recipe at the query's seed, has the query's device
         column, and fingerprints to the query's layout space. Anything
         else falls through to the live search — coverage is decided
-        per query, never silently approximated.
+        per query, never silently approximated. ``any_seed`` drops the
+        seed condition: the degraded fallback's looser test.
         """
         table = self._table
-        if table is None:
-            return False
-        if (
-            not table.exhaustive
-            or table.recipe != "front"
-            or table.build_seed != query.seed
-            or query.device not in table.devices
-        ):
-            return False
-        with self._lock:
-            fingerprint = self._layout_fingerprints.get(query.layout)
-        if fingerprint is None:
-            from repro.tabular import space_fingerprint
+        return (
+            table is not None
+            and table.exhaustive
+            and table.recipe == "front"
+            and (any_seed or table.build_seed == query.seed)
+            and query.device in table.devices
+            and self._fingerprint_matches(query.layout)
+        )
 
-            # Computed outside the lock: deriving a fingerprint walks
-            # the whole space definition. Two racing computations get
-            # identical results; last insert wins harmlessly.
-            fingerprint = space_fingerprint(space_for_layout(query.layout))
-            with self._lock:
-                self._layout_fingerprints[query.layout] = fingerprint
-        return fingerprint == table.fingerprint
+    def _replay(self, query: FrontQuery, cancel=None) -> CachedFront:
+        """``query`` answered from the artifact's columns."""
+        result = replay_front_search(
+            self._table.space,
+            self._table,
+            query.device,
+            seed=query.seed,
+            generations=query.generations,
+            population_size=query.population_size,
+            cancel=cancel,
+        )
+        return CachedFront.of(query, result)
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -282,17 +292,14 @@ class SearchService:
         # block unrelated cache-hit traffic. Two racing builders do
         # redundant (identical) work; last insert wins harmlessly.
         space = space_for_layout(layout)
-        from repro.accuracy import AccuracySurrogate
-
-        surrogate = AccuracySurrogate(space)
-        predictor = build_front_predictor(
+        stage = front_pipeline(
             space,
             device,
             seed,
             workers=self.config.workers,
             backend=self.config.backend,
         )
-        bundle = (space, surrogate, predictor)
+        bundle = (space, stage.surrogate, stage.build_predictor())
         with self._lock:
             self._bundles[key] = bundle
             self._bundles.move_to_end(key)
@@ -307,23 +314,11 @@ class SearchService:
             # Replay is milliseconds of column gathers — never breaker-
             # gated (it is itself the degraded-mode fallback) and never
             # chaos-faulted.
-            result = replay_front_search(
-                self._table.space,
-                self._table,
-                query.device,
-                seed=query.seed,
-                generations=query.generations,
-                population_size=query.population_size,
-                cancel=cancel,
-            )
+            cached = self._replay(query, cancel=cancel)
             self.metrics.record_front_computation(
                 warm=warm, replayed=True
             )
-            return CachedFront(
-                query=query,
-                front=tuple(result.front),
-                num_evaluations=result.num_evaluations,
-            )
+            return cached
         # The breaker guards only live computation; allow() is called
         # outside self._lock so a cooling-down breaker never blocks
         # cache-hit traffic.
@@ -371,11 +366,7 @@ class SearchService:
         self.metrics.record_front_computation(warm=warm)
         if result.backend_stats is not None:
             self.metrics.add_backend_stats(result.backend_stats)
-        return CachedFront(
-            query=query,
-            front=tuple(result.front),
-            num_evaluations=result.num_evaluations,
-        )
+        return CachedFront.of(query, result)
 
     # -- the cached, coalescing front resolver ------------------------------------
 
@@ -528,19 +519,19 @@ class SearchService:
     # -- graceful degradation ------------------------------------------------------
 
     def _fingerprint_matches(self, layout: str) -> bool:
-        """Whether the artifact fingerprints to ``layout``'s space."""
-        table = self._table
-        if table is None:
-            return False
+        """Whether the loaded artifact fingerprints to ``layout``'s space."""
         with self._lock:
             fingerprint = self._layout_fingerprints.get(layout)
         if fingerprint is None:
             from repro.tabular import space_fingerprint
 
+            # Computed outside the lock: deriving a fingerprint walks
+            # the whole space definition. Two racing computations get
+            # identical results; last insert wins harmlessly.
             fingerprint = space_fingerprint(space_for_layout(layout))
             with self._lock:
                 self._layout_fingerprints[layout] = fingerprint
-        return fingerprint == table.fingerprint
+        return fingerprint == self._table.fingerprint
 
     def _degraded_fallback(
         self, query: FrontQuery
@@ -565,34 +556,12 @@ class SearchService:
         breaker closes, the next identical query recomputes the real
         bytes.
         """
-        table = self._table
-        if (
-            table is not None
-            and table.exhaustive
-            and table.recipe == "front"
-            and query.device in table.devices
-            and self._fingerprint_matches(query.layout)
-        ):
-            result = replay_front_search(
-                table.space,
-                table,
-                query.device,
-                seed=query.seed,
-                generations=query.generations,
-                population_size=query.population_size,
-            )
+        if self._table_covers(query, any_seed=True):
             reason = (
                 "circuit open; replayed from tabular artifact built "
-                f"at seed {table.build_seed}"
+                f"at seed {self._table.build_seed}"
             )
-            return (
-                CachedFront(
-                    query=query,
-                    front=tuple(result.front),
-                    num_evaluations=result.num_evaluations,
-                ),
-                reason,
-            )
+            return self._replay(query), reason
         with self._lock:
             candidates = [
                 entry

@@ -5,14 +5,18 @@ replayed search is *bit-identical* to the live one. That only works if
 the table is built by the very recipes the live searchers run, so two
 named recipes ship:
 
-* ``"front"`` — the ``repro front`` / serving recipe
-  (:func:`repro.serve.pipeline.build_front_predictor`: 2 LUT samples
-  per cell, 25 calibration architectures, calibration at ``seed + 1``)
-  with :class:`~repro.accuracy.AccuracySurrogate`'s proxy accuracy;
-* ``"search"`` — the HSCoNAS pipeline recipe, built by
-  :meth:`repro.core.search.HSCoNAS.build_predictor` itself at the
+* ``"front"`` — the ``repro front`` / serving recipe: stage 1 of the
+  :func:`repro.serve.pipeline.front_pipeline` preset of
+  :class:`~repro.core.search.HSCoNAS` (2 LUT samples per cell, 25
+  calibration architectures, calibration at ``seed + 1``) with
+  :class:`~repro.accuracy.AccuracySurrogate`'s proxy accuracy;
+* ``"search"`` — the HSCoNAS pipeline recipe: stage 1
+  (:meth:`repro.core.search.HSCoNAS.build_predictor`) at the
   :class:`~repro.core.search.HSCoNASConfig` defaults, with the
   space-calibrated ``AccuracySurrogate.for_space`` accuracy.
+
+Both recipes' predictors are built by that one stage-1 method, so a
+table records exactly what the live search it replays would compute.
 
 Accuracy evaluation fans out through
 :func:`repro.parallel.create_backend` (``workers``/``backend`` are

@@ -10,6 +10,7 @@ from repro.hardware import (
     SearchCostModel,
     get_device,
 )
+from repro.hardware.lut import _cell_key
 
 
 class TestSearchCostModel:
@@ -73,6 +74,32 @@ class TestPredictorBreakdown:
         parts = predictor.breakdown(arch)
         total = sum(ms for _, ms in parts)
         assert total == pytest.approx(predictor.predict(arch))
+
+        # Degraded LUTs: one operator cell or the head cell the
+        # architecture needs is missing. The breakdown resolves cells
+        # as predict does — substitutes under degraded_ok, KeyError
+        # otherwise.
+        channels = proxy_space.active_channels(arch)
+        layer0 = _cell_key(0, arch.ops[0], channels[0][0], arch.factors[0])
+        for hole in ("cell", "head"):
+            for degraded_ok in (True, False):
+                punched = LatencyLUT.from_json(lut.to_json())
+                if hole == "cell":
+                    del punched.entries[layer0]
+                else:
+                    del punched.head_ms[channels[-1][1]]
+                holed = LatencyPredictor(
+                    punched, proxy_space, bias_ms=predictor.bias_ms,
+                    degraded_ok=degraded_ok,
+                )
+                if degraded_ok:
+                    total = sum(ms for _, ms in holed.breakdown(arch))
+                    assert total == pytest.approx(holed.predict(arch))
+                else:
+                    with pytest.raises(KeyError):
+                        holed.breakdown(arch)
+                    with pytest.raises(KeyError):
+                        holed.predict(arch)
 
     def test_breakdown_labels(self, proxy_space, rng):
         device = get_device("edge")

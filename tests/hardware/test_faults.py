@@ -20,6 +20,7 @@ from repro.hardware import (
     robust_median,
     run_with_retry,
 )
+from repro.hardware.degradation import DegradationReport
 
 FAST_RETRY = RetryPolicy(attempts=3, backoff_s=0.0)  # no real sleeping
 
@@ -332,3 +333,8 @@ class TestFlakyPipeline:
         assert result.degradation.degraded()
         assert "measurement health" in result.summary()
         assert device.injected_failures + device.injected_timeouts > 0
+        # The report survives a checkpoint round trip, also from payloads
+        # that still carry the retired ``regression_fallbacks`` counter.
+        payload = result.degradation.to_dict()
+        for saved in (payload, {**payload, "regression_fallbacks": 0}):
+            assert DegradationReport.from_dict(saved).to_dict() == payload

@@ -5,6 +5,12 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.hardware import LatencyLUT, LatencyPredictor, OnDeviceProfiler
+from repro.hardware.calibration import calibrated_devices
+from repro.lint.cli import main as lint_main
+from repro.runstate import RunDir
+from repro.serve.pipeline import build_front_predictor
+from repro.space import space_for_layout
 
 
 class TestParser:
@@ -130,3 +136,103 @@ class TestConfigPassthrough:
         )
         result = HSCoNAS(space, get_device("gpu"), cfg).run()
         assert set(result.final_space.fixed_layers()) == {7, 5}
+
+
+# Small invocations of the two commands whose recipes run HSCoNAS's
+# stage 1 (and, for shrink, its shrink phase), with their artifacts.
+RUN_DIR_COMMANDS = {
+    "front": (["front", "--layout", "mini"], "front_edge_mini.csv"),
+    "shrink": (
+        ["shrink", "--layout", "mini", "--quality-samples", "10"],
+        "shrink_edge_mini_34ms.json",
+    ),
+}
+
+
+def _invoke(capsys, out, argv):
+    rc = main(["--out", str(out)] + argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+class TestRunDirectories:
+    @pytest.mark.parametrize("command", sorted(RUN_DIR_COMMANDS))
+    def test_plain_checkpointed_and_resumed_runs_agree(
+        self, tmp_path, capsys, command
+    ):
+        argv, artifact = RUN_DIR_COMMANDS[command]
+        out, run_dir = tmp_path / "out", tmp_path / "run"
+        outputs = []
+        for extra in ([], ["--run-dir", str(run_dir)],
+                      ["--resume", str(run_dir)]):
+            rc, stdout, _ = _invoke(capsys, out, argv + extra)
+            assert rc == 0
+            outputs.append((stdout, (out / artifact).read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert lint_main(["--run-dir", str(run_dir)]) == 0
+
+    @pytest.mark.parametrize("command", sorted(RUN_DIR_COMMANDS))
+    def test_old_predictor_payload_is_refused_in_one_line(
+        self, tmp_path, capsys, command
+    ):
+        argv, _ = RUN_DIR_COMMANDS[command]
+        out, run_dir = tmp_path / "out", tmp_path / "run"
+        rc, _, _ = _invoke(capsys, out, argv + ["--run-dir", str(run_dir)])
+        assert rc == 0
+        # The payload shape these commands wrote before they checkpointed
+        # through HSCoNAS: the LUT and the bias only.
+        run = RunDir.open(run_dir)
+        payload = run.load_checkpoint("predictor")["payload"]
+        run.save_checkpoint(
+            "predictor",
+            {key: payload[key] for key in ("format", "lut", "bias_ms")},
+            complete=True,
+        )
+        rc, _, stderr = _invoke(
+            capsys, out, argv + ["--resume", str(run_dir)]
+        )
+        assert rc == 2
+        assert stderr.startswith("error: predictor checkpoint")
+        assert stderr.count("\n") == 1
+
+
+def _historical_predictor(space, device_name, seed, samples_per_cell):
+    """The front/shrink predictor as both commands once assembled it by
+    hand (the reference the HSCoNAS presets must reproduce)."""
+    device = calibrated_devices()[device_name]
+    lut = LatencyLUT.build(
+        space, device, samples_per_cell=samples_per_cell, seed=seed
+    )
+    predictor = LatencyPredictor(lut, space)
+    profiler = OnDeviceProfiler(device, seed=seed)
+    predictor.calibrate_bias(space, profiler, num_archs=25, seed=seed + 1)
+    return predictor
+
+
+class TestRecipePresets:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("device", ["edge", "gpu"])
+    @pytest.mark.parametrize("layout", ["mini", "a"])
+    def test_front_and_shrink_presets_match_historical_recipe(
+        self, tmp_path, capsys, layout, device, seed
+    ):
+        space = space_for_layout(layout)
+        front = build_front_predictor(space, device, seed)
+        reference = _historical_predictor(space, device, seed, 2)
+        assert front.lut.to_json() == reference.lut.to_json()
+        assert front.bias_ms == reference.bias_ms
+
+        # The shrink preset lives in the command; read its stage-1
+        # output back from the predictor checkpoint.
+        run_dir = tmp_path / "run"
+        rc, _, _ = _invoke(capsys, tmp_path / "out", [
+            "shrink", "--layout", layout, "--device", device,
+            "--seed", str(seed), "--quality-samples", "1",
+            "--run-dir", str(run_dir),
+        ])
+        assert rc == 0
+        saved = RunDir.open(run_dir).load_checkpoint("predictor")["payload"]
+        reference = _historical_predictor(space, device, seed, 3)
+        assert saved["lut"] == reference.lut.to_json()
+        assert saved["bias_ms"] == reference.bias_ms
