@@ -194,18 +194,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_shrink(args: argparse.Namespace) -> int:
     space = _space(args.layout)
     device = calibrated_devices()[args.device]
-    run_state = _run_state(
-        args,
-        "shrink",
-        {
-            "device": args.device,
-            "layout": args.layout,
-            "target_ms": args.target,
-            "quality_samples": args.quality_samples,
-            "seed": args.seed,
-        },
-        ("predictor", "shrink"),
-    )
     # The shrink recipe: HSCoNAS's stage 1 at 3 LUT samples per cell
     # and 25 calibration architectures (no retries, strict lookups),
     # then exactly the shrink phase a full pipeline run performs.
@@ -219,6 +207,18 @@ def cmd_shrink(args: argparse.Namespace) -> int:
         backend=args.backend,
         retry=None,
         degraded_ok=False,
+    )
+    run_state = _run_state(
+        args,
+        "shrink",
+        {
+            "device": args.device,
+            "layout": args.layout,
+            "target_ms": args.target,
+            "quality_samples": args.quality_samples,
+            "seed": args.seed,
+        },
+        ("predictor", "shrink"),
     )
     result, dispatch_stats = HSCoNAS(
         space, device, config, surrogate=AccuracySurrogate(space)
@@ -379,19 +379,18 @@ def cmd_front(args: argparse.Namespace) -> int:
     if args.backend == "tabular":
         result = _replay_front(args, space)
         return _write_front(args, result)
-    run_state = _run_state(
-        args,
-        "front",
-        {"device": args.device, "layout": args.layout, "seed": args.seed},
-        ("predictor", "front"),
-    )
-
     # The predictor build and NSGA-II run are the shared serving-layer
     # recipe (repro.serve.pipeline): the daemon must stay bit-identical
     # to this offline path, so both call the same functions.
     stage = front_pipeline(
         space, args.device, args.seed,
         workers=args.workers, backend=args.backend,
+    )
+    run_state = _run_state(
+        args,
+        "front",
+        {"device": args.device, "layout": args.layout, "seed": args.seed},
+        ("predictor", "front"),
     )
     predictor = stage.checkpointed_predictor(run_state)
     cache = EvaluationCache()

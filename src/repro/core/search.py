@@ -24,7 +24,11 @@ from repro.core.cache import EvaluationCache
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch, SearchResult
 from repro.core.objective import EvaluatedArch, Objective
 from repro.core.quality import SubspaceQuality
-from repro.core.shrinking import ProgressiveSpaceShrinking, ShrinkResult
+from repro.core.shrinking import (
+    ProgressiveSpaceShrinking,
+    ShrinkResult,
+    validate_stage_layers,
+)
 from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
 from repro.hardware.faults import RetryPolicy
@@ -96,6 +100,8 @@ class HSCoNASConfig:
             raise ValueError("beta must be negative")
         if self.lut_samples_per_cell < 1 or self.bias_calibration_archs < 1:
             raise ValueError("LUT/bias sampling counts must be >= 1")
+        if self.quality_samples < 1:
+            raise ValueError("quality_samples must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.backend not in BACKEND_NAMES:
@@ -183,6 +189,11 @@ class HSCoNAS:
         self.space = space
         self.device = device
         self.config = config if config is not None else HSCoNASConfig()
+        # A bad plan fails here, before stage 1 profiles a single cell.
+        if self.config.shrink_stage_layers is not None:
+            validate_stage_layers(
+                self.config.shrink_stage_layers, space.num_layers
+            )
         self.surrogate = (
             surrogate
             if surrogate is not None
@@ -354,14 +365,8 @@ class HSCoNAS:
                 f"{space_cardinality(self.space)} architectures — "
                 "rebuild with num_archs=None"
             )
-        evaluator = TabularEvaluator(table, device=cfg.table_device)
-        return Objective(
-            accuracy_fn=evaluator.accuracy,
-            latency_fn=evaluator.latency,
-            target_ms=cfg.target_ms,
-            beta=cfg.beta,
-            accuracy_many_fn=evaluator.accuracy_many,
-            latency_many_fn=evaluator.latency_many,
+        return TabularEvaluator(table, device=cfg.table_device).objective(
+            cfg.target_ms, cfg.beta
         )
 
     # -- run steps: stage 1 + objective, space shrinking -------------------------

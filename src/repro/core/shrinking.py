@@ -109,6 +109,48 @@ def default_stage_layers(num_layers: int) -> Tuple[Tuple[int, ...], Tuple[int, .
     return stage1, stage2
 
 
+def validate_stage_layers(
+    stage_layers: Sequence[Sequence[int]], num_layers: int
+) -> None:
+    """Raise ``ValueError`` unless the plan fixes layers back-to-front.
+
+    The paper's procedure (Sec. III-C, Fig. 5) fixes layers strictly
+    back-to-front: every stage fixes at least one layer of
+    ``[0, num_layers)``, no layer is fixed twice, layers descend within
+    a stage, and every layer of stage ``s+1`` precedes the earliest
+    layer of stage ``s``.
+    """
+    seen = set()
+    bound = num_layers  # every layer of the next stage lies below this
+    for stage, layers in enumerate(stage_layers):
+        layers = list(layers)
+        if not layers:
+            raise ValueError(f"shrink plan stage {stage} fixes no layers")
+        for layer in layers:
+            if not 0 <= layer < num_layers:
+                raise ValueError(
+                    f"shrink plan stage {stage}: layer {layer} outside "
+                    f"[0, {num_layers})"
+                )
+            if layer in seen:
+                raise ValueError(
+                    f"shrink plan stage {stage}: layer {layer} is fixed twice"
+                )
+            seen.add(layer)
+        if any(b >= a for a, b in zip(layers, layers[1:])):
+            raise ValueError(
+                f"shrink plan stage {stage}: layers {layers} are not "
+                "strictly descending (back-to-front)"
+            )
+        if layers[0] >= bound:
+            raise ValueError(
+                f"shrink plan stage {stage} fixes layer {layers[0]}, which "
+                "does not precede the previous stage's earliest fixed "
+                f"layer {bound}"
+            )
+        bound = layers[-1]
+
+
 class ProgressiveSpaceShrinking:
     """Layer-by-layer, back-to-front operator fixing.
 
@@ -248,6 +290,7 @@ class ProgressiveSpaceShrinking:
             if self.stage_layers is not None
             else list(default_stage_layers(space.num_layers))
         )
+        validate_stage_layers(stage_layers, space.num_layers)
         evals_before = self.quality.evaluations
         result = ShrinkResult(initial_log10_size=space.log10_size())
         cache = getattr(self.quality, "cache", None)

@@ -4,13 +4,16 @@ Two halves, one report format, one CLI (``python -m repro.lint``):
 
 * an **AST code lint** (``repro.lint.ast_rules``, rules ``RL1xx``) with
   repo-specific rules — global-RNG usage, raw float cache keys, shared
-  workspace/cache buffer mutation, mutable defaults, bare except;
+  workspace/cache buffer mutation, mutable defaults, atomic JSON
+  writes, backend/serve-layer bypasses, unbounded waits;
 * **domain checkers** (rules ``RD2xx``) that statically validate search
   artifacts: LUT coverage of a space's reachable cells
-  (``lut_check``), space/encoding/shrink-plan consistency
-  (``space_check``), objective/EA configuration sanity
-  (``config_check``), and crash-safe run-directory integrity
-  (``runstate_check``).
+  (``lut_check``), space-geometry consistency (``space_check``), and
+  crash-safe run-directory integrity (``runstate_check``).
+
+Configs, encodings and shrink plans are not linted: their constructors
+and :func:`repro.core.shrinking.validate_stage_layers` reject a bad
+value where it enters the program.
 
 See ``docs/static_analysis.md`` for the full rule catalog and
 suppression syntax.
@@ -39,12 +42,7 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "check_lut_coverage",
-    "check_encoding",
     "check_space",
-    "check_shrink_plan",
-    "check_objective_config",
-    "check_evolution_config",
-    "check_pipeline_config",
     "check_run_dir",
 ]
 
@@ -60,18 +58,10 @@ def __getattr__(name):
         from repro.lint.lut_check import check_lut_coverage
 
         return check_lut_coverage
-    if name in ("check_encoding", "check_space", "check_shrink_plan"):
-        from repro.lint import space_check
+    if name == "check_space":
+        from repro.lint.space_check import check_space
 
-        return getattr(space_check, name)
-    if name in (
-        "check_objective_config",
-        "check_evolution_config",
-        "check_pipeline_config",
-    ):
-        from repro.lint import config_check
-
-        return getattr(config_check, name)
+        return check_space
     if name == "check_run_dir":
         from repro.lint.runstate_check import check_run_dir
 

@@ -16,8 +16,6 @@ or is structurally prone to:
   corrupts every other alias (the im2col aliasing hazard).
 * **RL104 mutable-default** — mutable default arguments alias across
   calls.
-* **RL105 bare-except** — a bare ``except:`` swallows
-  ``KeyboardInterrupt``/``SystemExit`` and hides real failures.
 * **RL106 raw-json-write** — JSON artifacts written via
   ``json.dump``/``handle.write(json.dumps(...))``/``Path.write_text``
   can be torn in half by a crash; every JSON artifact must go through
@@ -49,13 +47,16 @@ or is structurally prone to:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.lint.astcache import (
+    AstCache,
+    SourceFile,
+    attr_chain,
+    collect_python_files,
+)
 from repro.lint.findings import Finding, Severity
-from repro.lint.rules import CODE_RULES, Rule
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.astcache import AstCache, SourceFile
+from repro.lint.rules import CODE_RULES, Rule, filter_suppressed
 
 RL101 = CODE_RULES.register(
     Rule(
@@ -91,15 +92,6 @@ RL104 = CODE_RULES.register(
         "mutable-default",
         Severity.ERROR,
         "mutable default argument; use None and construct inside the body",
-    )
-)
-RL105 = CODE_RULES.register(
-    Rule(
-        "RL105",
-        "bare-except",
-        Severity.ERROR,
-        "bare except swallows SystemExit/KeyboardInterrupt; "
-        "catch a concrete exception type",
     )
 )
 RL106 = CODE_RULES.register(
@@ -235,19 +227,6 @@ _SHARED_ACCESSORS = {
 _SHARED_RECEIVER_HINTS = ("workspace", "cache")
 
 
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
-
-
 class _ModuleImports(ast.NodeVisitor):
     """Aliases under which numpy/numpy.random/random are visible."""
 
@@ -330,7 +309,7 @@ class _Checker(ast.NodeVisitor):
     # -- RL101: global RNG -----------------------------------------------------
 
     def _check_global_rng(self, node: ast.Call) -> None:
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None:
             return
         # np.random.<fn>(...) / numpy.random.<fn>(...)
@@ -424,7 +403,7 @@ class _Checker(ast.NodeVisitor):
         if func.attr in _SHARED_ACCESSORS:
             return True
         if func.attr == "get":
-            chain = _attr_chain(func.value)
+            chain = attr_chain(func.value)
             if chain is None:
                 return False
             receiver = chain[-1].lower()
@@ -493,7 +472,7 @@ class _Checker(ast.NodeVisitor):
     def _check_worker_pool(self, node: ast.Call) -> None:
         if _rl107_exempt(self.path):
             return
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is not None and chain[-1] == "WorkerPool":
             self._emit(
                 RL107, node,
@@ -506,7 +485,7 @@ class _Checker(ast.NodeVisitor):
     def _check_socket_server(self, node: ast.Call) -> None:
         if _path_exempt(self.path, _RL108_EXEMPT_PATH_PARTS):
             return
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is not None and chain[-1] in _SOCKET_CONSTRUCTORS:
             self._emit(
                 RL108, node,
@@ -570,7 +549,7 @@ class _Checker(ast.NodeVisitor):
     def _is_json_dumps_call(self, node: ast.AST) -> bool:
         if not isinstance(node, ast.Call):
             return False
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         if chain is None:
             return False
         if (
@@ -588,7 +567,7 @@ class _Checker(ast.NodeVisitor):
         return any(self._is_json_dumps_call(sub) for sub in ast.walk(node))
 
     def _check_raw_json_write(self, node: ast.Call) -> None:
-        chain = _attr_chain(node.func)
+        chain = attr_chain(node.func)
         # json.dump(obj, handle): streams JSON straight into an open
         # handle — a crash mid-stream leaves a prefix on disk.
         if chain is not None and (
@@ -625,7 +604,7 @@ class _Checker(ast.NodeVisitor):
                 "from repro.runstate.atomic",
             )
 
-    # -- RL104 / RL105 -----------------------------------------------------------
+    # -- RL104: mutable defaults -------------------------------------------------
 
     def _check_mutable_default(self, node: ast.arguments) -> None:
         for default in list(node.defaults) + [
@@ -679,18 +658,11 @@ class _Checker(ast.NodeVisitor):
         self._check_mutable_default(node.args)
         self.generic_visit(node)
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self._emit(RL105, node, "bare 'except:' clause")
-        self.generic_visit(node)
-
 
 def _lint_file(
-    entry: "SourceFile", active_rules: Optional[Set[str]] = None
+    entry: SourceFile, active_rules: Optional[Set[str]] = None
 ) -> List[Finding]:
     """Run the RL rules over one already-parsed module."""
-    from repro.lint.rules import filter_suppressed
-
     if entry.tree is None:
         exc = entry.syntax_error
         return [
@@ -719,8 +691,6 @@ def lint_source(
     active_rules: Optional[Set[str]] = None,
 ) -> List[Finding]:
     """Lint one module's source text; returns unsuppressed findings."""
-    from repro.lint.astcache import AstCache
-
     return _lint_file(AstCache().load(path, source=source), active_rules)
 
 
@@ -728,15 +698,13 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    cache: Optional["AstCache"] = None,
+    cache: Optional[AstCache] = None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under the given files/directories.
 
     ``cache`` shares parsed trees with other passes (the flow analyses
     reuse it), keeping the run at one parse per file.
     """
-    from repro.lint.astcache import AstCache, collect_python_files
-
     if cache is None:
         cache = AstCache()
     active = CODE_RULES.resolve(select, ignore)

@@ -105,3 +105,16 @@ def module_name_for(path: str) -> Tuple[str, ...]:
         parts.append(os.path.basename(directory))
         directory = os.path.dirname(directory)
     return tuple(reversed(parts))
+
+
+def attr_chain(node: ast.AST) -> Optional[List[str]]:
+    """``a.b.c`` -> ``["a", "b", "c"]``; ``None`` for non-name chains."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        parts.reverse()
+        return parts
+    return None

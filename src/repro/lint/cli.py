@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--domain", action="store_true",
-        help="run the domain checkers (space/shrink-plan/config validity)",
+        help="run the domain checkers (space geometry, LUT coverage)",
     )
     parser.add_argument(
         "--preset", action="append", choices=_PRESETS, metavar="NAME",
@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_rules() -> str:
     # Importing the rule modules populates the registries.
     import repro.lint.ast_rules  # noqa: F401
-    import repro.lint.config_check  # noqa: F401
     import repro.lint.flow  # noqa: F401
     import repro.lint.lut_check  # noqa: F401
     import repro.lint.runstate_check  # noqa: F401
@@ -143,25 +142,16 @@ def _list_rules() -> str:
 def _domain_findings(args: argparse.Namespace) -> List[Finding]:
     # Imports are deferred so that plain code-lint runs do not pay for
     # the numpy-backed search stack.
-    from repro.core.search import HSCoNASConfig
-    from repro.core.shrinking import default_stage_layers
-    from repro.lint.config_check import check_pipeline_config
     from repro.lint.lut_check import check_lut_coverage
-    from repro.lint.space_check import check_shrink_plan, check_space
+    from repro.lint.space_check import check_space
     from repro.space import config as space_config
     from repro.space.search_space import SearchSpace
 
     findings: List[Finding] = []
     presets = args.preset or list(_PRESETS)
-    findings.extend(
-        check_pipeline_config(HSCoNASConfig(), component="pipeline:defaults")
-    )
     for preset in presets:
         space = SearchSpace(getattr(space_config, preset)())
         findings.extend(check_space(space))
-        findings.extend(
-            check_shrink_plan(space, default_stage_layers(space.num_layers))
-        )
         if args.lut:
             from repro.hardware.lut import LatencyLUT
 

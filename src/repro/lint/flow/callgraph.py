@@ -23,13 +23,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    attr_chain,
-)
+from repro.lint.astcache import attr_chain
+from repro.lint.flow.project import ClassInfo, FunctionInfo, Project
 
 
 @dataclass

@@ -36,14 +36,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.lint.astcache import attr_chain
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.callgraph import CallGraph, _LocalTypes
-from repro.lint.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    Project,
-    attr_chain,
-)
+from repro.lint.flow.project import ClassInfo, FunctionInfo, Project
 from repro.lint.rules import CODE_RULES, Rule
 
 RF301 = CODE_RULES.register(

@@ -20,7 +20,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.lint.astcache import AstCache, collect_python_files, module_name_for
+from repro.lint.astcache import (
+    AstCache,
+    attr_chain,
+    collect_python_files,
+    module_name_for,
+)
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -239,19 +244,6 @@ class Project:
         if qualname is None:
             return None
         return self.classes.get(qualname)
-
-
-def attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` -> ``["a", "b", "c"]``; ``None`` for non-name chains."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return None
 
 
 def _collect_imports(tree: ast.Module, module: ModuleInfo) -> None:

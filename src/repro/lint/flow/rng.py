@@ -31,9 +31,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.lint.astcache import attr_chain
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.callgraph import CallGraph, _LocalTypes, resolve_call
-from repro.lint.flow.project import FunctionInfo, Project, attr_chain
+from repro.lint.flow.project import FunctionInfo, Project
 from repro.lint.rules import CODE_RULES, Rule
 
 RF300 = CODE_RULES.register(

@@ -1,36 +1,22 @@
-"""Space, encoding, and shrink-plan validity (rules RD203–RD205).
+"""Space-geometry consistency (rule RD204).
 
-Static checks on the search-space artifacts the runtime otherwise trusts:
+**RD204 stage-plan-inconsistent** — a space whose derived per-layer
+geometry contradicts its stage plan (stride-2 anywhere but a stage
+start, wrong layer count, factors off the config grid).
 
-* **RD203 encoding-out-of-space** — an architecture encoding whose op or
-  factor falls outside its (possibly shrunk) space's candidate sets.
-* **RD204 stage-plan-inconsistent** — a space whose derived per-layer
-  geometry contradicts its stage plan (stride-2 anywhere but a stage
-  start, wrong layer count, factors off the config grid).
-* **RD205 shrink-plan-invalid** — a progressive-shrinking schedule that
-  is not monotone back-to-front (paper Fig. 5: stage 1 fixes the last
-  layers, stage 2 the block before them), repeats a layer, or indexes
-  out of range.
+The other inputs the runtime receives are validated where they enter:
+an encoding by :meth:`SearchSpace.contains`, a progressive-shrinking
+schedule by :func:`repro.core.shrinking.validate_stage_layers`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import DOMAIN_RULES, Rule
-from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
 
-RD203 = DOMAIN_RULES.register(
-    Rule(
-        "RD203",
-        "encoding-out-of-space",
-        Severity.ERROR,
-        "architecture encoding uses an op/factor outside the space's "
-        "candidate sets",
-    )
-)
 RD204 = DOMAIN_RULES.register(
     Rule(
         "RD204",
@@ -39,64 +25,8 @@ RD204 = DOMAIN_RULES.register(
         "space geometry contradicts its stage plan",
     )
 )
-RD205 = DOMAIN_RULES.register(
-    Rule(
-        "RD205",
-        "shrink-plan-invalid",
-        Severity.ERROR,
-        "progressive-shrinking schedule is not monotone back-to-front",
-    )
-)
 
 _FACTOR_TOL = 1e-9
-
-
-def check_encoding(space: SearchSpace, arch: Architecture) -> List[Finding]:
-    """Findings for one architecture encoding against ``space``."""
-    component = f"encoding:{space.config.name}"
-    findings: List[Finding] = []
-    if arch.num_layers != space.num_layers:
-        findings.append(
-            Finding(
-                rule_id=RD203.rule_id,
-                severity=RD203.severity,
-                message=(
-                    f"encoding has {arch.num_layers} layers; the space "
-                    f"has {space.num_layers}"
-                ),
-                component=component,
-            )
-        )
-        return findings
-    for layer, (op, factor) in enumerate(zip(arch.ops, arch.factors)):
-        if op not in space.candidate_ops[layer]:
-            findings.append(
-                Finding(
-                    rule_id=RD203.rule_id,
-                    severity=RD203.severity,
-                    message=(
-                        f"layer {layer}: op {op} is not a candidate "
-                        f"(allowed: {list(space.candidate_ops[layer])})"
-                    ),
-                    component=component,
-                )
-            )
-        if not any(
-            abs(factor - f) < _FACTOR_TOL
-            for f in space.candidate_factors[layer]
-        ):
-            findings.append(
-                Finding(
-                    rule_id=RD203.rule_id,
-                    severity=RD203.severity,
-                    message=(
-                        f"layer {layer}: factor {factor} is not a candidate "
-                        f"(allowed: {list(space.candidate_factors[layer])})"
-                    ),
-                    component=component,
-                )
-            )
-    return findings
 
 
 def check_space(space: SearchSpace) -> List[Finding]:
@@ -175,87 +105,3 @@ def check_space(space: SearchSpace) -> List[Finding]:
             )
     return findings
 
-
-def check_shrink_plan(
-    space: SearchSpace, stage_layers: Sequence[Sequence[int]]
-) -> List[Finding]:
-    """Findings for a progressive-shrinking schedule.
-
-    The paper's procedure (Sec. III-C, Fig. 5) fixes layers strictly
-    back-to-front: within a stage, layers descend; across stages, every
-    layer of stage ``s+1`` precedes every layer already fixed in stage
-    ``s``. A repeated layer would re-fix an already-pinned operator.
-    """
-    component = f"shrink-plan:{space.config.name}"
-    num_layers = space.num_layers
-    findings: List[Finding] = []
-
-    seen = set()
-    prev_min = num_layers  # layers of stage s+1 must all be < this
-    for stage_idx, layers in enumerate(stage_layers):
-        layers = list(layers)
-        if not layers:
-            findings.append(
-                Finding(
-                    rule_id=RD205.rule_id,
-                    severity=RD205.severity,
-                    message=f"stage {stage_idx} fixes no layers",
-                    component=component,
-                )
-            )
-            continue
-        for layer in layers:
-            if not 0 <= layer < num_layers:
-                findings.append(
-                    Finding(
-                        rule_id=RD205.rule_id,
-                        severity=RD205.severity,
-                        message=(
-                            f"stage {stage_idx}: layer {layer} outside "
-                            f"[0, {num_layers})"
-                        ),
-                        component=component,
-                    )
-                )
-            elif layer in seen:
-                findings.append(
-                    Finding(
-                        rule_id=RD205.rule_id,
-                        severity=RD205.severity,
-                        message=(
-                            f"stage {stage_idx}: layer {layer} is fixed "
-                            "twice"
-                        ),
-                        component=component,
-                    )
-                )
-            seen.add(layer)
-        if any(b >= a for a, b in zip(layers, layers[1:])):
-            findings.append(
-                Finding(
-                    rule_id=RD205.rule_id,
-                    severity=RD205.severity,
-                    message=(
-                        f"stage {stage_idx}: layers {layers} are not "
-                        "strictly descending (back-to-front)"
-                    ),
-                    component=component,
-                )
-            )
-        in_range = [l for l in layers if 0 <= l < num_layers]
-        if in_range and max(in_range) >= prev_min:
-            findings.append(
-                Finding(
-                    rule_id=RD205.rule_id,
-                    severity=RD205.severity,
-                    message=(
-                        f"stage {stage_idx} fixes layer {max(in_range)}, "
-                        f"which does not precede the previous stage's "
-                        f"earliest fixed layer {prev_min}"
-                    ),
-                    component=component,
-                )
-            )
-        if in_range:
-            prev_min = min(prev_min, min(in_range))
-    return findings

@@ -50,8 +50,9 @@ class ChaosSpec:
 
     Rates are per dispatch decision: ``error_rate`` raises
     :class:`ChaosError` (in bursts of ``burst`` consecutive
-    dispatches), ``hang_rate`` stalls for ``hang_s`` seconds (``0`` =
-    hang forever — only survivable under a watchdog), ``slow_rate``
+    dispatches), ``hang_rate`` stalls the calling thread for ``hang_s``
+    seconds (``0`` = forever: nothing in the program bounds that stall,
+    so only a caller-side timeout ends it), ``slow_rate``
     sleeps ``slow_s`` then proceeds. ``reset_rate`` applies to the
     transport stream (:meth:`ChaosInjector.transport_fault`), and
     ``fail_first`` deterministically faults the first N transport
@@ -178,10 +179,11 @@ class ChaosInjector:
             if self.spec.hang_s > 0:
                 self._sleep(self.spec.hang_s)
             else:
-                # An intentionally-infinite stall: the one wait in the
-                # stack that must NOT be bounded, because it simulates
-                # the hung worker the watchdog exists to kill. Carries
-                # the lint_baseline.json entry for RL109.
+                # An intentionally infinite stall of the calling thread
+                # — in the daemon, the request thread running
+                # SearchService._compute — so a client sees a request
+                # that never returns. Carries the lint_baseline.json
+                # entry for RL109.
                 threading.Event().wait()
         elif kind == "slow":
             self._sleep(self.spec.slow_s)

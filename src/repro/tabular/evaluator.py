@@ -7,9 +7,9 @@ indexed gather per metric — no per-architecture round trips. Wire it
 into the search stack as the ``eval_many_fn`` of a
 :class:`~repro.parallel.TabularBackend`:
 
-* EA / pipeline replay — hand an :class:`~repro.core.Objective` the
-  ``accuracy``/``latency`` scalar functions plus the ``*_many``
-  batched ones, and pass ``objective.evaluate_many`` to the backend;
+* EA / pipeline replay — build the Eq. 1 objective with
+  :meth:`TabularEvaluator.objective` and pass its ``evaluate_many`` to
+  the backend;
 * NSGA-II front replay — pass :meth:`bi_objective_many` directly.
 
 Untabulated architectures raise ``KeyError`` (from ``rows_of``): a
@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.objective import Objective
 from repro.space.architecture import Architecture
 from repro.tabular.table import TabularBenchmark
 
@@ -44,6 +45,17 @@ class TabularEvaluator:
             )
         self._latency = table.latency_column(self.device)
         self._accuracy = table.accuracy_column()
+
+    def objective(self, target_ms: float, beta: float) -> Objective:
+        """The Eq. 1 objective scored from this device's columns."""
+        return Objective(
+            accuracy_fn=self.accuracy,
+            latency_fn=self.latency,
+            target_ms=target_ms,
+            beta=beta,
+            accuracy_many_fn=self.accuracy_many,
+            latency_many_fn=self.latency_many,
+        )
 
     # -- scalar lookups (Objective accuracy_fn / latency_fn) ----------------------
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
-from repro.core.objective import Objective
 from repro.parallel.backend import TabularBackend
 from repro.space.encoding import space_cardinality
 from repro.tabular.evaluator import TabularEvaluator
@@ -132,14 +131,8 @@ def run_scenario(
     oracle: bool = True,
 ) -> ScenarioResult:
     """Replay one evolutionary search against the table's columns."""
-    evaluator = TabularEvaluator(table, device=scenario.device)
-    objective = Objective(
-        accuracy_fn=evaluator.accuracy,
-        latency_fn=evaluator.latency,
-        target_ms=scenario.target_ms,
-        beta=beta,
-        accuracy_many_fn=evaluator.accuracy_many,
-        latency_many_fn=evaluator.latency_many,
+    objective = TabularEvaluator(table, device=scenario.device).objective(
+        scenario.target_ms, beta
     )
     backend = TabularBackend(objective.evaluate_many)
     try:

@@ -40,6 +40,15 @@ class TestStageSchedule:
         s1, s2 = default_stage_layers(20)
         assert not set(s1) & set(s2)
 
+    def test_run_rejects_invalid_plan_before_estimating(self, proxy_space):
+        quality = SubspaceQuality(
+            simple_objective(proxy_space), num_samples=5, seed=0
+        )
+        shrinker = ProgressiveSpaceShrinking(quality, stage_layers=[(6, 7)])
+        with pytest.raises(ValueError, match="not strictly descending"):
+            shrinker.run(proxy_space)
+        assert quality.evaluations == 0
+
 
 class TestShrinkLayer:
     def test_picks_highest_quality_op(self, proxy_space):

@@ -195,18 +195,6 @@ class TestMutableDefaultAndBareExcept:
     def test_none_default_is_clean(self):
         assert _rule_ids("def f(x, acc=None):\n    return acc") == []
 
-    def test_bare_except_fires(self):
-        findings = _lint(
-            """
-            try:
-                risky()
-            except:
-                pass
-            """
-        )
-        assert [f.rule_id for f in findings] == ["RL105"]
-        assert findings[0].severity is Severity.ERROR
-
     def test_typed_except_is_clean(self):
         assert _rule_ids(
             """

@@ -153,13 +153,16 @@ class TestRunDirCli:
 
 class TestStrictMode:
     def test_warning_passes_without_strict(self):
-        # Domain warning: RD210 (tiny sampling budget) is a warning, so
-        # non-strict passes and strict fails.
-        from repro.lint import config_check
+        # Domain warning: RD200 (LUT built for another device) is a
+        # warning, so non-strict passes and strict fails.
+        from repro.lint import check_lut_coverage
         from repro.lint.findings import exit_code
 
-        findings = config_check.check_objective_config(
-            {"quality_samples": 5}
+        space = SearchSpace(proxy())
+        lut = LatencyLUT.build(
+            space, get_device("edge"), samples_per_cell=1, seed=0
         )
+        findings = check_lut_coverage(space, lut, expected_device="gpu")
+        assert [f.rule_id for f in findings] == ["RD200"]
         assert exit_code(findings, strict=False) == 0
         assert exit_code(findings, strict=True) == 1

@@ -1,89 +1,70 @@
-"""Objective/EA config checkers: every Eq. 5 / Sec. III-D invariant is
-validated on raw artifacts (dicts) and on the dataclass configs."""
+"""The retired config rules' fixtures (RD206-RD210), fed to the
+constructors that now hold each invariant.
+
+``repro.lint`` no longer checks configs: ``HSCoNASConfig`` and
+``EvolutionConfig`` reject a bad value where it enters the program
+(docs/static_analysis.md, "Retired rules"). Each case below is the
+input the lint rule used to flag.
+"""
+
+import pytest
 
 from repro.core.evolution import EvolutionConfig
 from repro.core.search import HSCoNASConfig
-from repro.lint.config_check import (
-    check_evolution_config,
-    check_objective_config,
-    check_pipeline_config,
-)
-from repro.lint.findings import Severity
 
 
 class TestObjectiveConfig:
     def test_paper_defaults_are_clean(self):
-        cfg = {"target_ms": 34.0, "beta": -0.5, "quality_samples": 100}
-        assert check_objective_config(cfg) == []
+        HSCoNASConfig(target_ms=34.0, beta=-0.5, quality_samples=100)
 
     def test_nonnegative_beta_fires_rd206(self):
-        findings = check_objective_config({"beta": 0.5})
-        assert [f.rule_id for f in findings] == ["RD206"]
-        assert findings[0].severity is Severity.ERROR
+        with pytest.raises(ValueError, match="beta must be negative"):
+            HSCoNASConfig(beta=0.5)
 
     def test_zero_beta_fires(self):
-        assert [
-            f.rule_id for f in check_objective_config({"beta": 0.0})
-        ] == ["RD206"]
+        with pytest.raises(ValueError, match="beta must be negative"):
+            HSCoNASConfig(beta=0.0)
 
     def test_nonpositive_target_fires_rd207(self):
-        findings = check_objective_config({"target_ms": -3.0})
-        assert [f.rule_id for f in findings] == ["RD207"]
-
-    def test_tiny_sampling_budget_warns_rd210(self):
-        findings = check_objective_config({"quality_samples": 5})
-        assert [f.rule_id for f in findings] == ["RD210"]
-        assert findings[0].severity is Severity.WARNING
+        with pytest.raises(ValueError, match="target_ms must be positive"):
+            HSCoNASConfig(target_ms=-3.0)
 
     def test_non_integer_budget_is_error(self):
-        findings = check_objective_config({"quality_samples": 0})
-        assert [f.rule_id for f in findings] == ["RD210"]
-        assert findings[0].severity is Severity.ERROR
-
-    def test_all_problems_reported_at_once(self):
-        findings = check_objective_config(
-            {"target_ms": 0, "beta": 1.0, "num_samples": 2}
-        )
-        assert {f.rule_id for f in findings} == {"RD206", "RD207", "RD210"}
+        with pytest.raises(ValueError, match="quality_samples must be >= 1"):
+            HSCoNASConfig(quality_samples=0)
 
 
 class TestEvolutionConfig:
     def test_paper_defaults_are_clean(self):
-        assert check_evolution_config(EvolutionConfig()) == []
+        EvolutionConfig()
 
     def test_parents_exceeding_population_fires_rd208(self):
-        findings = check_evolution_config(
-            {"population_size": 10, "num_parents": 20}
-        )
-        assert [f.rule_id for f in findings] == ["RD208"]
+        with pytest.raises(ValueError, match="num_parents"):
+            EvolutionConfig(population_size=10, num_parents=20)
 
     def test_zero_generations_fires(self):
-        findings = check_evolution_config({"generations": 0})
-        assert [f.rule_id for f in findings] == ["RD208"]
+        with pytest.raises(ValueError, match="generation"):
+            EvolutionConfig(generations=0)
 
     def test_probability_out_of_range_fires_rd209(self):
-        findings = check_evolution_config({"mutation_prob": 1.5})
-        assert [f.rule_id for f in findings] == ["RD209"]
+        with pytest.raises(ValueError, match="probabilities"):
+            EvolutionConfig(mutation_prob=1.5)
 
     def test_negative_probability_fires(self):
-        findings = check_evolution_config({"crossover_prob": -0.1})
-        assert [f.rule_id for f in findings] == ["RD209"]
+        with pytest.raises(ValueError, match="probabilities"):
+            EvolutionConfig(crossover_prob=-0.1)
 
 
 class TestPipelineConfig:
     def test_defaults_are_clean(self):
-        assert check_pipeline_config(HSCoNASConfig()) == []
+        HSCoNASConfig()
 
     def test_nested_evolution_is_checked(self):
-        cfg = {
-            "target_ms": 34.0,
-            "beta": -0.5,
-            "evolution": {"population_size": 4, "num_parents": 10},
-        }
-        findings = check_pipeline_config(cfg)
-        assert [f.rule_id for f in findings] == ["RD208"]
-        assert findings[0].component == "pipeline.evolution"
+        # The nested config cannot be built, so no pipeline config can
+        # carry it.
+        with pytest.raises(ValueError, match="num_parents"):
+            HSCoNASConfig(evolution=EvolutionConfig(population_size=4, num_parents=10))
 
     def test_bad_sampling_counts_fire(self):
-        findings = check_pipeline_config({"lut_samples_per_cell": 0})
-        assert [f.rule_id for f in findings] == ["RD208"]
+        with pytest.raises(ValueError, match="sampling counts"):
+            HSCoNASConfig(lut_samples_per_cell=0)

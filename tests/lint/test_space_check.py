@@ -1,15 +1,19 @@
-"""Space/encoding/shrink-plan checkers: seeded violations fire with the
-right rule id; the bundled presets and the paper's schedule are clean."""
+"""Space checks: RD204 fires on seeded geometry violations, and the
+retired encoding and shrink-plan rules' fixtures (RD203, RD205) are
+rejected where those inputs now enter the program.
+
+An encoding is checked by ``SearchSpace.contains``; a shrink plan by
+``validate_stage_layers``, which ``HSCoNAS`` calls before stage 1
+profiles a single LUT cell (docs/static_analysis.md, "Retired rules").
+"""
 
 import pytest
 
-from repro.core.shrinking import default_stage_layers
-from repro.lint.space_check import (
-    check_encoding,
-    check_shrink_plan,
-    check_space,
-)
-from repro.space import Architecture, SearchSpace, imagenet_a, mini, proxy
+from repro.core import EvolutionConfig, HSCoNAS, HSCoNASConfig
+from repro.core.shrinking import default_stage_layers, validate_stage_layers
+from repro.hardware import MeasurementLedger, get_device
+from repro.lint.space_check import check_space
+from repro.space import Architecture, SearchSpace, imagenet_a, imagenet_b, mini, proxy
 
 
 @pytest.fixture(scope="module")
@@ -19,31 +23,22 @@ def space():
 
 class TestEncoding:
     def test_member_architecture_is_clean(self, space, rng):
-        arch = space.sample(rng)
-        assert check_encoding(space, arch) == []
+        assert space.contains(space.sample(rng))
 
     def test_wrong_layer_count_fires(self, space):
-        arch = Architecture.uniform(space.num_layers + 1)
-        findings = check_encoding(space, arch)
-        assert [f.rule_id for f in findings] == ["RD203"]
+        assert not space.contains(Architecture.uniform(space.num_layers + 1))
 
     def test_shrink_plan_violation_fires(self, space, rng):
         # Pin the last layer to op 1, then encode an arch using op 2
         # there — valid in the full space, invalid after shrinking.
         last = space.num_layers - 1
         shrunk = space.fix_operator(last, 1)
-        arch = space.sample(rng)
-        arch = arch.with_op(last, 2)
-        findings = check_encoding(shrunk, arch)
-        assert len(findings) == 1
-        assert findings[0].rule_id == "RD203"
-        assert f"layer {last}: op 2" in findings[0].message
+        arch = space.sample(rng).with_op(last, 2)
+        assert space.contains(arch)
+        assert not shrunk.contains(arch)
 
     def test_off_grid_factor_fires(self, space, rng):
-        arch = space.sample(rng).with_factor(0, 0.55)
-        findings = check_encoding(space, arch)
-        assert [f.rule_id for f in findings] == ["RD203"]
-        assert "factor 0.55" in findings[0].message
+        assert not space.contains(space.sample(rng).with_factor(0, 0.55))
 
 
 class TestSpaceConsistency:
@@ -62,36 +57,58 @@ class TestSpaceConsistency:
         assert "layer 2" in findings[0].message
 
 
+def _fails_before_stage_1(monkeypatch, space, plan, reason):
+    """Run the pipeline with ``plan``; it must raise ``ValueError``
+    matching ``reason`` without profiling a LUT cell."""
+    ledgers = []
+
+    def recording_ledger():
+        ledgers.append(MeasurementLedger())
+        return ledgers[-1]
+
+    monkeypatch.setattr("repro.core.search.MeasurementLedger", recording_ledger)
+    config = HSCoNASConfig(
+        lut_samples_per_cell=1,
+        bias_calibration_archs=2,
+        quality_samples=2,
+        shrink_stage_layers=plan,
+        evolution=EvolutionConfig(generations=1, population_size=4, num_parents=2),
+    )
+    with pytest.raises(ValueError, match=reason):
+        HSCoNAS(space, get_device("edge"), config).run()
+    assert all(ledger.lut_cells == 0 for ledger in ledgers)
+
+
 class TestShrinkPlan:
-    def test_paper_schedule_is_clean(self, space):
-        plan = default_stage_layers(space.num_layers)
-        assert check_shrink_plan(space, plan) == []
+    def test_paper_schedule_is_clean(self):
+        # Every bundled preset's default schedule, as `--domain` used
+        # to check it.
+        for factory in (imagenet_a, imagenet_b, mini, proxy):
+            num_layers = SearchSpace(factory()).num_layers
+            validate_stage_layers(default_stage_layers(num_layers), num_layers)
 
     def test_imagenet_a_schedule_is_clean(self):
         space_a = SearchSpace(imagenet_a())
         plan = default_stage_layers(space_a.num_layers)
         assert plan[0] == (19, 18, 17, 16)  # the paper's stage 1
-        assert check_shrink_plan(space_a, plan) == []
+        HSCoNAS(space_a, get_device("edge"), HSCoNASConfig(shrink_stage_layers=plan))
 
-    def test_ascending_stage_fires(self, space):
-        findings = check_shrink_plan(space, [(5, 6, 7)])
-        assert "RD205" in {f.rule_id for f in findings}
-        assert any("descending" in f.message for f in findings)
+    def test_ascending_stage_fires(self, monkeypatch, space):
+        _fails_before_stage_1(
+            monkeypatch, space, ((5, 6, 7),), "not strictly descending"
+        )
 
-    def test_front_to_back_stages_fire(self, space):
+    def test_front_to_back_stages_fire(self, monkeypatch, space):
         # Stage 2 must precede stage 1's earliest fixed layer.
-        findings = check_shrink_plan(space, [(5, 4), (7, 6)])
-        assert [f.rule_id for f in findings] == ["RD205"]
-        assert "does not precede" in findings[0].message
+        _fails_before_stage_1(monkeypatch, space, ((5, 4), (7, 6)), "does not precede")
 
-    def test_duplicate_layer_fires(self, space):
-        findings = check_shrink_plan(space, [(7, 6), (6, 5)])
-        assert any("fixed twice" in f.message for f in findings)
+    def test_duplicate_layer_fires(self, monkeypatch, space):
+        _fails_before_stage_1(
+            monkeypatch, space, ((7, 6), (6, 5)), "layer 6 is fixed twice"
+        )
 
-    def test_out_of_range_layer_fires(self, space):
-        findings = check_shrink_plan(space, [(space.num_layers,)])
-        assert any("outside" in f.message for f in findings)
+    def test_out_of_range_layer_fires(self, monkeypatch, space):
+        _fails_before_stage_1(monkeypatch, space, ((space.num_layers,),), "outside")
 
-    def test_empty_stage_fires(self, space):
-        findings = check_shrink_plan(space, [()])
-        assert [f.rule_id for f in findings] == ["RD205"]
+    def test_empty_stage_fires(self, monkeypatch, space):
+        _fails_before_stage_1(monkeypatch, space, ((),), "fixes no layers")

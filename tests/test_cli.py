@@ -196,6 +196,26 @@ class TestRunDirectories:
         assert stderr.startswith("error: predictor checkpoint")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["shrink", "--quality-samples", "0"],
+             "quality_samples must be >= 1"),
+            (["front", "--workers", "-1"], "workers must be >= 0"),
+        ],
+    )
+    def test_bad_config_fails_before_the_run_dir_exists(
+        self, tmp_path, capsys, argv, message
+    ):
+        run_dir = tmp_path / "run"
+        rc, _, stderr = _invoke(
+            capsys, tmp_path / "out",
+            argv + ["--layout", "mini", "--run-dir", str(run_dir)],
+        )
+        assert rc == 2
+        assert stderr == f"error: {message}\n"
+        assert not run_dir.exists()
+
 
 def _historical_predictor(space, device_name, seed, samples_per_cell):
     """The front/shrink predictor as both commands once assembled it by
