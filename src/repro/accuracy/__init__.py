@@ -19,7 +19,7 @@ only latencies were re-measured — and this reproduction does the same
 (see :mod:`repro.baselines.zoo`).
 """
 
-from repro.accuracy.features import ArchFeatures, extract_features
+from repro.accuracy.features import ArchFeatures, extract_features, features_many
 from repro.accuracy.calibration import (
     ACCURACY_ANCHORS,
     TOP5_PAIRS,
@@ -33,6 +33,7 @@ from repro.accuracy.surrogate import AccuracySurrogate
 __all__ = [
     "ArchFeatures",
     "extract_features",
+    "features_many",
     "ACCURACY_ANCHORS",
     "TOP5_PAIRS",
     "CapacityCurve",

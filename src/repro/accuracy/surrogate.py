@@ -37,9 +37,9 @@ from repro.accuracy.calibration import (
     fit_top5_mapping,
     frontier_curve,
 )
-from repro.accuracy.features import ArchFeatures, extract_features
+from repro.accuracy.features import ArchFeatures, extract_features, features_many
 from repro.space.architecture import Architecture
-from repro.space.search_space import SearchSpace  # noqa: F401 (docs reference)
+from repro.space.search_space import SearchSpace
 from repro.streams import seeded_generators
 
 
@@ -153,10 +153,9 @@ class AccuracySurrogate:
         residual = _digest_residual(
             arch.digest(), salt="standalone", sigma=self.residual_sigma
         )
-        return self._top1_error(arch, residual)
+        return self._top1_error(extract_features(self.space, arch), residual)
 
-    def _top1_error(self, arch: Architecture, residual: float) -> float:
-        feats = extract_features(self.space, arch)
+    def _top1_error(self, feats: ArchFeatures, residual: float) -> float:
         error = self.curve.error_at(feats.flops * self.flops_scale)
         error += self._penalties(feats)
         error += residual
@@ -185,26 +184,29 @@ class AccuracySurrogate:
         """
         digest = arch.digest()
         return self._proxy_accuracy(
-            arch,
+            extract_features(self.space, arch),
             _digest_residual(digest, salt="standalone", sigma=self.residual_sigma),
             _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma),
         )
 
     def proxy_accuracy_many(self, archs: Sequence[Architecture]) -> List[float]:
-        """:meth:`proxy_accuracy` of every architecture, bit for bit,
-        with the residual streams of the whole batch seeded in bulk."""
+        """:meth:`proxy_accuracy` of every architecture, bit for bit:
+        features from one pass over the batch's gene arrays
+        (:func:`features_many`), residual streams seeded in bulk."""
         archs = list(archs)
         digests = [arch.digest() for arch in archs]
         standalone = _digest_residuals(digests, "standalone", self.residual_sigma)
         proxy = _digest_residuals(digests, "proxy", self.proxy_sigma)
         return [
-            self._proxy_accuracy(arch, s, p)
-            for arch, s, p in zip(archs, standalone, proxy)
+            self._proxy_accuracy(feats, s, p)
+            for feats, s, p in zip(
+                features_many(self.space, archs), standalone, proxy
+            )
         ]
 
     def _proxy_accuracy(
-        self, arch: Architecture, standalone: float, proxy: float
+        self, feats: ArchFeatures, standalone: float, proxy: float
     ) -> float:
-        error = self._top1_error(arch, standalone) + self.proxy_gap
+        error = self._top1_error(feats, standalone) + self.proxy_gap
         error += proxy
         return float(min(max((100.0 - error) / 100.0, 0.0), 1.0))

@@ -93,20 +93,25 @@ class ShrinkResult:
         }
 
 
-def default_stage_layers(num_layers: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def default_stage_layers(num_layers: int) -> Tuple[Tuple[int, ...], ...]:
     """The paper's two stage schedules, adapted to ``num_layers``.
 
     For L=20 this yields (19, 18, 17, 16) and (15, 14, 13, 12) in
     0-based indexing — the paper's layers 20..17 and 16..13. Smaller
-    spaces (the proxy config) shrink proportionally: the last quarter of
-    layers per stage, at least one layer each.
+    spaces (the proxy config) shrink proportionally: a fifth of the
+    layers per stage, at least one layer each. A one-layer space has no
+    layer left for a second stage, so its plan is that one layer.
     """
     per_stage = max(1, num_layers // 5)
     stage1 = tuple(range(num_layers - 1, num_layers - 1 - per_stage, -1))
     stage2 = tuple(
-        range(num_layers - 1 - per_stage, num_layers - 1 - 2 * per_stage, -1)
+        range(
+            num_layers - 1 - per_stage,
+            max(-1, num_layers - 1 - 2 * per_stage),
+            -1,
+        )
     )
-    return stage1, stage2
+    return (stage1, stage2) if stage2 else (stage1,)
 
 
 def validate_stage_layers(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +23,7 @@ from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
 from repro.hardware.faults import ProbeError, RetryPolicy, run_with_retry
 from repro.space.architecture import Architecture
-from repro.space.operators import NUM_OPERATORS, get_operator
+from repro.space.operators import NUM_OPERATORS
 from repro.space.search_space import SearchSpace
 from repro.streams import seeded_generators
 
@@ -468,9 +467,10 @@ class LatencyLUT:
     ) -> np.ndarray:
         """Vectorized :meth:`sum_ops_ms` over a whole population.
 
-        Resolves every architecture's active-channel chain with one
-        vectorized scan over layers, then gathers all ``P x L`` operator
-        cells from the dense table in a single fancy-indexed read.
+        Resolves every architecture's active-channel chain with
+        :meth:`SearchSpace.active_channels_many`, then gathers all
+        ``P x L`` operator cells from the dense table in a single
+        fancy-indexed read.
         Bit-identical to mapping :meth:`sum_ops_ms` over ``archs`` (the
         accumulation order per architecture is the same; with
         ``fallback=True`` the same memoized nearest-cell substitutes
@@ -483,39 +483,9 @@ class LatencyLUT:
         table = self.as_table()
         num_layers = space.num_layers
         pop = len(archs)
-        count = pop * num_layers
-        ops = np.fromiter(
-            chain.from_iterable(a.ops for a in archs),
-            dtype=np.int64,
-            count=count,
-        ).reshape(pop, num_layers)
-        factors = np.fromiter(
-            chain.from_iterable(a.factors for a in archs),
-            dtype=np.float64,
-            count=count,
-        ).reshape(pop, num_layers)
+        ops, factors = space.gene_arrays(archs)
         deciles = np.rint(np.round(factors, 1) * 10).astype(np.int64)
-
-        # Active input channels per (arch, layer): the scalar path walks
-        # the chain through ``space.active_channels``; here the same
-        # recurrence runs once per layer over the whole population.
-        max_out = np.array([g.max_out_channels for g in space.geometry])
-        strides = np.array([g.stride for g in space.geometry])
-        is_skip = np.array(
-            [get_operator(i).is_skip for i in range(NUM_OPERATORS)]
-        )
-        cins = np.empty((pop, num_layers), dtype=np.int64)
-        cin = np.full(pop, space.config.stem_channels, dtype=np.int64)
-        for layer in range(num_layers):
-            cins[:, layer] = cin
-            cout = np.floor(max_out[layer] * factors[:, layer] + 0.5).astype(
-                np.int64
-            )
-            np.clip(cout, 1, max_out[layer], out=cout)
-            if strides[layer] == 1:
-                skip = is_skip[ops[:, layer]]
-                cout = np.where(skip, np.minimum(cin, cout), cout)
-            cin = cout
+        cins, couts = space.active_channels_many(ops, factors)
 
         in_range = (
             (ops < table.cells.shape[1])
@@ -569,7 +539,7 @@ class LatencyLUT:
         for layer in range(num_layers):
             total += gathered[:, layer]
         if self.head_ms:
-            last_c = cin
+            last_c = couts[:, -1]
             head_vals = table.head[np.minimum(last_c, len(table.head) - 1)]
             head_missing = (last_c >= len(table.head)) | np.isnan(head_vals)
             if head_missing.any():

@@ -28,7 +28,6 @@ from repro.runstate.manifest import (
     CHECKPOINT_FORMAT,
     MANIFEST_NAME,
     PHASE_COMPLETE,
-    PHASE_PENDING,
     PHASE_RUNNING,
     RunManifest,
 )
@@ -238,13 +237,6 @@ class RunDir:
         if record is not None:
             return bool(record["complete"])
         return self.manifest.status(phase) == PHASE_COMPLETE
-
-    def reset_phase(self, phase: str) -> None:
-        """Drop a phase's checkpoint and mark it pending again."""
-        target = self._checkpoint_path(phase)
-        target.unlink(missing_ok=True)
-        self.manifest.set_status(phase, PHASE_PENDING)
-        self._write_manifest()
 
 
 class PhaseCheckpoint:

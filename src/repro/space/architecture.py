@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.space.operators import NUM_OPERATORS, get_operator
+from repro.space.operators import IS_SKIP, NUM_OPERATORS, get_operator
 
 
 @functools.lru_cache(maxsize=4096)
@@ -88,7 +88,7 @@ class Architecture:
 
     def depth(self) -> int:
         """Number of non-skip layers (effective depth)."""
-        return sum(1 for i in self.ops if not get_operator(i).is_skip)
+        return sum(1 for i in self.ops if not IS_SKIP[i])
 
     def with_op(self, layer: int, op_index: int) -> "Architecture":
         """Copy with one layer's operator replaced."""

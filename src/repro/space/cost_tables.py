@@ -15,6 +15,12 @@ the same memo. Three tables fill lazily, on first use:
   and :meth:`OperatorSpec.params` — the single source of truth;
 * per final width, the head's MACs, weight count and primitives.
 
+Populations are scored as ``(N, L)`` gene arrays. :meth:`CostTables.chain_many`
+runs the active-channel recurrence once per layer over every row, and
+:meth:`CostTables.flops_many` gathers layer MACs from a dense
+``[layer, op, cin, factor index]`` float64 array (about 4 MB for layout
+``a``), allocated on first use and filled from the cell table on a miss.
+
 MACs and weight counts are integer-valued floats far below ``2**53``,
 so summing per-cell totals gives exactly the value of summing every
 primitive in turn, in any order. The memo is bounded by the distinct
@@ -30,21 +36,24 @@ never lets one caller's results depend on another's.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Dict, List, NamedTuple, Tuple
+
+import numpy as np
 
 from repro.nn.layers.mask import channels_kept
 from repro.space.config import SpaceConfig
 from repro.space.geometry import LayerGeometry, build_layer_geometry
 from repro.space.operators import (
     _DTYPE_BYTES,
+    IS_SKIP,
+    IS_SKIP_ARRAY,
+    NUM_OPERATORS,
     Primitive,
     _conv1x1,
     get_operator,
-    operators,
 )
-
-_IS_SKIP = tuple(op.is_skip for op in operators())
 
 
 class CellCost(NamedTuple):
@@ -63,6 +72,11 @@ class CostTables:
         self.geometry: List[LayerGeometry] = build_layer_geometry(config)
         self._config_factors = frozenset(config.channel_factors)
         self._identity_skip_layer = [g.stride == 1 for g in self.geometry]
+        self._identity_skip_array = np.array(self._identity_skip_layer)
+        self._max_out = np.array([g.max_out_channels for g in self.geometry])
+        # Ascending (SpaceConfig checks it), so searchsorted finds a
+        # factor's index and equality tells on-grid from off-grid.
+        self._factor_grid = np.array(config.channel_factors, dtype=np.float64)
         self._out_channels: List[Dict[float, int]] = [{} for _ in self.geometry]
         self._cells: Dict[Tuple[int, int, int, int], CellCost] = {}
         self._heads: Dict[int, CellCost] = {}
@@ -128,7 +142,7 @@ class CostTables:
             cout = out_memo.get(factor)
             if cout is None:
                 cout = self.out_channels(layer, factor)
-            if cout > cin and identity_layer and _IS_SKIP[op]:
+            if cout > cin and identity_layer and IS_SKIP[op]:
                 cout = cin
             cell = memo.get((layer, op, cin, cout))
             if cell is None:
@@ -137,6 +151,96 @@ class CostTables:
             cells.append(cell)
             cin = cout
         return channels, cells
+
+    def flops(self, ops: Tuple[int, ...], factors: Tuple[float, ...]) -> float:
+        """Total MACs (stem, every layer, head) of one architecture."""
+        channels, cells = self.chain(ops, factors)
+        total = self.stem.flops + self.head(channels[-1][1]).flops
+        for cell in cells:
+            total += cell.flops
+        return total
+
+    # -- batched lookups ----------------------------------------------------------
+
+    def chain_many(
+        self, ops: np.ndarray, factors: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`chain`'s active channels for every row of ``(N, L)``
+        gene arrays, as two ``(N, L)`` int64 arrays ``(cins, couts)``.
+
+        Any factor in ``(0, 1]`` is exact here: ``floor(max_out * f +
+        0.5)`` clamped to ``[1, max_out]`` is ``channels_kept``'s
+        arithmetic, and a stride-1 skip takes ``min(cin, cout)`` in
+        layer order, so the recurrence runs only over layers where some
+        row has one.
+        """
+        # Column 0 is the stem's output; column l + 1 is layer l's.
+        widths = np.empty((len(ops), len(self.geometry) + 1), dtype=np.int64)
+        widths[:, 0] = self.config.stem_channels
+        couts = widths[:, 1:]
+        max_out = self._max_out
+        np.floor(max_out * factors + 0.5, out=couts, casting="unsafe")
+        np.clip(couts, 1, max_out, out=couts)
+        identity = IS_SKIP_ARRAY[ops] & self._identity_skip_array
+        for layer in np.flatnonzero(identity.any(axis=0)).tolist():
+            np.minimum(
+                widths[:, layer + 1],
+                widths[:, layer],
+                out=widths[:, layer + 1],
+                where=identity[:, layer],
+            )
+        return widths[:, :-1], couts
+
+    def flops_many(self, ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """:meth:`flops` of every row of ``(N, L)`` gene arrays.
+
+        Rows whose factors are all config factors gather their layer
+        MACs from :attr:`_layer_flops`; a row with any other factor
+        takes :meth:`flops`. Every term is an integer-valued float below
+        ``2**53``, so the row sums equal the scalar sums exactly.
+        """
+        grid = self._factor_grid
+        fidx = np.searchsorted(grid, factors)
+        np.minimum(fidx, len(grid) - 1, out=fidx)
+        on_grid = (grid[fidx] == factors).all(axis=1)
+        total = np.empty(len(ops), dtype=np.float64)
+        for row in np.flatnonzero(~on_grid).tolist():
+            total[row] = self.flops(
+                tuple(ops[row].tolist()), tuple(factors[row].tolist())
+            )
+        if not on_grid.all():
+            ops, factors, fidx = ops[on_grid], factors[on_grid], fidx[on_grid]
+        cins, couts = self.chain_many(ops, factors)
+        key = (np.arange(len(self.geometry)), ops, cins, fidx)
+        memo = self._layer_flops
+        cells = memo[key]
+        missing = np.isnan(cells)
+        if missing.any():
+            rows, layers = np.nonzero(missing)
+            fills = set(zip(
+                layers.tolist(),
+                ops[rows, layers].tolist(),
+                cins[rows, layers].tolist(),
+                couts[rows, layers].tolist(),
+                fidx[rows, layers].tolist(),
+            ))
+            for layer, op, cin, cout, f in fills:
+                memo[layer, op, cin, f] = self.cell(layer, op, cin, cout).flops
+            cells = memo[key]
+        heads = [self.head(width).flops for width in couts[:, -1].tolist()]
+        total[on_grid] = cells.sum(axis=1) + heads + self.stem.flops
+        return total
+
+    @functools.cached_property
+    def _layer_flops(self) -> np.ndarray:
+        """Dense MACs memo ``[layer, op, cin, factor index]``, NaN until
+        filled from :meth:`cell`. A stride-1 skip's width follows from
+        ``cin`` and the factor, so every entry is one cell's MACs."""
+        max_cin = max(g.max_in_channels for g in self.geometry)
+        return np.full(
+            (len(self.geometry), NUM_OPERATORS, max_cin + 1, len(self._factor_grid)),
+            np.nan,
+        )
 
     # -- construction -------------------------------------------------------------
 

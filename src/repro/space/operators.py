@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 _DTYPE_BYTES = 4  # devices execute fp32
 
 
@@ -222,6 +224,16 @@ _OPERATORS: Tuple[OperatorSpec, ...] = (
 NUM_OPERATORS = len(_OPERATORS)
 SKIP_INDEX = 4
 KERNEL_CHOICES = (3, 5, 7)
+
+# Per-operator-index lookups for code that reads one attribute of every
+# layer's operator: tuples for per-architecture loops, read-only arrays
+# for gathers over ``(N, L)`` operator-index arrays.
+IS_SKIP: Tuple[bool, ...] = tuple(op.is_skip for op in _OPERATORS)
+KERNEL_SIZE: Tuple[int, ...] = tuple(op.kernel_size for op in _OPERATORS)
+IS_SKIP_ARRAY = np.array(IS_SKIP, dtype=bool)
+KERNEL_SIZE_ARRAY = np.array(KERNEL_SIZE, dtype=np.int64)
+IS_SKIP_ARRAY.flags.writeable = False
+KERNEL_SIZE_ARRAY.flags.writeable = False
 
 
 def operators() -> Tuple[OperatorSpec, ...]:

@@ -50,19 +50,3 @@ def sample_architectures(
             "the (shrunk) space may be smaller than requested"
         )
     return out
-
-
-def latin_op_sweep(
-    space: SearchSpace, layer: int, rng: np.random.Generator, per_op: int = 1
-) -> List[Architecture]:
-    """Sample architectures covering every candidate operator of a layer.
-
-    Used by the latency-LUT builder to guarantee every (layer, op) cell
-    receives measurements.
-    """
-    out: List[Architecture] = []
-    for op in space.candidate_ops[layer]:
-        for _ in range(per_op):
-            arch = space.sample(rng).with_op(layer, op)
-            out.append(arch)
-    return out

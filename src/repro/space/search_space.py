@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -253,12 +254,7 @@ class SearchSpace:
     def arch_flops(self, arch: Architecture) -> float:
         """Total MACs including stem and head."""
         self._check_arch(arch)
-        costs = self._costs
-        channels, cells = costs.chain(arch.ops, arch.factors)
-        total = costs.stem.flops + costs.head(channels[-1][1]).flops
-        for cell in cells:
-            total += cell.flops
-        return total
+        return self._costs.flops(arch.ops, arch.factors)
 
     def arch_params(self, arch: Architecture) -> float:
         """Total weight count including stem and head."""
@@ -269,6 +265,47 @@ class SearchSpace:
         for cell in cells:
             total += cell.params
         return total
+
+    # -- population costs ---------------------------------------------------------
+    #
+    # A population is scored as ``(N, L)`` gene arrays: one row per
+    # architecture, one column per layer.
+
+    def gene_arrays(
+        self, archs: Sequence[Architecture]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(N, L)`` operator indices (int64) and channel factors
+        (float64) of ``archs``, row ``i`` from ``archs[i]``.
+
+        Raises the same ``ValueError`` as the per-architecture methods
+        for an architecture with the wrong number of layers.
+        """
+        num_layers = self.num_layers
+        for arch in archs:
+            if len(arch.ops) != num_layers:
+                self._check_arch(arch)
+        count = len(archs) * num_layers
+        ops = np.fromiter(
+            chain.from_iterable(a.ops for a in archs), dtype=np.int64, count=count
+        )
+        factors = np.fromiter(
+            chain.from_iterable(a.factors for a in archs),
+            dtype=np.float64,
+            count=count,
+        )
+        return ops.reshape(-1, num_layers), factors.reshape(-1, num_layers)
+
+    def active_channels_many(
+        self, ops: np.ndarray, factors: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`active_channels` of every row of :meth:`gene_arrays`
+        output, as ``(N, L)`` int64 arrays ``(cins, couts)``."""
+        return self._costs.chain_many(ops, factors)
+
+    def arch_flops_many(self, ops: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """:meth:`arch_flops` of every row of :meth:`gene_arrays` output,
+        exactly, as a float64 array."""
+        return self._costs.flops_many(ops, factors)
 
     # -- internals ------------------------------------------------------------
 

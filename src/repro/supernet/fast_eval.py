@@ -118,6 +118,9 @@ class SupernetFastEval:
     supernet:
         The weight-sharing supernet. Its weights are read, never
         written; its train/eval mode is restored after every call.
+        Int8 weight codes and fused BN constants are cached on first
+        use, so build a new instance once the weights or BN statistics
+        change.
     precision:
         ``"float"`` (default) for the bit-exact float64 path, or
         ``"int8"`` for quantized GEMMs (see module docstring).
@@ -165,15 +168,6 @@ class SupernetFastEval:
         return times
 
     # -- kernels ---------------------------------------------------------------
-
-    def invalidate_weights(self) -> None:
-        """Drop cached int8 weights and fused BN constants.
-
-        Call after mutating supernet weights or BN running statistics
-        (e.g. between training epochs); the caches are rebuilt lazily.
-        """
-        self._qweights.clear()
-        self._bn_fused.clear()
 
     def _qweight(self, layer: Module) -> QuantizedTensor:
         cached = self._qweights.get(id(layer))

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.objective import Objective
 from repro.space.architecture import Architecture
 from repro.tabular.table import TabularBenchmark
@@ -93,10 +91,3 @@ class TabularEvaluator:
             )
             for i, arch in enumerate(archs)
         ]
-
-    def columns_for(
-        self, archs: Sequence[Architecture]
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """(latency, accuracy) arrays for a batch, row-aligned."""
-        rows = self.table.rows_of(archs)
-        return self._latency[rows], self._accuracy[rows]

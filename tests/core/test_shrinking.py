@@ -10,8 +10,8 @@ from repro.core import (
     ShrinkDecision,
     SubspaceQuality,
 )
-from repro.core.shrinking import default_stage_layers
-from repro.space import SearchSpace, imagenet_a
+from repro.core.shrinking import default_stage_layers, validate_stage_layers
+from repro.space import SearchSpace, SpaceConfig, StageSpec, imagenet_a
 
 
 def simple_objective(space):
@@ -39,6 +39,28 @@ class TestStageSchedule:
     def test_stages_disjoint(self):
         s1, s2 = default_stage_layers(20)
         assert not set(s1) & set(s2)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
+    def test_small_spaces_get_a_valid_plan(self, num_layers):
+        plan = default_stage_layers(num_layers)
+        validate_stage_layers(plan, num_layers)
+        assert plan[0] == (num_layers - 1,)
+
+    def test_one_layer_space_shrinks_with_the_default_plan(self):
+        space = SearchSpace(
+            SpaceConfig(
+                name="one-layer",
+                input_size=16,
+                num_classes=4,
+                stem_channels=4,
+                stages=(StageSpec(1, 8),),
+                head_channels=8,
+            )
+        )
+        quality = SubspaceQuality(simple_objective(space), num_samples=5, seed=0)
+        result = ProgressiveSpaceShrinking(quality).run(space)
+        assert [[d.layer for d in stage] for stage in result.stages] == [[0]]
+        assert len(result.final_space.candidate_ops[0]) == 1
 
     def test_run_rejects_invalid_plan_before_estimating(self, proxy_space):
         quality = SubspaceQuality(

@@ -88,6 +88,19 @@ class TestBatchSums:
         with pytest.raises(KeyError, match="nearest existing cell"):
             lut.sum_ops_ms_batch([bad], space)
 
+    def test_wrong_length_architectures_raise_the_scalar_error(self, space, lut):
+        # One layer too many and one too few fill exactly 2L genes, so
+        # the batch must check each architecture, not the gene count.
+        longer = Architecture.uniform(space.num_layers + 1)
+        shorter = Architecture.uniform(space.num_layers - 1)
+        with pytest.raises(ValueError) as scalar:
+            lut.sum_ops_ms(shorter, space)
+        with pytest.raises(ValueError) as batched:
+            lut.sum_ops_ms_batch([shorter, longer], space)
+        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(ValueError, match="space expects"):
+            lut.sum_ops_ms_batch([longer, shorter], space)
+
 
 class TestPredictMany:
     def test_matches_scalar_exactly(self, space, lut, archs):

@@ -189,13 +189,6 @@ class TestCheckpoints:
         with pytest.raises(CorruptCheckpointError, match="format"):
             run.load_checkpoint("search")
 
-    def test_reset_phase(self, tmp_path):
-        run = make_run(tmp_path)
-        run.save_checkpoint("search", {"gen": 4}, complete=True)
-        run.reset_phase("search")
-        assert run.load_checkpoint("search") is None
-        assert run.manifest.status("search") == "pending"
-
 
 class TestPhaseCheckpoint:
     def test_owner_state_piggybacks(self, tmp_path):

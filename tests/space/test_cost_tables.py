@@ -15,6 +15,7 @@ import pytest
 from repro.nn.layers.mask import channels_kept
 from repro.space import (
     LAYOUT_NAMES,
+    Architecture,
     Primitive,
     SearchSpace,
     SpaceConfig,
@@ -250,3 +251,122 @@ def test_concurrent_fills_agree():
         prims = get_operator(op).primitives(cin, cout, geom.in_size, geom.stride)
         assert list(cell.primitives) == prims
         assert cell.flops == sum(p.flops for p in prims)
+
+
+def skip_chains(space, seed, count=200):
+    """Architectures dense in skips, so stride-1 skips follow each other
+    and their ``min(cin, cout)`` narrowing carries down the chain."""
+    rng = np.random.default_rng(seed)
+    factors = np.asarray(space.config.channel_factors)
+    archs = [Architecture.uniform(space.num_layers, 4, f) for f in (0.1, 1.0)]
+    for _ in range(count):
+        skip = rng.random(space.num_layers) < 0.7
+        ops = np.where(skip, 4, rng.integers(0, 4, space.num_layers))
+        archs.append(
+            Architecture(
+                tuple(ops.tolist()),
+                tuple(rng.choice(factors, size=space.num_layers).tolist()),
+            )
+        )
+    return [a for a in archs if all(f in factors for f in a.factors)]
+
+
+@pytest.mark.parametrize("shrink", [False, True], ids=["full", "shrunk"])
+@pytest.mark.parametrize("layout", LAYOUT_NAMES)
+def test_batched_tables_match_reference(layout, shrink):
+    space = space_for_layout(layout)
+    if shrink:
+        space = shrunk(space, seed=len(layout))
+    archs = space.sample_many(np.random.default_rng(8), NUM_ARCHS)
+    archs += skip_chains(space, seed=len(layout))
+    ops, factors = space.gene_arrays(archs)
+    assert ops.shape == factors.shape == (len(archs), space.num_layers)
+    cins, couts = space.active_channels_many(ops, factors)
+    channels = [reference_channels(space, a) for a in archs]
+    assert cins.tolist() == [[c for c, _ in row] for row in channels]
+    assert couts.tolist() == [[c for _, c in row] for row in channels]
+    expected = [reference_flops(space, a) for a in archs]
+    assert space.arch_flops_many(ops, factors).tolist() == expected
+    assert [space.arch_flops(a) for a in archs] == expected
+
+
+def test_batched_flops_off_grid_rows_take_scalar_path():
+    space = space_for_layout("proxy")
+    rng = np.random.default_rng(4)
+    on_grid = space.sample_many(rng, 50)
+    off_grid = [
+        Architecture(
+            tuple(rng.integers(0, 5, space.num_layers).tolist()),
+            tuple(rng.uniform(1e-3, 1.0, space.num_layers).tolist()),
+        )
+        for _ in range(50)
+    ]
+    off_grid.append(space.max_architecture().with_factor(3, 0.1 + 0.2))
+    archs = [a for pair in zip(on_grid, off_grid) for a in pair] + off_grid[50:]
+    ops, factors = space.gene_arrays(archs)
+    got = space.arch_flops_many(ops, factors).tolist()
+    assert got == [reference_flops(space, a) for a in archs]
+    cins, couts = space.active_channels_many(ops, factors)
+    assert [list(zip(r, c)) for r, c in zip(cins.tolist(), couts.tolist())] == [
+        reference_channels(space, a) for a in archs
+    ]
+
+
+def test_batched_empty_and_wrong_length():
+    space = space_for_layout("mini")
+    ops, factors = space.gene_arrays([])
+    assert ops.shape == factors.shape == (0, space.num_layers)
+    assert space.arch_flops_many(ops, factors).shape == (0,)
+    short = Architecture.uniform(space.num_layers - 1)
+    with pytest.raises(ValueError) as scalar:
+        space.arch_flops(short)
+    with pytest.raises(ValueError) as batched:
+        space.gene_arrays([space.max_architecture(), short])
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_dense_flops_memo_fills_lazily():
+    config = SpaceConfig(
+        name="dense-lazy", input_size=16, num_classes=3, stem_channels=5,
+        stages=(StageSpec(2, 8), StageSpec(1, 12)), head_channels=8,
+    )
+    space = SearchSpace(config)
+    tables = cost_tables(config)
+    space.arch_flops(space.max_architecture())
+    assert "_layer_flops" not in vars(tables)
+    memo = tables._layer_flops
+    assert np.isnan(memo).all()
+    assert memo.shape == (3, 5, 9, len(config.channel_factors))
+    space.arch_flops_many(*space.gene_arrays([space.max_architecture()]))
+    assert np.count_nonzero(~np.isnan(memo)) == space.num_layers
+
+
+def test_concurrent_dense_fills_agree():
+    """Threads scoring one batch on a cold dense memo all return the
+    reference MACs."""
+    config = SpaceConfig(
+        name="dense-threads", input_size=32, num_classes=5, stem_channels=7,
+        stages=(StageSpec(3, 10), StageSpec(3, 20)), head_channels=16,
+    )
+    space = SearchSpace(config)
+    archs = space.sample_many(np.random.default_rng(5), 300)
+    expected = [reference_flops(space, a) for a in archs]
+    genes = space.gene_arrays(archs)
+    assert "_layer_flops" not in vars(cost_tables(config))
+    results = [None] * 4
+
+    def work(slot):
+        results[slot] = space.arch_flops_many(*genes).tolist()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.space import SearchSpace, proxy, sample_architectures, sample_uniform
-from repro.space.sampling import latin_op_sweep
 
 
 class TestSampleUniform:
@@ -39,11 +38,3 @@ class TestSampleArchitectures:
         )
         with pytest.raises(RuntimeError):
             sample_architectures(space, 10, np.random.default_rng(0), unique=True)
-
-
-class TestLatinOpSweep:
-    def test_covers_every_candidate(self, proxy_space, rng):
-        archs = latin_op_sweep(proxy_space, layer=3, rng=rng, per_op=2)
-        ops_seen = {a.ops[3] for a in archs}
-        assert ops_seen == set(proxy_space.candidate_ops[3])
-        assert len(archs) == 2 * len(proxy_space.candidate_ops[3])

@@ -32,12 +32,6 @@ class TestGathers:
         assert ev.latency_many(archs) == [ev.latency(a) for a in archs]
         assert ev.accuracy_many(archs) == [ev.accuracy(a) for a in archs]
 
-    def test_columns_for_alignment(self, micro_table, archs):
-        ev = TabularEvaluator(micro_table)
-        latency, accuracy = ev.columns_for(archs)
-        assert latency.tolist() == ev.latency_many(archs)
-        assert accuracy.tolist() == ev.accuracy_many(archs)
-
     def test_bi_objective_many(self, micro_table, archs):
         ev = TabularEvaluator(micro_table, device="edge")
         points = ev.bi_objective_many(archs)
