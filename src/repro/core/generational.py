@@ -24,6 +24,7 @@ from repro.core.cache import EvaluationCache
 from repro.runstate.rng import generator_state, set_generator_state
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace, pick
+from repro.streams import decoded_draws
 
 CHECKPOINT_FORMAT = 1
 
@@ -78,31 +79,29 @@ class GenerationalSearch:
 
     # -- genetic operators ------------------------------------------------------
 
-    def _crossover(
-        self, a: Architecture, b: Architecture, rng: np.random.Generator
-    ) -> Architecture:
+    def _crossover(self, a: Architecture, b: Architecture, rng) -> Architecture:
         """Uniform crossover: each layer's (op, factor) pair comes from
         one of the two parents."""
-        take_a = rng.random(a.num_layers) < 0.5
-        ops = tuple(
-            a.ops[i] if take_a[i] else b.ops[i] for i in range(a.num_layers)
-        )
+        take_a = [draw < 0.5 for draw in rng.random(a.num_layers)]
+        ops = tuple(x if t else y for t, x, y in zip(take_a, a.ops, b.ops))
         factors = tuple(
-            a.factors[i] if take_a[i] else b.factors[i] for i in range(a.num_layers)
+            x if t else y for t, x, y in zip(take_a, a.factors, b.factors)
         )
-        return Architecture(ops, factors)
+        return Architecture.from_candidates(ops, factors)
 
-    def _mutate(self, arch: Architecture, rng: np.random.Generator) -> Architecture:
+    def _mutate(self, arch: Architecture, rng) -> Architecture:
         """Per-layer resampling of the op and/or factor genes."""
         ops = list(arch.ops)
         factors = list(arch.factors)
         p = self.config.per_layer_mutation_prob
+        candidate_ops = self.space.candidate_ops
+        candidate_factors = self.space.candidate_factors
         for layer in range(arch.num_layers):
             if rng.random() < p:
-                ops[layer] = pick(rng, self.space.candidate_ops[layer])
+                ops[layer] = pick(rng, candidate_ops[layer])
             if rng.random() < p:
-                factors[layer] = pick(rng, self.space.candidate_factors[layer])
-        return Architecture(tuple(ops), tuple(factors))
+                factors[layer] = pick(rng, candidate_factors[layer])
+        return Architecture.from_candidates(tuple(ops), tuple(factors))
 
     def _breed(self, parents: list, rng: np.random.Generator) -> List[Architecture]:
         """Offspring that refill the population from ``parents``.
@@ -111,24 +110,30 @@ class GenerationalSearch:
         mutated w.p. ``mutation_prob``; duplicates and children outside
         the space are redrawn. If dedup starves the search (tiny shrunk
         spaces), uniform samples fill the rest.
+
+        The genetic operators draw through :func:`decoded_draws`, which
+        leaves ``rng`` exactly where numpy's own calls would.
         """
         cfg = self.config
         needed = cfg.population_size - len(parents)
-        seen = {p.arch.key() for p in parents}
+        archs = [p.arch for p in parents]
+        seen = {arch.key() for arch in archs}
         children: List[Architecture] = []
         attempts = 0
-        while len(children) < needed and attempts < needed * 40:
-            attempts += 1
-            child = parents[int(rng.integers(len(parents)))].arch
-            if rng.random() < cfg.crossover_prob and len(parents) > 1:
-                other = parents[int(rng.integers(len(parents)))].arch
-                child = self._crossover(child, other, rng)
-            if rng.random() < cfg.mutation_prob:
-                child = self._mutate(child, rng)
-            if child.key() in seen or not self.space.contains(child):
-                continue
-            seen.add(child.key())
-            children.append(child)
+        with decoded_draws(rng) as draws:
+            while len(children) < needed and attempts < needed * 40:
+                attempts += 1
+                child = archs[int(draws.integers(len(archs)))]
+                if draws.random() < cfg.crossover_prob and len(archs) > 1:
+                    other = archs[int(draws.integers(len(archs)))]
+                    child = self._crossover(child, other, draws)
+                if draws.random() < cfg.mutation_prob:
+                    child = self._mutate(child, draws)
+                key = child.key()
+                if key in seen or not self.space.contains(child):
+                    continue
+                seen.add(key)
+                children.append(child)
         if len(children) < needed:
             children += self.space.sample_many(rng, needed - len(children))
         return children

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.space.operators import IS_SKIP, NUM_OPERATORS, get_operator
 
@@ -59,6 +59,22 @@ class Architecture:
         for f in self.factors:
             if not 0.0 < f <= 1.0:
                 raise ValueError(f"channel factor {f} outside (0, 1]")
+
+    @classmethod
+    def from_candidates(
+        cls, ops: Tuple[int, ...], factors: Tuple[float, ...]
+    ) -> "Architecture":
+        """An architecture built without coercion or validation.
+
+        Only for genes taken as they are from a :class:`SearchSpace`'s
+        candidate tuples or from other architectures: equal-length,
+        non-empty tuples of Python ``int`` operator indices and
+        ``float`` factors in ``(0, 1]``, which both already guarantee.
+        """
+        arch = object.__new__(cls)
+        object.__setattr__(arch, "ops", ops)
+        object.__setattr__(arch, "factors", factors)
+        return arch
 
     # -- identity ------------------------------------------------------------
 
@@ -122,7 +138,3 @@ class Architecture:
         ]
         return "Arch[" + ", ".join(parts) + "]"
 
-
-def validate_sequence(ops: Sequence[int], factors: Sequence[float]) -> Architecture:
-    """Build an :class:`Architecture` from loose sequences with validation."""
-    return Architecture(tuple(int(o) for o in ops), tuple(float(f) for f in factors))

@@ -82,10 +82,13 @@ class SearchSpace:
 
         self.candidate_factors: List[Tuple[float, ...]] = []
         for layer, factors in enumerate(candidate_factors):
-            factors = tuple(sorted(set(float(f) for f in factors)))
+            factors = [float(f) for f in factors]
             if not factors:
                 raise ValueError(f"layer {layer} has no candidate factors")
-            self.candidate_factors.append(factors)
+            for f in factors:
+                if not 0.0 < f <= 1.0:
+                    raise ValueError(f"channel factor {f} outside (0, 1]")
+            self.candidate_factors.append(tuple(sorted(set(factors))))
 
     # -- basic properties -----------------------------------------------------
 
@@ -109,17 +112,30 @@ class SearchSpace:
         return total
 
     def contains(self, arch: Architecture) -> bool:
-        """Whether ``arch`` lies inside this (possibly shrunk) space."""
-        if arch.num_layers != self.num_layers:
+        """Whether ``arch`` lies inside this (possibly shrunk) space.
+
+        A factor within 1e-9 of a candidate counts as that candidate.
+        """
+        members = self._member_sets
+        if len(arch.ops) != len(members):
             return False
-        for layer, (op, factor) in enumerate(zip(arch.ops, arch.factors)):
-            if op not in self.candidate_ops[layer]:
+        for layer, (ops, factors) in enumerate(members):
+            if arch.ops[layer] not in ops:
                 return False
-            if not any(
+            factor = arch.factors[layer]
+            if factor not in factors and not any(
                 abs(factor - f) < 1e-9 for f in self.candidate_factors[layer]
             ):
                 return False
         return True
+
+    @functools.cached_property
+    def _member_sets(self) -> List[Tuple[frozenset, frozenset]]:
+        """Per-layer candidate ops and factors as sets, for exact hits."""
+        return [
+            (frozenset(ops), frozenset(factors))
+            for ops, factors in zip(self.candidate_ops, self.candidate_factors)
+        ]
 
     # -- sampling ----------------------------------------------------------------
 
@@ -139,7 +155,10 @@ class SearchSpace:
         layers = np.arange(self.num_layers)
         ops = op_table[layers, idx[:, : self.num_layers]].tolist()
         factors = factor_table[layers, idx[:, self.num_layers :]].tolist()
-        return [Architecture(tuple(o), tuple(f)) for o, f in zip(ops, factors)]
+        return [
+            Architecture.from_candidates(tuple(o), tuple(f))
+            for o, f in zip(ops, factors)
+        ]
 
     @functools.cached_property
     def _draw_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """numpy's per-item random streams, reproduced in bulk.
 
-Two stream patterns run once per item on the search's hot paths:
+Three stream patterns run once per item on the search's hot paths:
 
 * a uniform index per gene, ``rng.integers(len(cands))``, drawn gene by
-  gene from one generator (architecture sampling), and
+  gene from one generator (architecture sampling),
+* interleaved ``random()``, ``random(k)`` and ``integers(n)`` calls on
+  one generator (breeding a generation), and
 * a fresh ``default_rng(SeedSequence(entropy, spawn_key=key))`` per
   item (LUT measurement noise, the surrogate's digest residuals).
 
@@ -19,6 +21,11 @@ bulk:
   ``integers(1)`` consumes nothing. Larger bounds, and any run in which
   a lane hits a Lemire rejection (probability about ``b / 2**32``),
   take numpy's own scalar path from the saved state.
+* :func:`decoded_draws` hands out a :class:`DrawDecoder`, which serves
+  the same calls, in the order they are made, from chunks of raw words
+  (the same half-buffering and Lemire mapping, rejections redrawn
+  inline) and on close puts the generator exactly where numpy's calls
+  would have left it.
 * :func:`seeded_generators` runs ``SeedSequence``'s uint32 hash mix as
   whole-array arithmetic across items, does ``PCG64``'s two-step
   128-bit seeding in Python ints, and assigns the result to one reused
@@ -34,6 +41,7 @@ which path is active.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -64,6 +72,14 @@ _SEED_BLOCK = 1024
 _LOW = np.uint64(_MASK32)
 _HALF = np.uint64(32)
 _TWO_32 = np.uint64(1 << 32)
+_TWO_32_INT = 1 << 32
+_DOUBLE_UNIT = 2.0**-53
+
+# Raw words a DrawDecoder pulls at a time. A generation of breeding at
+# the paper's settings reads about 1,300; the unread rest of the last
+# chunk is given back on close, so a larger chunk only costs its
+# ``tolist``.
+_DRAW_CHUNK = 512
 
 
 # -- bounded draws --------------------------------------------------------------
@@ -128,6 +144,113 @@ def _decode_bounded(
             state["has_uint32"] = 0
         bit_generator.state = state
     return out
+
+
+# -- decoded draws --------------------------------------------------------------------
+
+
+class DrawDecoder:
+    """``random()``, ``random(k)`` and ``integers(n)`` served in call
+    order from chunks of one ``PCG64``'s raw 64-bit outputs.
+
+    A double is ``(w >> 11) * 2**-53`` of a fresh word, leaving any
+    buffered half alone. A bounded draw (``1 <= n <= 2**32``) takes a
+    32-bit half: the buffered high half if there is one, else the low
+    half of a fresh word, buffering its high half; Lemire's
+    multiply-shift maps it, redrawing exactly as numpy does.
+    ``integers(1)`` consumes nothing. Draws come back as Python
+    ``int``/``float`` and ``random(k)`` as a list; the values are
+    numpy's. :meth:`close` leaves the generator where numpy's own calls
+    would have.
+    """
+
+    __slots__ = ("_bit_generator", "_start", "_words", "_pos", "_base",
+                 "_has_half", "_half")
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self._bit_generator = bit_generator
+        self._start = bit_generator.state
+        self._words: List[int] = []
+        self._pos = 0
+        self._base = 0  # words in the chunks before ``_words``
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+
+    def _refill(self) -> None:
+        self._base += len(self._words)
+        self._words = self._bit_generator.random_raw(_DRAW_CHUNK).tolist()
+        self._pos = 0
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._refill()
+        word = self._words[self._pos]
+        self._pos += 1
+        return word
+
+    def random(self, size: Optional[int] = None):
+        """``Generator.random()`` (a float) or ``random(size)`` (a list)."""
+        if size is None:  # ``_word`` inlined: breeding's hottest call
+            pos = self._pos
+            if pos == len(self._words):
+                self._refill()
+                pos = 0
+            self._pos = pos + 1
+            return (self._words[pos] >> 11) * _DOUBLE_UNIT
+        end = self._pos + size
+        if end <= len(self._words):
+            words = self._words[self._pos : end]
+            self._pos = end
+        else:
+            words = [self._word() for _ in range(size)]
+        return [(w >> 11) * _DOUBLE_UNIT for w in words]
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        if not 1 < n <= _TWO_32_INT:
+            raise ValueError(f"bound {n} outside [1, 2**32]")
+        while True:
+            if self._has_half:
+                self._has_half = 0
+                half = self._half
+            else:
+                word = self._word()
+                half = word & _MASK32
+                self._half = word >> 32
+                self._has_half = 1
+            scaled = half * n
+            low = scaled & _MASK32
+            # numpy redraws when the low word falls below (2**32 - n) % n.
+            if low >= n or low >= (_TWO_32_INT - n) % n:
+                return scaled >> 32
+
+    def close(self) -> None:
+        """Put the generator where numpy's own draws would have left it."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(self._base + self._pos)
+        state = bit_generator.state
+        state["has_uint32"] = self._has_half
+        # numpy keeps the last buffered high half even once consumed.
+        state["uinteger"] = self._half
+        bit_generator.state = state
+
+
+@contextlib.contextmanager
+def decoded_draws(rng: np.random.Generator):
+    """A :class:`DrawDecoder` over ``rng`` for the ``with`` block, closed
+    on exit, or ``rng`` itself when it is not ``PCG64`` or the fast path
+    is off. Draw only through the yielded object inside the block."""
+    if not FAST_PATH or type(rng.bit_generator) is not np.random.PCG64:
+        yield rng
+        return
+    decoder = DrawDecoder(rng.bit_generator)
+    try:
+        yield decoder
+    finally:
+        decoder.close()
 
 
 # -- seeded generators -------------------------------------------------------------
@@ -314,7 +437,23 @@ def _self_check() -> bool:
             return False
         if fast.integers(1 << 20) != slow.integers(1 << 20):
             return False
-    return True
+    # A mixed run of decoded draws, starting with a buffered half.
+    fast = np.random.default_rng(2)
+    slow = np.random.default_rng(2)
+    fast.integers(5)
+    slow.integers(5)
+    draws = DrawDecoder(fast.bit_generator)
+    decoded = [draws.integers(7), draws.random(), draws.integers(1)]
+    decoded += draws.random(3) + [draws.integers(1 << 32), draws.integers(3)]
+    draws.close()
+    expected = [int(slow.integers(7)), slow.random(), int(slow.integers(1))]
+    expected += slow.random(3).tolist()
+    expected += [int(slow.integers(1 << 32)), int(slow.integers(3))]
+    if decoded != expected:
+        return False
+    if fast.bit_generator.state != slow.bit_generator.state:
+        return False
+    return fast.random() == slow.random()
 
 
 def _activate() -> bool:

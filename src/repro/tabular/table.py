@@ -44,6 +44,7 @@ from repro.space.encoding import (
     index_to_architecture,
     space_cardinality,
 )
+from repro.space.operators import NUM_OPERATORS
 from repro.space.search_space import SearchSpace
 
 # Exhaustive tabulation guard (paper-scale spaces must be sampled).
@@ -183,7 +184,7 @@ def decode_indices(
             op, factor = choices[layer][int(digit_columns[layer][row])]
             ops.append(op)
             factors.append(factor)
-        archs.append(Architecture(tuple(ops), tuple(factors)))
+        archs.append(Architecture.from_candidates(tuple(ops), tuple(factors)))
     return archs
 
 
@@ -371,53 +372,45 @@ class TabularBenchmark:
 
     # -- row addressing -----------------------------------------------------------
 
-    def _encoder(self):
-        """Per-layer digit maps keyed on (op, factor-centile) integers."""
+    def _encoder(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Dense ``[layer, op, factor centile]`` digit table (-1 where
+        the pair is not a candidate) and each layer's place value."""
         if self._encoder_tables is None:
-            maps = []
+            space = self.space
+            digits = np.full(
+                (space.num_layers, NUM_OPERATORS, 101), -1, dtype=np.int64
+            )
             radices = []
-            for layer in range(self.space.num_layers):
-                choices = _layer_choices(self.space, layer)
-                maps.append(
-                    {
-                        (op, _factor_centile(f)): digit
-                        for digit, (op, f) in enumerate(choices)
-                    }
-                )
+            for layer in range(space.num_layers):
+                choices = _layer_choices(space, layer)
+                for digit, (op, factor) in enumerate(choices):
+                    digits[layer, op, _factor_centile(factor)] = digit
                 radices.append(len(choices))
-            self._encoder_tables = (maps, radices)
+            places = [1] * space.num_layers
+            for layer in reversed(range(space.num_layers - 1)):
+                places[layer] = places[layer + 1] * radices[layer + 1]
+            # Paper-scale places overflow int64; those sum Python ints.
+            dtype = np.int64 if self._cardinality <= _INT64_MAX else object
+            self._encoder_tables = (digits, np.array(places, dtype=dtype))
         return self._encoder_tables
 
     def indices_of(self, archs: Sequence[Architecture]) -> List[int]:
-        """Mixed-radix indices of a batch (``architecture_to_index``,
-        amortized through precomputed per-layer digit maps).
+        """Mixed-radix indices of a batch (``architecture_to_index``):
+        each gene pair's digit gathered from a dense table, then one
+        place-value dot product per row.
 
         Raises ``ValueError`` for architectures outside the space.
         """
-        maps, radices = self._encoder()
-        num_layers = self.space.num_layers
-        out = []
-        for arch in archs:
-            if len(arch.ops) != num_layers:
-                raise ValueError(
-                    "architecture is not a member of the space"
-                )
-            index = 0
-            try:
-                for layer in range(num_layers):
-                    digit = maps[layer][
-                        (
-                            arch.ops[layer],
-                            _factor_centile(arch.factors[layer]),
-                        )
-                    ]
-                    index = index * radices[layer] + digit
-            except KeyError:
-                raise ValueError(
-                    "architecture is not a member of the space"
-                ) from None
-            out.append(index)
-        return out
+        digits, places = self._encoder()
+        try:
+            ops, factors = self.space.gene_arrays(archs)
+        except ValueError:
+            raise ValueError("architecture is not a member of the space") from None
+        centiles = np.rint(factors * 100).astype(np.int64)
+        rows = digits[np.arange(self.space.num_layers), ops, centiles]
+        if (rows < 0).any():
+            raise ValueError("architecture is not a member of the space")
+        return (rows.astype(places.dtype) @ places).tolist()
 
     def _miss_error(self) -> KeyError:
         return KeyError(

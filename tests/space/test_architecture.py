@@ -1,11 +1,11 @@
 """Tests for the architecture encoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.space import Architecture
-from repro.space.architecture import validate_sequence
 
 _FACTORS = [round(0.1 * i, 1) for i in range(1, 11)]
 
@@ -43,9 +43,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_arch([0], [1.5])
 
-    def test_validate_sequence_coerces(self):
-        arch = validate_sequence([0, 1], ["0.5", 1.0])
-        assert arch.factors == (0.5, 1.0)
+    def test_post_init_coerces(self):
+        arch = make_arch([np.int64(0), 1], [np.float32(0.5), 1])
+        assert arch.ops == (0, 1) and arch.factors == (0.5, 1.0)
+        assert all(type(o) is int for o in arch.ops)
+        assert all(type(f) is float for f in arch.factors)
+
+    def test_from_candidates_equals_validated(self):
+        trusted = Architecture.from_candidates((0, 4), (0.5, 1.0))
+        checked = make_arch([0, 4], [0.5, 1.0])
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert trusted.key() == checked.key()
+        assert trusted.digest() == checked.digest()
 
 
 class TestIdentity:

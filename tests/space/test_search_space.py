@@ -85,6 +85,42 @@ class TestContains:
         arch = Architecture.uniform(20, op_index=0, factor=0.55)
         assert not space_a.contains(arch)
 
+    def test_factor_within_tolerance_is_contained(self, space_a):
+        """An exact candidate hits the set; one 1e-10 off still counts."""
+        assert space_a.contains(Architecture.uniform(20, factor=0.3))
+        assert space_a.contains(Architecture.uniform(20, factor=0.3 + 1e-10))
+        assert not space_a.contains(Architecture.uniform(20, factor=0.3 + 1e-8))
+
+    def test_contains_agrees_with_a_candidate_scan(self, proxy_space):
+        """Set membership plus the tolerance fallback gives the answers
+        of a per-layer scan, in and out of a shrunk space."""
+        rng = np.random.default_rng(3)
+        shrunk = proxy_space.fix_operator(2, 1)
+        grid = [round(0.05 * i, 2) for i in range(1, 21)]
+        for _ in range(300):
+            arch = Architecture(
+                tuple(int(o) for o in rng.integers(0, 5, size=8)),
+                tuple(float(f) for f in rng.choice(grid, size=8)),
+            )
+            for space in (proxy_space, shrunk):
+                scan = all(
+                    op in space.candidate_ops[layer]
+                    and any(
+                        abs(factor - f) < 1e-9
+                        for f in space.candidate_factors[layer]
+                    )
+                    for layer, (op, factor) in enumerate(zip(arch.ops, arch.factors))
+                )
+                assert space.contains(arch) == scan
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("factor", [1.5, 0.0, float("nan")])
+    def test_invalid_channel_factor_raises(self, factor):
+        config = proxy()
+        with pytest.raises(ValueError, match=r"channel factor .* outside \(0, 1\]"):
+            SearchSpace(config, candidate_factors=[[0.5, factor]] * config.num_layers)
+
 
 class TestShrinkingOps:
     def test_fix_operator_out_of_candidates_raises(self, space_a):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.space import Architecture
+from repro.space import Architecture, space_for_layout
 from repro.space.encoding import (
     architecture_to_index,
     index_to_architecture,
@@ -124,6 +124,54 @@ class TestRowAddressing:
         assert micro_table.indices_of(archs) == [
             architecture_to_index(micro_space, a) for a in archs
         ]
+
+
+class TestIndicesOf:
+    @pytest.fixture(scope="class")
+    def mini_table(self):
+        space = space_for_layout("mini")
+        total = space_cardinality(space)
+        return TabularBenchmark(
+            space,
+            indices=range(total),
+            accuracy=np.zeros(total),
+            latency={"edge": np.zeros(total)},
+            exhaustive=True,
+        )
+
+    def test_every_row_of_an_exhaustive_mini_table(self, mini_table):
+        space = mini_table.space
+        archs = decode_indices(space, mini_table.indices)
+        indices = mini_table.indices_of(archs)
+        assert indices == list(mini_table.indices)
+        assert indices == [architecture_to_index(space, a) for a in archs]
+        assert all(type(i) is int for i in indices[:10])
+        assert mini_table.indices_of([]) == []
+
+    def test_paper_scale_indices_are_exact(self, space_a):
+        table = TabularBenchmark(
+            space_a, indices=[0], accuracy=[0.0], latency={"edge": [0.0]}
+        )
+        archs = space_a.sample_many(np.random.default_rng(5), 20)
+        archs.append(Architecture.uniform(20, op_index=4, factor=1.0))
+        indices = table.indices_of(archs)
+        assert indices == [architecture_to_index(space_a, a) for a in archs]
+        assert max(indices) > 2**63
+
+    def test_non_members_raise(self, mini_table):
+        space = mini_table.space
+        shrunk = space.fix_operator(1, 2)
+        table = TabularBenchmark(
+            shrunk, indices=[0], accuracy=[0.0], latency={"edge": [0.0]}
+        )
+        member = decode_indices(shrunk, [7])[0]
+        assert table.indices_of([member]) == [7]
+        wrong_length = Architecture.uniform(space.num_layers + 1)
+        other_op = member.with_op(1, 3)
+        off_grid = member.with_factor(0, 0.6)
+        for arch in (wrong_length, other_op, off_grid):
+            with pytest.raises(ValueError, match="not a member of the space"):
+                table.indices_of([member, arch])
 
 
 class TestBestUnder:

@@ -166,6 +166,138 @@ def test_other_bit_generators_take_the_scalar_path():
     assert fast.random(5).tolist() == slow.random(5).tolist()
 
 
+# -- decoded_draws ----------------------------------------------------------------
+
+
+def replay(rng, calls):
+    """Run ``calls`` (``("random", None)``, ``("random", k)`` or
+    ``("integers", n)``) on ``rng``, results as Python values."""
+    out = []
+    for name, arg in calls:
+        if name == "integers":
+            out.append(int(rng.integers(arg)))
+        elif arg is None:
+            out.append(float(rng.random()))
+        else:
+            out.append([float(v) for v in rng.random(arg)])
+    return out
+
+
+def check_decoded(seed, calls, buffered=False):
+    fast = np.random.default_rng(seed)
+    slow = np.random.default_rng(seed)
+    if buffered:  # start with a high half in has_uint32/uinteger
+        assert fast.integers(7) == slow.integers(7)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    with streams.decoded_draws(fast) as draws:
+        assert isinstance(draws, streams.DrawDecoder)
+        decoded = replay(draws, calls)
+    assert decoded == replay(slow, calls)
+    assert_same_generator(fast, slow)
+
+
+def mixed_calls(rng, count, bounds):
+    calls = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.4:
+            calls.append(("random", None))
+        elif kind < 0.5:
+            calls.append(("random", int(rng.integers(0, 30))))
+        else:
+            calls.append(("integers", int(rng.choice(bounds))))
+    return calls
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["even", "buffered"])
+def test_decoded_mixed_sequences(buffered):
+    rng = np.random.default_rng(21)
+    bounds = [1, 2, 3, 5, 20, 1000, (1 << 31) + 1, 3 << 30, 1 << 32]
+    for seed in range(60):
+        count = int(rng.choice([0, 1, 2, 5, 40, 700]))
+        check_decoded(seed, mixed_calls(rng, count, bounds), buffered)
+
+
+def test_decoded_integers_one_consumes_nothing():
+    for buffered in (False, True):
+        check_decoded(1, [("integers", 1)] * 5, buffered)
+        check_decoded(2, [("integers", 1), ("integers", 3), ("integers", 1)], buffered)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with streams.decoded_draws(rng) as draws:
+        assert draws.integers(1) == 0
+    assert rng.bit_generator.state == before
+
+
+def _redrawn_once(seed, bound):
+    """Whether ``integers(bound)``'s first draw from ``seed`` takes two
+    halves: from an even start an accepted half leaves the fresh word's
+    high half buffered, and one redraw consumes it."""
+    rng = np.random.default_rng(seed)
+    rng.integers(bound)
+    return rng.bit_generator.state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("bound", [3 << 30, (1 << 31) + 1])
+def test_decoded_lemire_rejection(bound):
+    """Bounds near 2**32 where numpy redraws a quarter and a half of the
+    halves: seeds whose first draw is redrawn decode exactly."""
+    redrawn = [seed for seed in range(64) if _redrawn_once(seed, bound)]
+    assert redrawn
+    for seed in redrawn[:5]:
+        for buffered in (False, True):
+            check_decoded(
+                seed, [("integers", bound)] * 3 + [("random", None)], buffered
+            )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_decoded_chunk_refills(monkeypatch, chunk):
+    """Draws and ``random(k)`` runs that straddle chunk boundaries."""
+    monkeypatch.setattr(streams, "_DRAW_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        calls = mixed_calls(rng, 60, [1, 2, 9, 3 << 30])
+        check_decoded(seed, calls, buffered=seed % 2 == 1)
+
+
+def test_decoded_full_default_chunks():
+    size = streams._DRAW_CHUNK
+    for count in (size - 1, size, size + 1, 2 * size + 1):
+        check_decoded(3, [("random", None)] * count)
+        check_decoded(3, [("random", count), ("integers", 5)], buffered=True)
+
+
+def test_decoded_state_is_synced_when_the_block_raises():
+    fast = np.random.default_rng(8)
+    slow = np.random.default_rng(8)
+    calls = [("integers", 6), ("random", 4), ("integers", 3)]
+    with pytest.raises(RuntimeError):
+        with streams.decoded_draws(fast) as draws:
+            replay(draws, calls)
+            raise RuntimeError("stop")
+    replay(slow, calls)
+    assert_same_generator(fast, slow)
+
+
+def test_decoded_rejects_bad_bounds():
+    with streams.decoded_draws(np.random.default_rng(0)) as draws:
+        for bound in (0, -3, (1 << 32) + 1):
+            with pytest.raises(ValueError, match="outside"):
+                draws.integers(bound)
+
+
+def test_decoded_draws_hands_back_the_generator(monkeypatch):
+    """Other bit generators, and the fallback, draw through numpy."""
+    rng = np.random.Generator(np.random.MT19937(4))
+    with streams.decoded_draws(rng) as draws:
+        assert draws is rng
+    monkeypatch.setattr(streams, "FAST_PATH", False)
+    rng = np.random.default_rng(4)
+    with streams.decoded_draws(rng) as draws:
+        assert draws is rng
+
+
 # -- consumers ---------------------------------------------------------------------
 
 
