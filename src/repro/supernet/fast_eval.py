@@ -2,13 +2,15 @@
 
 Search-time evaluation (the Eq.-4 quality estimate, EA/NSGA-II fitness,
 LUT validation) only ever runs forward passes, and on the 1-core target
-host the per-arch training-style forward is the wall (ROADMAP item 5).
-:class:`SupernetFastEval` attacks it three ways:
+host the per-arch training-style forward is the wall.
+:class:`SupernetFastEval` attacks it four ways:
 
-* **No-grad forwards** — the whole pass runs under
-  :func:`repro.nn.eval_no_grad`, so no layer allocates backward caches
-  (asserted by ``tests/nn/test_eval_caches.py``), and 1x1 convolutions
-  skip im2col entirely.
+* **No-grad forwards** — every layer is computed from its parameters
+  and running statistics directly, never through a module's
+  ``forward``, so no layer allocates backward caches and the
+  supernet's ``training`` flags are never touched. 1x1 convolutions
+  skip im2col, eval BN is one allocation, ReLU rectifies in place and
+  concat + channel shuffle is one write into the shuffled layout.
 * **Batched candidate evaluation with shared prefixes** —
   :meth:`forward_many` keeps one activation row per distinct path
   prefix (architectures that agree on ``(operator, channels kept)`` up
@@ -17,6 +19,11 @@ host the per-arch training-style forward is the wall (ROADMAP item 5).
   N per-arch passes. The stem runs once, duplicate architectures cost
   nothing extra, and the Python/layer-dispatch overhead is paid once
   per layer, not per arch.
+* **Dead right halves** — a stride-1 ShuffleNetV2 unit feeds only the
+  right half of its input to its branch, and a channel factor <= 0.5
+  on the layer before zeroes that whole half. Such rows skip the
+  branch: it runs once per call on one all-zero image, and each dead
+  row takes its left half beside that constant.
 * **Opt-in int8 GEMMs** — ``precision="int8"`` runs every conv/linear
   GEMM against the *deployment* int8 weight grid (the per-output-channel
   scales of :mod:`repro.deploy.quantize`, via
@@ -25,10 +32,12 @@ host the per-arch training-style forward is the wall (ROADMAP item 5).
   approximation of the float64 forward: gate it with
   :func:`repro.nn.quantized.ranking_fidelity` before trusting rankings.
 
-The default ``precision="float"`` path is **bit-exact** with per-arch
+The default ``precision="float"`` path is **exact** against per-arch
 eval-mode forwards through ``Supernet.forward`` — it performs the
 identical numpy operations in the identical order, just batched — which
-the equivalence tests assert byte-for-byte.
+the equivalence tests assert with ``assert_array_equal``. (A dead row's
+branch output may differ from the per-arch one only in the sign of a
+zero.)
 
 Per-stage wall-time attribution (im2col / GEMM / scoring / other) is
 accumulated in :meth:`stage_times`; the end-to-end benchmark's
@@ -38,16 +47,18 @@ accumulated in :meth:`stage_times`; the end-to-end benchmark's
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.functional import conv_output_size, im2col, pad_nchw
-from repro.nn.inference import eval_no_grad
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.layers.pool import AvgPool2d
 from repro.nn.module import Module, Sequential
 from repro.nn.quantized import QuantizedTensor, quantize_weight
 from repro.space.architecture import Architecture
@@ -110,6 +121,35 @@ def _depthwise_taps(
     return out
 
 
+def _shuffled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``ChannelShuffle(groups=2)`` of ``concat([left, right])``, one write.
+
+    The shuffle sends ``left[:, i]`` to channel ``2i`` and ``right[:, i]``
+    to ``2i + 1``, so both halves go straight into one
+    ``(n, C/2, 2, h, w)`` buffer.
+    """
+    n, half, h, w = right.shape
+    out = np.empty((n, half, 2, h, w), dtype=np.result_type(left, right))
+    out[:, :, 0] = left
+    out[:, :, 1] = right
+    return out.reshape(n, 2 * half, h, w)
+
+
+def _avg_pool(pool: AvgPool2d, x: np.ndarray) -> np.ndarray:
+    """``AvgPool2d.forward`` without its training-mode shape cache."""
+    n, c, h, w = x.shape
+    cols, out_h, out_w = im2col(
+        x.reshape(n * c, 1, h, w), pool.kernel_size, pool.stride, pool.padding
+    )
+    return cols.mean(axis=1).reshape(n, c, out_h, out_w)
+
+
+def _splits_input(m: Module) -> bool:
+    """Whether ``m`` passes its input's left half through untouched and
+    feeds only the right half to its branch (a stride-1 shuffle unit)."""
+    return isinstance(m, (ShuffleV2Block, ShuffleXceptionBlock)) and m.stride == 1
+
+
 class SupernetFastEval:
     """Evaluation-only forward engine over a shared :class:`Supernet`.
 
@@ -117,7 +157,8 @@ class SupernetFastEval:
     ----------
     supernet:
         The weight-sharing supernet. Its weights are read, never
-        written; its train/eval mode is restored after every call.
+        written, and no module's ``forward`` runs, so its train/eval
+        flags and backward caches stay as they were.
         Int8 weight codes and fused BN constants are cached on first
         use, so build a new instance once the weights or BN statistics
         change.
@@ -134,10 +175,10 @@ class SupernetFastEval:
         self.supernet = supernet
         self.precision = precision
         self.bits = bits
-        # One column buffer per conv layer, replaced when the input
-        # geometry changes — persistent across candidates, bounded in
-        # count by the number of conv layers.
-        self._col_buffers: Dict[int, np.ndarray] = {}
+        # One column arena for every conv: a conv's columns are dead
+        # once its GEMM returns, so each im2col reuses the same bytes,
+        # grown to the largest unfold seen.
+        self._cols = np.empty(0, dtype=np.uint8)
         self._qweights: Dict[int, QuantizedTensor] = {}
         self._bn_fused: Dict[int, tuple] = {}
         self._times: Dict[str, float] = {}
@@ -160,7 +201,8 @@ class SupernetFastEval:
 
         ``gemm_s`` includes int8 quantize/rescale when running at int8;
         ``other_s`` is everything not otherwise attributed (BN,
-        activations, pooling, concat/shuffle, mask application).
+        activations, pooling, concat/shuffle, mask application, the
+        dead-row test and the dead rows' writes).
         """
         times = dict(self._times)
         attributed = times["im2col_s"] + times["gemm_s"] + times["scoring_s"]
@@ -204,19 +246,19 @@ class SupernetFastEval:
         return out
 
     def _im2col(self, conv: Conv2d, x: np.ndarray):
-        """im2col through this conv's persistent column buffer."""
-        buf = self._col_buffers.get(id(conv))
-        if buf is not None and (
-            buf.shape[:4] != (x.shape[0], x.shape[1], conv.kernel_size,
-                              conv.kernel_size)
-            or buf.dtype != x.dtype
-        ):
-            buf = None
-        cols, out_h, out_w = im2col(
-            x, conv.kernel_size, conv.stride, conv.padding, out=buf
+        """im2col into the shared column arena."""
+        n, c, h, w = x.shape
+        k = conv.kernel_size
+        shape = (
+            n, c, k, k,
+            conv_output_size(h, k, conv.stride, conv.padding),
+            conv_output_size(w, k, conv.stride, conv.padding),
         )
-        self._col_buffers[id(conv)] = cols.base if cols.base is not None else cols
-        return cols, out_h, out_w
+        nbytes = math.prod(shape) * x.itemsize
+        if self._cols.size < nbytes:
+            self._cols = np.empty(nbytes, dtype=np.uint8)
+        buf = self._cols[:nbytes].view(x.dtype).reshape(shape)
+        return im2col(x, k, conv.stride, conv.padding, out=buf)
 
     def _conv_int8(self, conv: Conv2d, x: np.ndarray) -> np.ndarray:
         """Convolution against the deployment int8 weight grid, float32.
@@ -265,25 +307,44 @@ class SupernetFastEval:
             out = out + conv.bias.data.astype(np.float32)[None, :, None, None]
         return out
 
-    def _bn_int8(self, bn: BatchNorm2d, x: np.ndarray) -> np.ndarray:
-        """Eval-mode BN folded to one float32 multiply-add per element."""
-        fused = self._bn_fused.get(id(bn))
-        if fused is None:
-            inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-            scale = (bn.gamma.data * inv_std).astype(np.float32)
-            shift = (
-                bn.beta.data - bn.running_mean * bn.gamma.data * inv_std
-            ).astype(np.float32)
-            fused = (scale, shift)
-            self._bn_fused[id(bn)] = fused
-        scale, shift = fused
-        return x * scale[None, :, None, None] + shift[None, :, None, None]
+    def _bn(self, bn: BatchNorm2d, x: np.ndarray, inplace: bool) -> np.ndarray:
+        """Eval-mode BN from the running statistics, over ``x`` itself
+        when ``inplace``.
+
+        Float: ``BatchNorm2d.forward``'s operations in its order
+        (subtract the mean, scale by ``inv_std``, then ``gamma``, add
+        ``beta``) on one array. Int8: folded to one float32
+        multiply-add per element.
+        """
+        if self.precision == "int8":
+            fused = self._bn_fused.get(id(bn))
+            if fused is None:
+                inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+                scale = (bn.gamma.data * inv_std).astype(np.float32)
+                shift = (
+                    bn.beta.data - bn.running_mean * bn.gamma.data * inv_std
+                ).astype(np.float32)
+                fused = (scale[None, :, None, None], shift[None, :, None, None])
+                self._bn_fused[id(bn)] = fused
+            scale, shift = fused
+            out = np.multiply(x, scale, out=x if inplace else None)
+            out += shift
+            return out
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+        out = np.subtract(
+            x, bn.running_mean[None, :, None, None], out=x if inplace else None
+        )
+        out *= inv_std[None, :, None, None]
+        out *= bn.gamma.data[None, :, None, None]
+        out += bn.beta.data[None, :, None, None]
+        return out
 
     def _mask(self, block, x: np.ndarray) -> np.ndarray:
         """Apply a choice block's channel mask (float32 at int8)."""
+        mask = block.mask.mask
         if self.precision == "int8":
-            return x * block.mask.mask.astype(np.float32)[None, :, None, None]
-        return block.mask(x)
+            mask = mask.astype(np.float32)
+        return x * mask[None, :, None, None]
 
     def _linear(self, linear: Linear, x: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
@@ -303,32 +364,35 @@ class SupernetFastEval:
 
     def _module(self, m: Module, x: np.ndarray) -> np.ndarray:
         """Structure-walking dispatch mirroring each module's forward."""
+        if isinstance(m, Sequential):
+            entry = x
+            for layer in m.layers:
+                # Past the first layer, ``x`` is a fresh array this walk
+                # owns (a BN follows a conv, a ReLU follows a BN), so BN
+                # and ReLU overwrite it instead of allocating.
+                owned = x is not entry
+                if isinstance(layer, ReLU):
+                    # ReLU.forward's own ``x * (x > 0)``, -0.0s included.
+                    x = np.multiply(x, x > 0, out=x if owned else None)
+                elif isinstance(layer, BatchNorm2d):
+                    x = self._bn(layer, x, owned)
+                else:
+                    x = self._module(layer, x)
+            return x
         if isinstance(m, Conv2d):
             return self._conv(m, x)
         if isinstance(m, Linear):
             return self._linear(m, x)
-        if isinstance(m, BatchNorm2d) and self.precision == "int8":
-            return self._bn_int8(m, x)
-        if isinstance(m, Sequential):
-            for layer in m.layers:
-                x = self._module(layer, x)
-            return x
         if isinstance(m, (ShuffleV2Block, ShuffleXceptionBlock)):
             if m.stride == 1:
                 split = x.shape[1] // 2
-                out = np.concatenate(
-                    [x[:, :split], self._module(m.branch, x[:, split:])], axis=1
-                )
-            else:
-                out = np.concatenate(
-                    [self._module(m.left, x), self._module(m.branch, x)], axis=1
-                )
-            return m.shuffle(out)
+                return _shuffled(x[:, :split], self._module(m.branch, x[:, split:]))
+            return _shuffled(self._module(m.left, x), self._module(m.branch, x))
         if isinstance(m, SkipOp):
             if m.proj is None:
                 return x
-            return self._module(m.proj, m.pool(x))
-        return m.forward(x)
+            return self._module(m.proj, _avg_pool(m.pool, x))
+        raise TypeError(f"no fast-eval rule for {type(m).__name__}")
 
     # -- forwards --------------------------------------------------------------
 
@@ -337,14 +401,12 @@ class SupernetFastEval:
         net = self.supernet
         net.set_architecture(arch)
         t0 = time.perf_counter()
-        with eval_no_grad(net):
-            x = self._module(net.stem, images)
-            for block in net.blocks:
-                x = self._module(block.ops[block.active_op], x)
-                x = self._mask(block, x)
-            x = self._module(net.head, x)
-            x = net.pool(x)
-            logits = self._linear(net.classifier, x)
+        x = self._module(net.stem, images)
+        for block in net.blocks:
+            x = self._module(block.ops[block.active_op], x)
+            x = self._mask(block, x)
+        x = self._module(net.head, x)
+        logits = self._linear(net.classifier, x.mean(axis=(2, 3)))
         self._times["total_s"] += time.perf_counter() - t0
         return logits
 
@@ -363,8 +425,11 @@ class SupernetFastEval:
         choice layer runs one forward per distinct operator over the
         rows that take it, the mask is applied once per distinct
         ``(row, operator, channels kept)``, and the head and classifier
-        run once per final row. Exact: every architecture's logits are
-        bit-identical to :meth:`forward` on its own.
+        run once per final row. A stride-1 shuffle unit whose input row
+        has an all-zero right half (the previous mask kept at most half
+        the channels) runs its branch once per call on a zero image
+        instead of on that row. Exact: every architecture's logits
+        equal :meth:`forward` on its own.
 
         ``chunk_archs`` bounds peak activation memory (which scales with
         the row count, at most ``A x N`` images) by running at most that
@@ -396,21 +461,28 @@ class SupernetFastEval:
         order = sorted(range(len(paths)), key=paths.__getitem__)
         step = len(order) if chunk_archs is None else chunk_archs
         logits = None
+        consts: Dict[tuple, np.ndarray] = {}
         t0 = time.perf_counter()
-        with eval_no_grad(net):
-            for lo in range(0, len(order), step):
-                idx = order[lo : lo + step]
-                part = self._forward_paths([paths[i] for i in idx], images)
-                if logits is None:
-                    logits = np.empty((len(paths),) + part.shape[1:], part.dtype)
-                logits[idx] = part
+        for lo in range(0, len(order), step):
+            idx = order[lo : lo + step]
+            part = self._forward_paths([paths[i] for i in idx], images, consts)
+            if logits is None:
+                logits = np.empty((len(paths),) + part.shape[1:], part.dtype)
+            logits[idx] = part
         self._times["total_s"] += time.perf_counter() - t0
         return logits
 
     def _forward_paths(
-        self, paths: Sequence[tuple], images: np.ndarray
+        self,
+        paths: Sequence[tuple],
+        images: np.ndarray,
+        consts: Dict[tuple, np.ndarray],
     ) -> np.ndarray:
-        """Logits for ``(op, channels kept)`` paths, one row per prefix."""
+        """Logits for ``(op, channels kept)`` paths, one row per prefix.
+
+        ``consts`` holds each ``(layer, op)`` branch's output on a zero
+        image, filled on first use and shared by the chunks of one call.
+        """
         net = self.supernet
         n_img = images.shape[0]
         mask_dtype = np.float32 if self.precision == "int8" else np.float64
@@ -427,35 +499,60 @@ class SupernetFastEval:
             lo = 0
             for op, keys_of_op in itertools.groupby(distinct, key=lambda key: key[0]):
                 group = list(keys_of_op)
+                m = block.ops[op]
                 src = sorted({row for _, row, _ in group})
-                sub = acts if len(src) == len(acts) else acts[src]
-                out = self._module(block.ops[op], sub.reshape(-1, *sub.shape[2:]))
-                out = out.reshape(len(src), n_img, *out.shape[1:])
-                if len(group) != len(src):
-                    local = {row: i for i, row in enumerate(src)}
-                    out = out[[local[row] for _, row, _ in group]]
-                masks = np.zeros((len(group), out.shape[2]), dtype=mask_dtype)
+                dead = set()
+                if li > 0 and _splits_input(m):
+                    # The activation itself is tested, not the kept
+                    # count, so a NaN/inf in the masked half stays live.
+                    half = acts.shape[2] // 2
+                    dead = {row for row in src if not acts[row, :, half:].any()}
+                live = [row for row in src if row not in dead]
+                if live:
+                    sub = acts if len(live) == len(acts) else acts[live]
+                    out = self._module(m, sub.reshape(-1, *sub.shape[2:]))
+                    out = out.reshape(len(live), n_img, *out.shape[1:])
+                if dead:
+                    # Every conv GEMM is per image and BN/ReLU are
+                    # elementwise, so the branch maps a zero image to
+                    # the same tensor in any batch.
+                    const = consts.get((li, op))
+                    if const is None:
+                        zero = np.zeros(
+                            (1, acts.shape[2] - half) + acts.shape[3:], acts.dtype
+                        )
+                        const = consts[li, op] = self._module(m.branch, zero)
+                if new_acts is None:
+                    # A stride-1 unit keeps its input's shape.
+                    shape = out.shape[1:] if live else acts.shape[1:]
+                    dtype = out.dtype if live else np.result_type(acts, const)
+                    new_acts = np.empty((len(distinct),) + shape, dtype=dtype)
+                masks = np.zeros((len(group), new_acts.shape[2]), dtype=mask_dtype)
                 for i, (_, _, kept) in enumerate(group):
                     masks[i, :kept] = 1.0
-                if new_acts is None:
-                    new_acts = np.empty(
-                        (len(distinct),) + out.shape[1:], dtype=out.dtype
-                    )
-                np.multiply(
-                    out,
-                    masks[:, None, :, None, None],
-                    out=new_acts[lo : lo + len(group)],
-                )
+                masks = masks[:, None, :, None, None]
+                dst = new_acts[lo : lo + len(group)]
                 lo += len(group)
+                if len(live) == len(group):  # one key per live row, in order
+                    np.multiply(out, masks, out=dst)
+                    continue
+                local = {row: i for i, row in enumerate(live)}
+                for i, (_, row, _) in enumerate(group):
+                    if row in dead:
+                        pairs = dst[i].reshape(n_img, half, 2, *dst.shape[3:])
+                        pairs[:, :, 0] = acts[row, :, :half]
+                        pairs[:, :, 1] = const
+                        dst[i] *= masks[i]
+                    else:
+                        np.multiply(out[local[row]], masks[i], out=dst[i])
             acts = new_acts
         x = self._module(net.head, acts.reshape(-1, *acts.shape[2:]))
-        x = net.pool(x)
         # The classifier is the one 2-D GEMM in the whole pass: its BLAS
         # blocking (and thus summation order) depends on the row count,
         # so run it per block of N image rows to keep the result
         # bit-identical to the per-arch path. All conv GEMMs are
         # per-sample slices already.
-        features = x.reshape(len(acts), n_img, -1)
+        features = x.mean(axis=(2, 3)).reshape(len(acts), n_img, -1)
         row_logits = np.stack(
             [self._linear(net.classifier, features[i]) for i in range(len(acts))]
         )

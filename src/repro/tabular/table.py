@@ -406,7 +406,13 @@ class TabularBenchmark:
             ops, factors = self.space.gene_arrays(archs)
         except ValueError:
             raise ValueError("architecture is not a member of the space") from None
-        centiles = np.rint(factors * 100).astype(np.int64)
+        centiles = np.rint(factors * 100)
+        # A factor off the centile grid would borrow the digit of the
+        # candidate it rounds to. The tolerance is ``SearchSpace.contains``'
+        # 1e-9; ``<=`` fails a NaN too.
+        if not (np.abs(factors - centiles / 100) <= 1e-9).all():
+            raise ValueError("architecture is not a member of the space")
+        centiles = centiles.astype(np.int64)
         rows = digits[np.arange(self.space.num_layers), ops, centiles]
         if (rows < 0).any():
             raise ValueError("architecture is not a member of the space")

@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,26 @@ def tiny_loader(tiny_dataset):
     return BatchLoader(
         tiny_dataset.train_x, tiny_dataset.train_y, batch_size=8, seed=0
     )
+
+
+class ChildProcessLeftWarning(UserWarning):
+    """A test left ``multiprocessing`` children running after teardown."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    """Warn, naming the test, when it leaves live child processes.
+
+    A forked child that outlives its test can keep the whole run from
+    exiting after the last test passes; this names the test that left
+    it. It only reports: the test's outcome is unchanged.
+    """
+    yield
+    children = multiprocessing.active_children()
+    if children:
+        pids = ", ".join(str(child.pid) for child in children)
+        warnings.warn(
+            f"{item.nodeid} left {len(children)} child process(es) "
+            f"running: pid {pids}",
+            ChildProcessLeftWarning,
+        )

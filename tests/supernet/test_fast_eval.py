@@ -289,10 +289,11 @@ class TestPrefixSharing:
         net = trained.supernet
         images = tiny_dataset.test_x[:3]
         (base,) = sample_archs(tiny_space, 1)
-        # Layers 0 and 1 have 8 channels: 0.2 and 0.3 both keep 2.
-        archs = [
-            Architecture(base.ops, (f, f) + base.factors[2:]) for f in (0.2, 0.3)
-        ]
+        # Layers 0 and 1 have 8 channels: 0.7 and 0.8 both keep 6. Every
+        # layer keeps more than half its channels, so no stride-1 unit
+        # sees a dead right half and every layer runs its operator.
+        later = (1.0,) * (tiny_space.num_layers - 2)
+        archs = [Architecture(base.ops, (f, f) + later) for f in (0.7, 0.8)]
         fe = SupernetFastEval(net)
         calls = self.count_op_calls(fe, net)
         logits = fe.forward_many(archs, images)
@@ -300,6 +301,106 @@ class TestPrefixSharing:
         np.testing.assert_array_equal(
             logits, per_arch_eval_logits(net, archs, images)
         )
+
+
+def dead_live_batch():
+    """Architectures whose stride-1 layers (1 and 3 of the tiny space)
+    see dead and live right halves, all four shuffle operators, and the
+    boundaries: layer 0 keeps 4 (= C/2, dead) or 5 (= C/2 + 1, live)
+    of 8 channels, layer 2 keeps 8 (dead) or 9 (live) of 16.
+    """
+    archs = []
+    for op in range(4):
+        for f0, f2 in ((0.5, 0.55), (0.6, 0.5), (0.2, 1.0), (1.0, 0.3)):
+            archs.append(Architecture((op, op, (op + 1) % 4, op), (f0, 1.0, f2, 0.7)))
+    archs.append(Architecture((4, 0, 4, 3), (0.5, 0.5, 0.5, 1.0)))
+    order = np.random.default_rng(0).permutation(len(archs))
+    return [archs[i] for i in order]
+
+
+class TestDeadRightHalves:
+    """Stride-1 units whose input's right half the mask zeroed."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_float_matches_per_arch(self, trained, tiny_dataset, chunk):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:5]
+        archs = dead_live_batch()
+        ref = per_arch_eval_logits(net, archs, images)
+        fast = SupernetFastEval(net).forward_many(archs, images, chunk_archs=chunk)
+        np.testing.assert_array_equal(fast, ref)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_int8_batched_matches_single(self, trained, tiny_dataset, chunk):
+        images = tiny_dataset.test_x[:5]
+        archs = dead_live_batch()
+        fe = SupernetFastEval(trained.supernet, precision="int8")
+        batched = fe.forward_many(archs, images, chunk_archs=chunk)
+        singles = np.stack([fe.forward(a, images) for a in archs])
+        np.testing.assert_array_equal(batched, singles)
+
+    @pytest.mark.parametrize("precision", ["float", "int8"])
+    def test_nan_in_masked_half_stays_nan(self, trained, tiny_dataset, precision):
+        net = trained.supernet
+        # Layer 0's skip ends in a BN; NaN statistics on channels 4..7
+        # put NaN exactly where a 0.5 mask zeroes (0 * NaN is NaN), so
+        # layer 1 sees a right half that is masked but not zero.
+        net.blocks[0].ops[4].proj.layers[1].running_mean[4:] = np.nan
+        images = tiny_dataset.test_x[:4]
+        poisoned = Architecture((4, 1, 0, 0), (0.5, 1.0, 1.0, 1.0))
+        clean = Architecture((0, 1, 0, 0), (0.5, 1.0, 1.0, 1.0))
+        fe = SupernetFastEval(net, precision=precision)
+        fast = fe.forward_many([poisoned, clean, poisoned], images)
+        if precision == "float":
+            ref = per_arch_eval_logits(net, [poisoned, clean, poisoned], images)
+        else:
+            ref = np.stack([fe.forward(a, images) for a in (poisoned, clean, poisoned)])
+        np.testing.assert_array_equal(fast, ref)
+        assert np.isnan(fast[[0, 2]]).all()
+        assert np.isfinite(fast[1]).all()
+
+    @staticmethod
+    def record_calls(fe, net):
+        """Record ``(layer, "op" | "branch", images)`` per forward of a
+        layer's operator or of a stride-1 operator's branch."""
+        names = {}
+        for li, block in enumerate(net.blocks):
+            for m in block.ops:
+                names[id(m)] = (li, "op")
+                if getattr(m, "stride", 2) == 1 and hasattr(m, "branch"):
+                    names[id(m.branch)] = (li, "branch")
+        calls = []
+        dispatch = fe._module
+
+        def recording(m, x):
+            if id(m) in names:
+                calls.append(names[id(m)] + (x.shape[0],))
+            return dispatch(m, x)
+
+        fe._module = recording
+        return calls
+
+    def test_dead_rows_skip_the_branch(self, trained, tiny_dataset):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:3]
+        ops = (0, 1, 0, 2)
+        dead = [Architecture(ops, (f, 1.0, 1.0, 1.0)) for f in (0.2, 0.5)]
+        live = Architecture(ops, (0.6, 1.0, 1.0, 1.0))
+        fe = SupernetFastEval(net)
+        calls = self.record_calls(fe, net)
+        logits = fe.forward_many(dead + [live], images)
+        layer1 = [c for c in calls if c[0] == 1]
+        # The live row runs the operator (and so its branch) on its 3
+        # images; both dead rows share one branch pass on a zero image.
+        assert layer1 == [(1, "op", 3), (1, "branch", 3), (1, "branch", 1)]
+        np.testing.assert_array_equal(
+            logits, per_arch_eval_logits(net, dead + [live], images)
+        )
+        del calls[:]
+        # All rows dead, over three chunks: no operator call at layer 1,
+        # one zero-image branch pass for the whole call.
+        fe.forward_many(dead * 3, images, chunk_archs=2)
+        assert [c for c in calls if c[0] == 1] == [(1, "branch", 1)]
 
 
 def reference_depthwise_taps(x, taps, k, stride, padding):

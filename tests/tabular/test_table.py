@@ -173,6 +173,22 @@ class TestIndicesOf:
             with pytest.raises(ValueError, match="not a member of the space"):
                 table.indices_of([member, arch])
 
+    def test_off_grid_factor_is_not_a_member(self, mini_table):
+        # 0.751 rounds to the 0.75 centile, but is no candidate: it must
+        # not borrow row 3375, the architecture with 0.75 there.
+        arch = Architecture((0, 0, 0, 0), (0.751, 0.5, 0.5, 0.5))
+        assert not mini_table.space.contains(arch)
+        with pytest.raises(ValueError, match="not a member of the space"):
+            mini_table.indices_of([arch])
+        with pytest.raises(ValueError, match="not a member of the space"):
+            mini_table.rows_of([arch])
+        assert arch not in mini_table
+        near = Architecture((0, 0, 0, 0), (0.75 + 1e-12, 0.5, 0.5, 0.5))
+        assert mini_table.space.contains(near)
+        assert mini_table.indices_of([near]) == mini_table.indices_of(
+            [Architecture((0, 0, 0, 0), (0.75, 0.5, 0.5, 0.5))]
+        )
+
 
 class TestBestUnder:
     def test_masked_argmax_matches_linear_scan(self, micro_table):
