@@ -105,32 +105,39 @@ class Nsga2Result:
 
 
 def non_dominated_sort(points: List[BiObjective]) -> List[List[int]]:
-    """Fast non-dominated sorting; returns index fronts, best first."""
+    """Fast non-dominated sorting; returns index fronts, best first.
+
+    The fronts are peeled off one ``(n, n)`` domination matrix, in the
+    order of Deb's pairwise loop (``_select``, :func:`crowding_distance`
+    and the final front all sort stably, so the order is part of the
+    result). That loop appends a point to the next front when its last
+    dominator in the current front releases it, so the next front is
+    ordered by that dominator's position in the current front, ties by
+    ascending index. A NaN objective fails every comparison, so such a
+    point neither dominates nor is dominated, as in
+    :meth:`BiObjective.dominates`.
+    """
     n = len(points)
-    dominated_by: List[List[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: List[List[int]] = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if points[i].dominates(points[j]):
-                dominated_by[i].append(j)
-            elif points[j].dominates(points[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for i in fronts[current]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    next_front.append(j)
-        current += 1
-        fronts.append(next_front)
-    return [f for f in fronts if f]
+    lat = np.fromiter((p.latency_ms for p in points), np.float64, n)
+    acc = np.fromiter((p.accuracy for p in points), np.float64, n)
+    lat_i, lat_j = lat[:, None], lat[None, :]
+    acc_i, acc_j = acc[:, None], acc[None, :]
+    # dominates[i, j]: point i dominates point j.
+    dominates = (lat_i <= lat_j) & (acc_i >= acc_j) & (
+        (lat_i < lat_j) | (acc_i > acc_j)
+    )
+    remaining = dominates.sum(axis=0)
+    fronts: List[List[int]] = []
+    current = np.flatnonzero(remaining == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        released = dominates[current]
+        remaining -= released.sum(axis=0)
+        members = np.flatnonzero(released.any(axis=0) & (remaining == 0))
+        # Position in ``current`` of each member's last dominator.
+        last = len(current) - 1 - released[::-1, members].argmax(axis=0)
+        current = members[np.lexsort((members, last))]
+    return fronts
 
 
 def crowding_distance(points: List[BiObjective], front: List[int]) -> Dict[int, float]:

@@ -12,12 +12,13 @@ profiling.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.spec import DeviceSpec, spec_by_key
 from repro.space.architecture import Architecture
+from repro.space.cost_tables import CellCost
 from repro.space.operators import Primitive
 from repro.space.search_space import SearchSpace
 
@@ -32,6 +33,18 @@ class DeviceModel:
         # first read them back instead of recomputing them. Threads that
         # miss the same key store equal values, so no lock is needed.
         self._kernel_s: Dict[Tuple[Primitive, int], float] = {}
+        # Noise-free isolated times (ms) of cost-table cells, keyed on
+        # the cell's id so that a lookup hashes no Primitive. The cells
+        # are kept alive beside the memo, so an id is never reused
+        # while it is a key. Filled like ``_kernel_s``, without a lock.
+        self._cell_ms: Dict[int, float] = {}
+        self._cells_kept: List[CellCost] = []
+
+    def _probe(self) -> None:
+        """Called once per probe (one LUT cell micro-benchmark, one
+        network run) before its time is read. A healthy device never
+        fails; :class:`~repro.hardware.faults.FlakyDevice` injects its
+        faults here."""
 
     # -- kernel-level timing --------------------------------------------------
 
@@ -69,6 +82,46 @@ class DeviceModel:
 
     # -- network-level timing -----------------------------------------------------
 
+    def network_time_s(
+        self,
+        layer_primitives: Sequence[Sequence[Primitive]],
+        extra_primitives: Sequence[Primitive] = (),
+        batch: Optional[int] = None,
+    ) -> float:
+        """Noise-free time of a network in device seconds, before the
+        spec's ``time_scale``: kernel times plus the per-layer boundary
+        and base overheads. The one summation every network-level time
+        reads (see :meth:`run_network_ms` for the arguments)."""
+        spec = self.spec
+        total_s = spec.base_overhead_s
+        boundaries = 0
+        for layer in layer_primitives:
+            if not layer:
+                continue
+            boundaries += 1
+            for prim in layer:
+                total_s += self.primitive_time_s(prim, batch)
+        if extra_primitives:
+            boundaries += 1
+            for prim in extra_primitives:
+                total_s += self.primitive_time_s(prim, batch)
+        total_s += boundaries * spec.layer_overhead_s
+        return total_s
+
+    def network_probe_ms(
+        self, network_s: float, rng: Optional[np.random.Generator] = None
+    ) -> float:
+        """One run of a network whose :meth:`network_time_s` is
+        ``network_s``, in milliseconds: the probe, the time scale and,
+        with ``rng``, one log-normal noise draw. A measurement session
+        computes ``network_s`` once and calls this once per run."""
+        self._probe()
+        spec = self.spec
+        total_s = network_s * spec.time_scale
+        if rng is not None and spec.noise_sigma > 0:
+            total_s *= float(np.exp(rng.normal(0.0, spec.noise_sigma)))
+        return total_s * 1e3
+
     def run_network_ms(
         self,
         layer_primitives: Sequence[Sequence[Primitive]],
@@ -93,26 +146,19 @@ class DeviceModel:
             applied — this makes the call a *measurement*; omit it for
             the noise-free ground truth.
         """
-        spec = self.spec
-        total_s = spec.base_overhead_s
-        boundaries = 0
-        for layer in layer_primitives:
-            if not layer:
-                continue
-            boundaries += 1
-            for prim in layer:
-                total_s += self.primitive_time_s(prim, batch)
-        if extra_primitives:
-            boundaries += 1
-            for prim in extra_primitives:
-                total_s += self.primitive_time_s(prim, batch)
-        total_s += boundaries * spec.layer_overhead_s
-        total_s *= spec.time_scale
-        if rng is not None and spec.noise_sigma > 0:
-            total_s *= float(np.exp(rng.normal(0.0, spec.noise_sigma)))
-        return total_s * 1e3
+        return self.network_probe_ms(
+            self.network_time_s(layer_primitives, extra_primitives, batch),
+            rng,
+        )
 
     # -- architecture-level convenience ------------------------------------------
+
+    def arch_time_s(self, space: SearchSpace, arch: Architecture) -> float:
+        """:meth:`network_time_s` of a search-space architecture (stem +
+        layers + head)."""
+        return self.network_time_s(
+            space.arch_primitives(arch), space.stem_head_primitives(arch)
+        )
 
     def latency_ms(
         self,
@@ -126,17 +172,30 @@ class DeviceModel:
         (``LAT+`` in the paper's Eq. 3); without it, the noise-free
         device time.
         """
-        return self.run_network_ms(
-            space.arch_primitives(arch),
-            space.stem_head_primitives(arch),
-            rng=rng,
-        )
+        return self.network_probe_ms(self.arch_time_s(space, arch), rng)
+
+    def _isolated_ms(self, prims: Sequence[Primitive]) -> float:
+        total_s = sum(self.primitive_time_s(p) for p in prims)
+        return total_s * self.spec.time_scale * 1e3
 
     def primitives_time_ms(self, prims: Sequence[Primitive]) -> float:
         """Summed kernel time of isolated primitives (no boundary/base
-        overheads) — the micro-benchmark view used for LUT cells."""
-        total_s = sum(self.primitive_time_s(p) for p in prims)
-        return total_s * self.spec.time_scale * 1e3
+        overheads) — the micro-benchmark view; one probe."""
+        self._probe()
+        return self._isolated_ms(prims)
+
+    def cell_time_ms(self, cell: CellCost) -> float:
+        """:meth:`primitives_time_ms` of a cost-table cell's kernels.
+
+        A probe like any other, but its noise-free price is computed
+        once per cell object and read back from a memo afterwards.
+        """
+        self._probe()
+        ms = self._cell_ms.get(id(cell))
+        if ms is None:
+            ms = self._cell_ms[id(cell)] = self._isolated_ms(cell.primitives)
+            self._cells_kept.append(cell)
+        return ms
 
     def operator_time_ms(
         self,
@@ -153,9 +212,7 @@ class DeviceModel:
         overheads (which is precisely why the summed LUT underestimates
         end-to-end latency and the paper needs the bias ``B``).
         """
-        return self.primitives_time_ms(
-            space.operator_primitives(layer, op_index, factor, cin)
-        )
+        return self.cell_time_ms(space.operator_cell(layer, op_index, factor, cin))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DeviceModel({self.spec.key!r}, batch={self.spec.batch_size})"

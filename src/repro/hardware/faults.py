@@ -186,10 +186,11 @@ class FlakyDevice(DeviceModel):
 
     Wraps any :class:`~repro.hardware.device.DeviceModel` (same spec,
     same timings on success) and injects :class:`ProbeError` /
-    :class:`ProbeTimeout` from a *separate* seeded fault stream before
-    each probe entry point, so the measurement-noise stream is consumed
-    exactly as on the healthy device — a retried probe returns the same
-    value the healthy device would have.
+    :class:`ProbeTimeout` from a *separate* seeded fault stream in the
+    ``_probe`` hook every probe passes through first, so the
+    measurement-noise stream is consumed exactly as on the healthy
+    device — a retried probe returns the same value the healthy device
+    would have.
 
     ``fail_first`` deterministically fails the first N probes (on top
     of the rates), which is what the fail-twice-then-succeed retry
@@ -211,6 +212,11 @@ class FlakyDevice(DeviceModel):
         if fail_first < 0:
             raise ValueError("fail_first must be >= 0")
         super().__init__(device.spec)
+        # Same spec, same noise-free prices: share the wrapped device's
+        # memos, so only the fault decisions are this device's own.
+        self._kernel_s = device._kernel_s
+        self._cell_ms = device._cell_ms
+        self._cells_kept = device._cells_kept
         self.failure_rate = failure_rate
         self.timeout_rate = timeout_rate
         self._faults = FaultStream(seed=seed, fail_first=fail_first)
@@ -223,7 +229,10 @@ class FlakyDevice(DeviceModel):
     def fail_first(self) -> int:
         return self._faults.fail_first
 
-    def _maybe_fail(self) -> None:
+    def _probe(self) -> None:
+        """One fault decision per probe: every probe of the measurement
+        layer (a LUT cell, one network run) passes through here before
+        its time is read."""
         self.probes += 1
         forced = self._faults.fail_first > 0
         kind = self._faults.decide(
@@ -242,17 +251,3 @@ class FlakyDevice(DeviceModel):
             raise ProbeError(
                 f"injected failure (probe #{self.probes}{suffix})"
             )
-
-    # Every probe entry point the measurement layer uses checks the
-    # fault stream first, then delegates to the healthy implementation
-    # (``operator_time_ms`` probes through ``primitives_time_ms``).
-
-    def run_network_ms(self, layer_primitives, extra_primitives=(), batch=None, rng=None):
-        self._maybe_fail()
-        return super().run_network_ms(
-            layer_primitives, extra_primitives, batch=batch, rng=rng
-        )
-
-    def primitives_time_ms(self, prims):
-        self._maybe_fail()
-        return super().primitives_time_ms(prims)

@@ -23,6 +23,7 @@ from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
 from repro.hardware.faults import ProbeError, RetryPolicy, run_with_retry
 from repro.space.architecture import Architecture
+from repro.space.cost_tables import cost_tables
 from repro.space.operators import NUM_OPERATORS
 from repro.space.search_space import SearchSpace
 from repro.streams import seeded_generators
@@ -169,13 +170,18 @@ class LatencyLUT:
                     for factor in space.candidate_factors[layer]:
                         tasks.append(("cell", layer, op, cin, factor))
 
+        costs = cost_tables(space.config)
+
         def measure(kind: str, layer: int, op: int, cin: int, factor: float):
-            """One noise-free probe of a cell on the device."""
+            """One noise-free probe of a cell on the device (priced from
+            the device's per-cell memo after the first build)."""
             if kind == "stem":
-                return device.primitives_time_ms(space.stem_primitives())
-            if kind == "head":
-                return device.primitives_time_ms(space.head_primitives(cin))
-            return device.operator_time_ms(space, layer, op, factor, cin)
+                cell = costs.stem
+            elif kind == "head":
+                cell = costs.head(cin)
+            else:
+                cell = costs.cell(layer, op, cin, costs.out_channels(layer, factor))
+            return device.cell_time_ms(cell)
 
         def profile_chunk(chunk: List[Tuple[int, Tuple]]) -> List[Tuple]:
             """Per task: ``(value | None, extra_attempts, fault message)``.

@@ -16,6 +16,7 @@ the occasional wildly-throttled run.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -132,12 +133,14 @@ class OnDeviceProfiler:
 
     # -- measurement -------------------------------------------------------------
 
-    def _one_run(self, space: SearchSpace, arch: Architecture) -> float:
-        """A single device run, retried under the policy if one is set."""
+    def _one_run(self, network_s: float) -> float:
+        """One device run of a network whose noise-free time is
+        ``network_s``: a probe plus one noise draw, retried under the
+        policy if one is set."""
         if self.retry is None:
-            return self.device.latency_ms(space, arch, rng=self._rng)
+            return self.device.network_probe_ms(network_s, self._rng)
         value, attempts = run_with_retry(
-            lambda: self.device.latency_ms(space, arch, rng=self._rng),
+            functools.partial(self.device.network_probe_ms, network_s, self._rng),
             self.retry,
             rng=self._retry_rng,
         )
@@ -147,6 +150,9 @@ class OnDeviceProfiler:
     def measure_ms(self, space: SearchSpace, arch: Architecture) -> float:
         """Median latency over ``repeats`` noisy runs (after warmup).
 
+        The architecture's noise-free time is computed once per session;
+        each run then pays only for its probe and its noise draw.
+
         Raises :class:`~repro.hardware.faults.ProbeError` if any run
         exhausts its retries — a single measurement session either
         completes in full or fails loudly (callers that can degrade,
@@ -154,9 +160,10 @@ class OnDeviceProfiler:
         """
         if self.ledger is not None:
             self.ledger.record_measurement(runs=self.warmup + self.repeats)
+        network_s = self.device.arch_time_s(space, arch)
         for _ in range(self.warmup):
-            self._one_run(space, arch)
-        runs = [self._one_run(space, arch) for _ in range(self.repeats)]
+            self._one_run(network_s)
+        runs = [self._one_run(network_s) for _ in range(self.repeats)]
         return robust_median(runs, self.mad_threshold)
 
     def measure_many_ms(

@@ -69,6 +69,10 @@ _WORKER_CHUNK_FN: Optional[Callable] = None
 # How often a worker checks that the process that forked it is alive.
 _PARENT_POLL_S = 0.5
 
+# How long closing a pool waits for its workers to exit before killing
+# them; idle workers exit within milliseconds.
+_JOIN_TIMEOUT_S = 1.0
+
 
 def _exit_with_parent(parent_pid: int) -> None:
     """Exit the worker once its parent is gone.
@@ -199,10 +203,34 @@ class WorkerPool:
             )
         return self._executor
 
-    def _discard_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+    def _discard_executor(self, grace_s: float = _JOIN_TIMEOUT_S) -> None:
+        """Shut the executor down and wait until its workers are reaped.
+
+        ``shutdown(wait=False)`` alone returns while the workers are
+        still alive: the executor's manager thread sends each a
+        sentinel and joins them, and a busy worker exits only after its
+        chunk. The manager thread gets ``grace_s`` to finish; if it has
+        not, the workers are killed and it gets ``_JOIN_TIMEOUT_S``
+        more. Only the manager thread joins the workers (two threads
+        reaping one child can leave it listed as running).
+        """
+        executor = self._executor
+        if executor is None:
+            return
+        self._executor = None
+        manager = executor._executor_manager_thread
+        processes = list((executor._processes or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        if manager is None:  # nothing was ever submitted
+            return
+        manager.join(grace_s)
+        if manager.is_alive():
+            for proc in processes:
+                try:
+                    proc.kill()
+                except (OSError, ValueError):  # already gone / closed
+                    pass
+            manager.join(_JOIN_TIMEOUT_S)
 
     def _kill_workers(self) -> None:
         """SIGKILL the worker processes and drop the executor.
@@ -213,15 +241,7 @@ class WorkerPool:
         is to kill the process running it. Results are unaffected —
         killed chunks are either retried or abandoned with the map.
         """
-        executor = self._executor
-        if executor is None:
-            return
-        for proc in list(getattr(executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, ValueError):  # already gone / closed
-                pass
-        self._discard_executor()
+        self._discard_executor(grace_s=0.0)
 
     def set_cancel(self, token) -> None:
         """Install (or clear, with ``None``) a cooperative CancelToken.

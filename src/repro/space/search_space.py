@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.space.architecture import Architecture
 from repro.space.config import SpaceConfig
-from repro.space.cost_tables import cost_tables
+from repro.space.cost_tables import CellCost, cost_tables
 from repro.space.geometry import LayerGeometry
 from repro.space.operators import NUM_OPERATORS, Primitive
 from repro.streams import bounded_draws
@@ -233,16 +233,23 @@ class SearchSpace:
         self._check_arch(arch)
         return self._costs.chain(arch.ops, arch.factors)[0]
 
+    def operator_cell(
+        self, layer: int, op_index: int, factor: float, cin: int
+    ) -> CellCost:
+        """Cost-table cell of one LUT cell: operator ``op_index`` at
+        ``layer`` fed ``cin`` active channels, output scaled by
+        ``factor``. Shared by every space of this geometry."""
+        cout = self._costs.out_channels(layer, factor)
+        return self._costs.cell(layer, op_index, cin, cout)
+
     def operator_primitives(
         self, layer: int, op_index: int, factor: float, cin: int
     ) -> Tuple[Primitive, ...]:
-        """Kernels of one LUT cell: operator ``op_index`` at ``layer``
-        fed ``cin`` active channels, output scaled by ``factor``.
+        """Kernels of one LUT cell (see :meth:`operator_cell`).
 
         The tuple is shared with every other caller; do not mutate it.
         """
-        cout = self._costs.out_channels(layer, factor)
-        return self._costs.cell(layer, op_index, cin, cout).primitives
+        return self.operator_cell(layer, op_index, factor, cin).primitives
 
     def arch_primitives(self, arch: Architecture) -> List[List[Primitive]]:
         """Per-layer primitive lists (searchable layers only).

@@ -85,7 +85,8 @@ def pytest_runtest_teardown(item):
 
     A forked child that outlives its test can keep the whole run from
     exiting after the last test passes; this names the test that left
-    it. It only reports: the test's outcome is unchanged.
+    it. Here it only reports; the CI tests job turns the warning into
+    an error (``-W error::tests.conftest.ChildProcessLeftWarning``).
     """
     yield
     children = multiprocessing.active_children()

@@ -6,6 +6,7 @@ and assert the pool's retry / serial-fallback machinery returns exactly
 the results an undisturbed run would.
 """
 
+import multiprocessing
 import os
 import select
 import signal
@@ -18,6 +19,8 @@ import pytest
 
 import repro
 from repro.parallel import WorkerPool, fork_available, resolve_workers
+from repro.parallel.pool import _run_chunk
+from repro.resilience import CancelToken, DeadlineExceeded
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
@@ -214,6 +217,62 @@ def _running(pid):
     except ProcessLookupError:
         return False
     return True
+
+
+def hang_chunk(items):
+    time.sleep(300)
+    return items  # pragma: no cover - killed first
+
+
+class TestWorkersReaped:
+    """Closing, restarting or leaving a pool returns only once its
+    workers are gone."""
+
+    def test_after_with_block(self):
+        with WorkerPool(square_chunk, workers=2) as pool:
+            assert pool.map(range(8)) == [x * x for x in range(8)]
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
+
+    def test_after_close(self):
+        pool = WorkerPool(square_chunk, workers=2)
+        pool.map(range(8))
+        pool.close()
+        assert multiprocessing.active_children() == []
+        pool.close()  # idempotent
+
+    def test_after_restart(self):
+        with WorkerPool(square_chunk, workers=2) as pool:
+            pool.map(range(8))
+            before = {child.pid for child in multiprocessing.active_children()}
+            pool.restart()
+            assert multiprocessing.active_children() == []
+            assert pool.map(range(8)) == [x * x for x in range(8)]
+            after = {child.pid for child in multiprocessing.active_children()}
+            assert after and not after & before
+        assert multiprocessing.active_children() == []
+
+    def test_after_cancelled_map(self):
+        token = CancelToken(deadline_s=0.3)
+        with WorkerPool(hang_chunk, workers=2, chunk_size=1) as pool:
+            pool.set_cancel(token)
+            with pytest.raises(DeadlineExceeded):
+                pool.map(range(8))
+            assert multiprocessing.active_children() == []
+
+    def test_busy_worker_killed_on_close(self):
+        """A map abandoned mid-chunk leaves busy workers; closing waits
+        out the join bound, then kills them."""
+        pool = WorkerPool(hang_chunk, workers=2, chunk_size=1)
+        future = pool._ensure_executor().submit(_run_chunk, 0, [1])
+        started = time.monotonic()
+        # Running = handed to the call queue, ahead of any sentinel.
+        while not future.running():
+            assert time.monotonic() - started < 10
+            time.sleep(0.01)
+        pool.close()
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - started < 10
 
 
 class TestOrphanedWorkers:
