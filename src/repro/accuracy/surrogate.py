@@ -40,12 +40,16 @@ from repro.accuracy.calibration import (
 from repro.accuracy.features import ArchFeatures, extract_features, features_many
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
-from repro.streams import seeded_generators
+from repro.streams import seeded_normals
+
+
+def _seed_bytes(digest: str, salt: str) -> bytes:
+    """The little-endian bytes of a digest's 64-bit residual seed."""
+    return hashlib.sha256((digest + salt).encode()).digest()[:8]
 
 
 def _digest_seed(digest: str, salt: str) -> int:
-    salted = hashlib.sha256((digest + salt).encode()).digest()
-    return int.from_bytes(salted[:8], "little")
+    return int.from_bytes(_seed_bytes(digest, salt), "little")
 
 
 def _digest_residual(digest: str, salt: str, sigma: float) -> float:
@@ -54,9 +58,14 @@ def _digest_residual(digest: str, salt: str, sigma: float) -> float:
 
 
 def _digest_residuals(digests: List[str], salt: str, sigma: float) -> List[float]:
-    """:func:`_digest_residual` of every digest, seeded in one pass."""
-    seeds = [_digest_seed(digest, salt) for digest in digests]
-    return [float(rng.normal(0.0, sigma)) for rng in seeded_generators(seeds)]
+    """:func:`_digest_residual` of every digest, drawn in one pass.
+
+    Each seed's bytes are its two little-endian uint32 entropy words;
+    ``normal(0, sigma)`` computes ``0.0 + sigma * z``.
+    """
+    seeds = b"".join(_seed_bytes(digest, salt) for digest in digests)
+    words = np.frombuffer(seeds, dtype="<u4").reshape(len(digests), 2)
+    return (0.0 + sigma * seeded_normals(words, 1)[:, 0]).tolist()
 
 
 class AccuracySurrogate:

@@ -193,8 +193,23 @@ class DeviceModel:
         self._probe()
         ms = self._cell_ms.get(id(cell))
         if ms is None:
-            ms = self._cell_ms[id(cell)] = self._isolated_ms(cell.primitives)
-            self._cells_kept.append(cell)
+            ms = self._price_cell(cell)
+        return ms
+
+    def cell_prices_ms(self, cells: Sequence[CellCost]) -> np.ndarray:
+        """Noise-free isolated times (ms) of many cost-table cells, from
+        the memo :meth:`cell_time_ms` reads. No probe: the caller probes
+        each cell itself."""
+        prices = list(map(self._cell_ms.get, map(id, cells)))
+        if None in prices:
+            for pos, cell in enumerate(cells):
+                if prices[pos] is None:
+                    prices[pos] = self._price_cell(cell)
+        return np.array(prices, dtype=np.float64)
+
+    def _price_cell(self, cell: CellCost) -> float:
+        ms = self._cell_ms[id(cell)] = self._isolated_ms(cell.primitives)
+        self._cells_kept.append(cell)
         return ms
 
     def operator_time_ms(

@@ -138,6 +138,26 @@ class RetryPolicy:
         return delay
 
 
+def timed_attempt(
+    probe: Callable[[], T],
+    policy: RetryPolicy,
+    clock: Callable[[], float] = time.perf_counter,
+) -> T:
+    """One attempt at ``probe`` under ``policy``'s time budget.
+
+    With ``policy.timeout_s`` set, an attempt whose wall-clock exceeds
+    it raises :class:`ProbeTimeout` even if it returned (a real harness
+    would have killed it); without one, this is ``probe()``.
+    """
+    if policy.timeout_s is None:
+        return probe()
+    started = clock()
+    value = probe()
+    if clock() - started > policy.timeout_s:
+        raise ProbeTimeout(f"probe exceeded its {policy.timeout_s}s budget")
+    return value
+
+
 def run_with_retry(
     probe: Callable[[], T],
     policy: RetryPolicy,
@@ -145,6 +165,7 @@ def run_with_retry(
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.perf_counter,
     make_rng: Optional[Callable[[], np.random.Generator]] = None,
+    first_fault: Optional[ProbeError] = None,
 ) -> Tuple[T, int]:
     """Run ``probe`` under ``policy``; returns ``(value, attempts_used)``.
 
@@ -156,25 +177,24 @@ def run_with_retry(
     Without an ``rng``, ``make_rng`` (if given) builds the jitter
     generator when the first attempt fails — a probe that succeeds at
     once never pays for one.
+
+    ``first_fault`` says the caller already made the first attempt
+    (with :func:`timed_attempt`) and it failed so: the loop continues
+    at the first retry, with the same backoff schedule and jitter
+    stream as if it had made that attempt itself.
     """
-    last_fault: Optional[ProbeError] = None
-    for attempt in range(policy.attempts):
+    last_fault = first_fault
+    for attempt in range(0 if first_fault is None else 1, policy.attempts):
         if attempt > 0:
             if rng is None and make_rng is not None:
                 rng = make_rng()
             delay = policy.delay_s(attempt - 1, rng)
             if delay > 0:
                 sleep(delay)
-        started = clock()
         try:
-            value = probe()
+            value = timed_attempt(probe, policy, clock)
         except ProbeError as fault:
             last_fault = fault
-            continue
-        if policy.timeout_s is not None and clock() - started > policy.timeout_s:
-            last_fault = ProbeTimeout(
-                f"probe exceeded its {policy.timeout_s}s budget"
-            )
             continue
         return value, attempt + 1
     assert last_fault is not None

@@ -15,18 +15,23 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
-from repro.hardware.faults import ProbeError, RetryPolicy, run_with_retry
+from repro.hardware.faults import (
+    ProbeError,
+    RetryPolicy,
+    run_with_retry,
+    timed_attempt,
+)
 from repro.space.architecture import Architecture
-from repro.space.cost_tables import cost_tables
+from repro.space.cost_tables import CellCost, CostTables, cost_tables
 from repro.space.operators import NUM_OPERATORS
 from repro.space.search_space import SearchSpace
-from repro.streams import seeded_generators
+from repro.streams import seeded_normals, spawn_entropy
 
 _Key = Tuple[int, int, int, float]
 
@@ -40,11 +45,6 @@ def _quantize_factor(factor: float) -> float:
 
 def _cell_key(layer: int, op: int, cin: int, factor: float) -> _Key:
     return (layer, op, cin, _quantize_factor(factor))
-
-
-# Noisy cells per noise block: enough for whole-array arithmetic to pay
-# off, small enough that the buffer and its bookkeeping stay a few KB.
-_NOISE_BLOCK_ROWS = 256
 
 
 def _jitter_rng(seed: int, index: int) -> np.random.Generator:
@@ -80,11 +80,64 @@ def layer_cin_choices(space: SearchSpace, layer: int) -> List[int]:
     Layer 0 always receives the full stem output; deeper layers receive
     whatever the previous layer's factor kept.
     """
+    return _cin_choices(cost_tables(space.config), space.candidate_factors, layer)
+
+
+def _cin_choices(
+    costs: CostTables, candidate_factors: Sequence[Sequence[float]], layer: int
+) -> List[int]:
     if layer == 0:
-        return [space.config.stem_channels]
+        return [costs.config.stem_channels]
     prev = layer - 1
-    return sorted(
-        {space.out_channels(prev, f) for f in space.candidate_factors[prev]}
+    return sorted({costs.out_channels(prev, f) for f in candidate_factors[prev]})
+
+
+class LutCells(NamedTuple):
+    """Every cell of a LUT, in build order: the stem, each distinct head
+    width, then the operator cells in layer/cin/op/factor order. A
+    cell's position is its identity (its noise stream's spawn key)."""
+
+    kinds: Tuple[str, ...]  # "stem", "head" or "cell"
+    keys: Tuple[Tuple[int, int, int, float], ...]  # (layer, op, cin, factor)
+    costs: Tuple[CellCost, ...]
+    heads: slice  # positions of the head cells
+    operators: slice  # positions of the operator cells
+    head_cins: Tuple[int, ...]
+    entry_keys: Tuple[_Key, ...]  # LUT keys of the operator cells
+
+
+@functools.lru_cache(maxsize=32)
+def _enumerate_cells(
+    costs: CostTables,
+    candidate_ops: Tuple[Tuple[int, ...], ...],
+    candidate_factors: Tuple[Tuple[float, ...], ...],
+) -> LutCells:
+    num_layers = len(candidate_ops)
+    head_cins: List[int] = []
+    for factor in candidate_factors[-1]:
+        cin = costs.out_channels(num_layers - 1, factor)
+        if cin not in head_cins:
+            head_cins.append(cin)
+    keys = [(0, 0, 0, 0.0)] + [(0, 0, cin, 0.0) for cin in head_cins]
+    cell_costs = [costs.stem] + [costs.head(cin) for cin in head_cins]
+    for layer in range(num_layers):
+        for cin in _cin_choices(costs, candidate_factors, layer):
+            for op in candidate_ops[layer]:
+                for factor in candidate_factors[layer]:
+                    keys.append((layer, op, cin, factor))
+                    cell_costs.append(
+                        costs.cell(layer, op, cin, costs.out_channels(layer, factor))
+                    )
+    first_op = 1 + len(head_cins)
+    return LutCells(
+        kinds=("stem",) + ("head",) * len(head_cins)
+        + ("cell",) * (len(keys) - first_op),
+        keys=tuple(keys),
+        costs=tuple(cell_costs),
+        heads=slice(1, first_op),
+        operators=slice(first_op, len(keys)),
+        head_cins=tuple(head_cins),
+        entry_keys=tuple(_cell_key(*key) for key in keys[first_op:]),
     )
 
 
@@ -115,6 +168,19 @@ class LatencyLUT:
 
     # -- construction -----------------------------------------------------------
 
+    @staticmethod
+    def cells(space: SearchSpace) -> "LutCells":
+        """Every cell a LUT of ``space`` holds, in build order.
+
+        Memoized per geometry and candidate set, so every build, and the
+        coverage check, of an equal space reads one enumeration.
+        """
+        return _enumerate_cells(
+            cost_tables(space.config),
+            tuple(space.candidate_ops),
+            tuple(space.candidate_factors),
+        )
+
     @classmethod
     def build(
         cls,
@@ -133,149 +199,117 @@ class LatencyLUT:
         real micro-benchmark would. With a ``ledger``, the number of
         profiled cells is recorded for search-cost accounting.
 
-        Cells are enumerated once (stem, head widths, then operator
-        cells in layer/cin/op/factor order) and cell ``i`` draws its
-        measurement noise from ``SeedSequence(seed, spawn_key=(i,))`` —
-        every cell's value depends only on its own identity, never on
-        profiling order. That is what lets ``workers >= 2`` fan the
-        profiling out across processes with bit-identical results;
-        ``workers=0`` (default) profiles serially in-process.
+        Cells are enumerated once (:meth:`cells`: stem, head widths,
+        then operator cells in layer/cin/op/factor order) and cell ``i``
+        draws its measurement noise from ``SeedSequence(seed,
+        spawn_key=(i,))`` — every cell's value depends only on its own
+        identity, never on profiling order. That is what lets
+        ``workers >= 2`` fan the profiling out across processes with
+        bit-identical results; ``workers=0`` (default) profiles serially
+        in-process.
 
         With a :class:`~repro.hardware.faults.RetryPolicy`, each cell's
         probe is retried under backoff (jitter drawn from a per-cell
         stream spawn-keyed away from the noise stream, so healthy-device
-        values are unchanged; the jitter generator is only built once a
-        cell's first attempt fails). A cell that exhausts its retries is
-        *omitted* rather than fatal: the build records it in the
-        returned LUT's ``build_degradation`` report, and lookups can
-        later fall back to the nearest present cell (see
+        values are unchanged; the retry loop, and the jitter generator,
+        start only once a cell's first attempt fails). A cell that
+        exhausts its retries is *omitted* rather than fatal: the build
+        records it in the returned LUT's ``build_degradation`` report,
+        and lookups can later fall back to the nearest present cell (see
         :meth:`lookup`).
         """
         if samples_per_cell < 1:
             raise ValueError("samples_per_cell must be >= 1")
         sigma = device.spec.noise_sigma
+        cells = cls.cells(space)
+        first_attempt = device._probe
+        if retry is not None and retry.timeout_s is not None:
+            first_attempt = functools.partial(timed_attempt, device._probe, retry)
 
-        # Deterministic cell enumeration; the position in this list is
-        # the cell's seed index.
-        tasks: List[Tuple] = [("stem", 0, 0, 0, 0.0)]
-        head_cins: List[int] = []
-        for factor in space.candidate_factors[-1]:
-            cin = space.out_channels(space.num_layers - 1, factor)
-            if cin not in head_cins:
-                head_cins.append(cin)
-                tasks.append(("head", 0, 0, cin, 0.0))
-        for layer in range(space.num_layers):
-            for cin in layer_cin_choices(space, layer):
-                for op in space.candidate_ops[layer]:
-                    for factor in space.candidate_factors[layer]:
-                        tasks.append(("cell", layer, op, cin, factor))
-
-        costs = cost_tables(space.config)
-
-        def measure(kind: str, layer: int, op: int, cin: int, factor: float):
-            """One noise-free probe of a cell on the device (priced from
-            the device's per-cell memo after the first build)."""
-            if kind == "stem":
-                cell = costs.stem
-            elif kind == "head":
-                cell = costs.head(cin)
-            else:
-                cell = costs.cell(layer, op, cin, costs.out_channels(layer, factor))
-            return device.cell_time_ms(cell)
-
-        def profile_chunk(chunk: List[Tuple[int, Tuple]]) -> List[Tuple]:
-            """Per task: ``(value | None, extra_attempts, fault message)``.
+        def profile_chunk(indices: List[int]) -> List[Tuple]:
+            """Per cell: ``(value | None, extra_attempts, fault message)``.
 
             Fault accounting is *returned* rather than accumulated in
             place so it survives the trip back from worker processes.
             Cells are probed one by one, in cell order (a
             :class:`~repro.hardware.faults.FlakyDevice` consumes its
-            fault stream per probe); the noise of the noisy cells is
-            drawn into the rows of one preallocated block and averaged
-            in a handful of whole-block operations.
+            fault stream per probe); their noise-free prices come from
+            the device's memo, and the noise of every noisy cell is drawn
+            and averaged in a handful of whole-array operations.
             """
-            out = []
-            block = np.empty((_NOISE_BLOCK_ROWS, samples_per_cell))
-            noisy: List[int] = []  # chunk positions of the block's cells
-
-            def add_noise() -> None:
-                rows = block[: len(noisy)]
-                # Row j holds the draws of the j-th noisy cell from its
-                # own ``SeedSequence(seed, spawn_key=(i,))`` stream, all
-                # seeded in one pass. ``normal(0, sigma)`` computes
-                # ``0.0 + sigma * z``, which is exactly ``z * sigma``.
-                rngs = seeded_generators(
-                    [seed] * len(noisy), [(chunk[pos][0],) for pos in noisy]
-                )
-                for row, rng in zip(rows, rngs):
-                    rng.standard_normal(out=row)
-                rows *= sigma
-                np.exp(rows, out=rows)
-                rows *= np.fromiter(
-                    (out[pos][0] for pos in noisy), np.float64, len(noisy)
-                )[:, None]
-                for pos, mean in zip(noisy, rows.mean(axis=1).tolist()):
-                    out[pos] = (mean, out[pos][1], None)
-                noisy.clear()
-
-            for index, task in chunk:
-                extra_attempts = 0
+            extra = [0] * len(indices)
+            faults: Dict[int, str] = {}  # chunk position -> last fault
+            for pos, index in enumerate(indices):
                 try:
+                    first_attempt()
+                except ProbeError as fault:
                     if retry is None:
-                        base = measure(*task)
-                    else:
-                        base, attempts = run_with_retry(
-                            functools.partial(measure, *task),
+                        faults[pos] = str(fault)
+                        continue
+                    try:
+                        _, attempts = run_with_retry(
+                            device._probe,
                             retry,
                             make_rng=functools.partial(_jitter_rng, seed, index),
+                            first_fault=fault,
                         )
-                        extra_attempts = attempts - 1
-                except ProbeError as fault:
-                    failed_attempts = retry.attempts - 1 if retry else 0
-                    out.append((None, failed_attempts, str(fault)))
-                    continue
-                if sigma > 0 and base > 0:
-                    noisy.append(len(out))
-                out.append((base, extra_attempts, None))
-                if len(noisy) == _NOISE_BLOCK_ROWS:
-                    add_noise()
-            if noisy:
-                add_noise()
-            return out
+                    except ProbeError as last:
+                        faults[pos] = str(last)
+                        attempts = retry.attempts
+                    extra[pos] = attempts - 1
+            values = device.cell_prices_ms([cells.costs[i] for i in indices])
+            if sigma > 0:
+                rows = np.flatnonzero(values > 0)
+                # Row j holds the draws of the j-th noisy cell from its
+                # own ``SeedSequence(seed, spawn_key=(i,))`` stream, so
+                # a failed cell's draws change no other cell's.
+                # ``normal(0, sigma)`` computes ``0.0 + sigma * z``,
+                # which is exactly ``z * sigma``.
+                draws = seeded_normals(
+                    spawn_entropy(seed, np.asarray(indices)[rows]),
+                    samples_per_cell,
+                )
+                draws *= sigma
+                np.exp(draws, out=draws)
+                draws *= values[rows, None]
+                values[rows] = draws.mean(axis=1)
+            out = values.tolist()
+            messages: List[Optional[str]] = [None] * len(out)
+            for pos, message in faults.items():
+                out[pos] = None
+                messages[pos] = message
+            return list(zip(out, extra, messages))
 
         from repro.parallel.backend import create_backend
 
         with create_backend(
             backend, profile_chunk, workers=workers
         ) as pool:
-            results = pool.map(list(enumerate(tasks)))
+            results = pool.map(range(len(cells.costs)))
 
+        values, extras, faults = (list(column) for column in zip(*results))
         degradation = DegradationReport()
-        stem_ms = 0.0
-        head_ms: Dict[int, float] = {}
-        entries: Dict[_Key, float] = {}
-        profiled = 0
-        for (kind, layer, op, cin, factor), (ms, extra, fault) in zip(
-            tasks, results
-        ):
-            degradation.probe_retries += extra
-            if ms is None:
-                degradation.probe_failures += 1
-                degradation.missing_cells += 1
-                degradation.record_event(
-                    f"LUT {kind} cell layer={layer} op={op} cin={cin} "
-                    f"factor={factor} failed after retries: {fault}"
-                )
-                continue
-            profiled += 1
-            if kind == "stem":
-                stem_ms = ms
-            elif kind == "head":
-                head_ms[cin] = ms
-            else:
-                entries[_cell_key(layer, op, cin, factor)] = ms
+        degradation.probe_retries = sum(extras)
+        failed = len(faults) - faults.count(None)
+        if failed:
+            degradation.probe_failures = failed
+            degradation.missing_cells = failed
+            for kind, (layer, op, cin, factor), fault in zip(
+                cells.kinds, cells.keys, faults
+            ):
+                if fault is not None:
+                    degradation.record_event(
+                        f"LUT {kind} cell layer={layer} op={op} cin={cin} "
+                        f"factor={factor} failed after retries: {fault}"
+                    )
+        stem_ms = 0.0 if values[0] is None else values[0]
+        head_ms = dict(zip(cells.head_cins, values[cells.heads]))
+        entries = dict(zip(cells.entry_keys, values[cells.operators]))
+        if failed:
+            head_ms = {k: v for k, v in head_ms.items() if v is not None}
+            entries = {k: v for k, v in entries.items() if v is not None}
         if ledger is not None:
-            ledger.record_lut_cells(profiled)
+            ledger.record_lut_cells(len(values) - failed)
         lut = cls(device.spec.key, entries, stem_ms=stem_ms, head_ms=head_ms)
         lut.build_degradation = degradation
         return lut

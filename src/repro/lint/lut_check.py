@@ -3,10 +3,11 @@
 Proves — without executing a search — that every ``(layer, op, cin,
 factor)`` cell a :class:`~repro.space.search_space.SearchSpace` (the
 full space or a shrunk one) can reach exists in a
-:class:`~repro.hardware.lut.LatencyLUT`, head cells included. Cell
-identity reuses the LUT's own quantized ``_cell_key`` (the PR 1 fix), so
-the checker and the runtime can never disagree about which cell an
-architecture hits.
+:class:`~repro.hardware.lut.LatencyLUT`, head cells included. The
+reachable cells are the build's own enumeration
+(:meth:`~repro.hardware.lut.LatencyLUT.cells`), keyed by the LUT's
+quantized cell keys, so the checker and the runtime can never disagree
+about which cell an architecture hits.
 
 A missing cell is reported with its exact coordinates and the nearest
 cell the LUT *does* contain — the same diagnostic a mid-search
@@ -15,12 +16,11 @@ cell the LUT *does* contain — the same diagnostic a mid-search
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.hardware.lut import LatencyLUT, _cell_key, layer_cin_choices
+from repro.hardware.lut import LatencyLUT
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import DOMAIN_RULES, Rule
-from repro.nn.layers.mask import channels_kept
 from repro.space.search_space import SearchSpace
 
 RD200 = DOMAIN_RULES.register(
@@ -47,30 +47,6 @@ RD202 = DOMAIN_RULES.register(
         "a reachable head input width has no head cell in the LUT",
     )
 )
-
-
-def reachable_cells(
-    space: SearchSpace,
-) -> Iterator[Tuple[int, int, int, float]]:
-    """Every operator cell an architecture of ``space`` can occupy.
-
-    Input-channel choices per layer come from the previous layer's
-    factor set (``layer_cin_choices``), exactly as ``LatencyLUT.build``
-    enumerates them.
-    """
-    for layer in range(space.num_layers):
-        for cin in layer_cin_choices(space, layer):
-            for op in space.candidate_ops[layer]:
-                for factor in space.candidate_factors[layer]:
-                    yield layer, op, cin, factor
-
-
-def reachable_head_widths(space: SearchSpace) -> List[int]:
-    """Every final active width the classifier head can see."""
-    last_max = space.geometry[-1].max_out_channels
-    return sorted(
-        {channels_kept(last_max, f) for f in space.candidate_factors[-1]}
-    )
 
 
 def check_lut_coverage(
@@ -100,9 +76,12 @@ def check_lut_coverage(
             )
         )
 
+    cells = LatencyLUT.cells(space)
     missing = 0
-    for layer, op, cin, factor in reachable_cells(space):
-        if _cell_key(layer, op, cin, factor) in lut.entries:
+    for (layer, op, cin, factor), key in zip(
+        cells.keys[cells.operators], cells.entry_keys
+    ):
+        if key in lut.entries:
             continue
         missing += 1
         if missing <= max_reports:
@@ -128,7 +107,7 @@ def check_lut_coverage(
         )
 
     if lut.head_ms:
-        for width in reachable_head_widths(space):
+        for width in sorted(cells.head_cins):
             if width not in lut.head_ms:
                 present = sorted(lut.head_ms)
                 nearest = min(present, key=lambda w: abs(w - width))

@@ -26,24 +26,33 @@ bulk:
   (the same half-buffering and Lemire mapping, rejections redrawn
   inline) and on close puts the generator exactly where numpy's calls
   would have left it.
-* :func:`seeded_generators` runs ``SeedSequence``'s uint32 hash mix as
-  whole-array arithmetic across items, does ``PCG64``'s two-step
-  128-bit seeding in Python ints, and assigns the result to one reused
-  generator.
+* :func:`seeded_normals` gives each item's
+  ``standard_normal(k)`` as one ``(n, k)`` array. ``SeedSequence``'s
+  uint32 hash, ``PCG64``'s 128-bit seeding and its LCG steps with
+  XSL-RR output run as whole-array arithmetic on uint64 (high, low)
+  word pairs. Each draw takes numpy's ziggurat fast lane (strip byte,
+  sign bit, 52-bit ``rabs``, accepted below ``ki[strip]`` as
+  ``±rabs * wi[strip]``). A lane with any other draw (about one draw in
+  a hundred) is drawn by numpy from its seeded state. The tables are
+  read from numpy itself, through crafted ``PCG64`` states, the first
+  time they are needed, never at import.
 
 Values, and the generator state each leaves behind (checkpoints save
-it), are exactly numpy's. On import a small self-check compares both
-against numpy; on any mismatch (a numpy release that changed a stream)
-the module logs one warning and falls back to numpy's own per-item
-calls, so results stay exact and only speed is lost. ``FAST_PATH`` says
-which path is active.
+it), are exactly numpy's. On import a small self-check compares the
+decoders and the seeding against numpy; the ziggurat tables are checked
+when first read. On any mismatch (a numpy release that changed a
+stream) the module logs one warning and falls back to numpy's own
+per-item calls, so results stay exact and only speed is lost.
+``FAST_PATH`` says which path is active, and :func:`normal_fast_lane`
+whether the ziggurat fast lane is.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,15 +74,26 @@ _POOL_SIZE = 4
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Items seeded per hash pass: large enough for the array arithmetic to
-# pay off, small enough that a batch's seed states stay a few hundred KB.
-_SEED_BLOCK = 1024
-
 _LOW = np.uint64(_MASK32)
 _HALF = np.uint64(32)
 _TWO_32 = np.uint64(1 << 32)
 _TWO_32_INT = 1 << 32
 _DOUBLE_UNIT = 2.0**-53
+_MASK64 = (1 << 64) - 1
+_ONE = np.uint64(1)
+_TOP_BIT = np.uint64(63)
+_WORD_BITS = np.uint64(64)
+_ROT_SHIFT = np.uint64(122 - 64)  # XSL-RR rotates by the state's top 6 bits
+_ROT_MASK = np.uint64(63)
+
+# numpy's ziggurat normal (random_standard_normal): of a 64-bit word,
+# the low byte picks the strip, bit 8 is the sign, the next 52 bits are
+# ``rabs``.
+_STRIP = np.uint64(0xFF)
+_SIGN = np.uint64(0x100)
+_RABS_BITS = 9
+_RABS_SHIFT = np.uint64(_RABS_BITS)
+_MASK52 = np.uint64((1 << 52) - 1)
 
 # Raw words a DrawDecoder pulls at a time. A generation of breeding at
 # the paper's settings reads about 1,300; the unread rest of the last
@@ -253,53 +273,64 @@ def decoded_draws(rng: np.random.Generator):
         decoder.close()
 
 
-# -- seeded generators -------------------------------------------------------------
+# -- seeded normals -----------------------------------------------------------------
 
 
-def seeded_generators(
-    entropies: Sequence[int],
-    spawn_keys: Optional[Sequence[Tuple[int, ...]]] = None,
-) -> Iterator[np.random.Generator]:
-    """A generator at ``default_rng(SeedSequence(entropies[i],
-    spawn_key=spawn_keys[i]))``'s state, for each item in turn.
+def seeded_normals(entropy_words, k: int) -> np.ndarray:
+    """``default_rng(SeedSequence(row)).standard_normal(k)`` of every row
+    of ``entropy_words``, as an ``(n, k)`` float64 array.
 
-    On the fast path every item gets the same generator object,
-    re-positioned for it: draw from it before advancing the iterator.
-    ``spawn_keys=None`` means no spawn key, as in ``default_rng(int)``.
+    A row holds the uint32 words ``SeedSequence`` hashes: an integer
+    seed's little-endian words, or, for a spawned sequence, the seed
+    zero-filled to four words followed by each spawn-key part's words
+    (:func:`spawn_entropy` builds those). ``SeedSequence`` hashes a row
+    shorter than four words as if zero-filled, so the ``[low, high]``
+    words of a 64-bit seed give ``default_rng(seed)``'s stream whether
+    or not ``high`` is zero.
     """
-    entropies = [int(e) for e in entropies]
-    keys = [()] * len(entropies) if spawn_keys is None else list(spawn_keys)
-    if len(keys) != len(entropies):
-        raise ValueError(
-            f"got {len(keys)} spawn keys for {len(entropies)} entropies"
-        )
-    if FAST_PATH:
-        return _reseeded(entropies, keys)
-    return map(_numpy_generator, entropies, keys)
+    words = np.asarray(entropy_words)
+    if words.ndim != 2:
+        raise ValueError("entropy_words must be an (n, words) array")
+    if words.size and (words.min() < 0 or words.max() > _MASK32):
+        raise ValueError("entropy words must fit in uint32")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    words = words.astype(np.uint32, copy=False)
+    if not FAST_PATH:
+        return _numpy_normals(words, k)
+    state, inc = _seeded_states(words)
+    return _pcg_normals(state, inc, k, _ziggurat())
 
 
-def _numpy_generator(entropy: int, key: Tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+def spawn_entropy(entropy: int, keys) -> np.ndarray:
+    """:func:`seeded_normals` rows of ``SeedSequence(entropy,
+    spawn_key=(key,))`` for each ``key`` in ``keys`` (each below
+    ``2**32``)."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or (keys.size and (keys.min() < 0 or keys.max() > _MASK32)):
+        raise ValueError("spawn keys must be a 1-D array of uint32 values")
+    prefix = _words(int(entropy))
+    # A spawned sequence zero-fills its run entropy to the pool size.
+    prefix += [0] * (_POOL_SIZE - len(prefix))
+    rows = np.empty((keys.size, len(prefix) + 1), dtype=np.uint32)
+    rows[:, :-1] = prefix
+    rows[:, -1] = keys
+    return rows
 
 
-def _reseeded(
-    entropies: List[int], keys: List[Tuple[int, ...]]
-) -> Iterator[np.random.Generator]:
-    """One generator, positioned at each item's state in turn."""
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    state = {
-        "bit_generator": "PCG64",
-        "state": {},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for start in range(0, len(entropies), _SEED_BLOCK):
-        block = slice(start, start + _SEED_BLOCK)
-        for pcg in _pcg_states(entropies[block], keys[block]):
-            state["state"] = pcg
-            bit_generator.state = state
-            yield generator
+def normal_fast_lane() -> bool:
+    """Whether :func:`seeded_normals` decodes on numpy's ziggurat fast
+    lane here. The first call reads numpy's tables and checks them."""
+    return FAST_PATH and _ziggurat() is not None
+
+
+def _numpy_normals(words: np.ndarray, k: int) -> np.ndarray:
+    """numpy's own per-item calls: the path when the self-check fails."""
+    out = np.empty((len(words), k))
+    for row, entropy in zip(out, words):
+        generator = np.random.default_rng(np.random.SeedSequence(entropy))
+        generator.standard_normal(out=row)
+    return out
 
 
 def _words(value: int) -> List[int]:
@@ -313,16 +344,6 @@ def _words(value: int) -> List[int]:
     while value:
         words.append(value & _MASK32)
         value >>= 32
-    return words
-
-
-def _assembled_entropy(entropy: int, key: Tuple[int, ...]) -> List[int]:
-    words = _words(entropy)
-    if key:
-        # A spawned sequence zero-fills its run entropy to the pool size.
-        words += [0] * (_POOL_SIZE - len(words))
-        for part in key:
-            words += _words(int(part))
     return words
 
 
@@ -363,8 +384,8 @@ def _pool(entropy: np.ndarray) -> List[np.ndarray]:
     return pool
 
 
-def _seed_words(pool: List[np.ndarray]) -> List[List[int]]:
-    """``generate_state(4, np.uint64)`` of every item, as Python ints."""
+def _seed_words(pool: List[np.ndarray]) -> List[np.ndarray]:
+    """``generate_state(4, np.uint64)`` of every item: four uint64 arrays."""
     const = _INIT_B
     halves = []
     for i in range(8):
@@ -373,35 +394,196 @@ def _seed_words(pool: List[np.ndarray]) -> List[List[int]]:
         word = word * np.uint32(const)
         word ^= word >> _XSHIFT
         halves.append(word.astype(np.uint64))
-    words = np.stack(
-        [halves[2 * j] | (halves[2 * j + 1] << _HALF) for j in range(4)],
-        axis=1,
+    return [halves[2 * j] | (halves[2 * j + 1] << _HALF) for j in range(4)]
+
+
+# A 128-bit PCG64 state or increment per lane, as (high, low) uint64 arrays.
+_Lanes = Tuple[np.ndarray, np.ndarray]
+
+
+def _multiplier() -> Tuple[np.uint64, np.uint64, np.uint64, np.uint64]:
+    """``_PCG_MULT``'s high word, low word and the low word's 32-bit limbs."""
+    high, low = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+    return (
+        np.uint64(high),
+        np.uint64(low),
+        np.uint64(low & _MASK32),
+        np.uint64(low >> 32),
     )
-    return words.tolist()
 
 
-def _pcg_states(
-    entropies: List[int], keys: List[Tuple[int, ...]]
-) -> List[dict]:
-    """``PCG64(SeedSequence(e, spawn_key=k)).state["state"]`` per item."""
-    assembled = [_assembled_entropy(e, k) for e, k in zip(entropies, keys)]
-    # Items hash in groups of equal entropy length (almost always one).
-    seeds: List[Optional[List[int]]] = [None] * len(assembled)
-    by_length = {}
-    for item, words in enumerate(assembled):
-        by_length.setdefault(len(words), []).append(item)
-    for items in by_length.values():
-        entropy = np.array([assembled[i] for i in items], dtype=np.uint32)
-        for item, words in zip(items, _seed_words(_pool(entropy))):
-            seeds[item] = words
-    states = []
-    for s0, s1, i0, i1 in seeds:
-        # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, then one LCG
-        # step from 0, add the seed, one more step.
-        inc = (((i0 << 64) | i1) << 1 | 1) & _MASK128
-        state = ((inc + ((s0 << 64) | s1)) * _PCG_MULT + inc) & _MASK128
-        states.append({"state": state, "inc": inc})
-    return states
+def _lcg_step(state: _Lanes, inc: _Lanes, mult) -> _Lanes:
+    """``state * _PCG_MULT + inc`` mod ``2**128`` in every lane.
+
+    uint64 products wrap, which gives every partial product's low word;
+    the one carry they lose, the high word of ``low * mult_low``, comes
+    from 32-bit limbs.
+    """
+    hi, lo = state
+    m_hi, m_lo, m_lo0, m_lo1 = mult
+    lo0 = lo & _LOW
+    lo1 = lo >> _HALF
+    p01 = lo0 * m_lo1
+    p10 = lo1 * m_lo0
+    mid = ((lo0 * m_lo0) >> _HALF) + (p01 & _LOW) + (p10 & _LOW)
+    carry = lo1 * m_lo1 + (p01 >> _HALF) + (p10 >> _HALF) + (mid >> _HALF)
+    product = lo * m_lo
+    new_lo = product + inc[1]
+    new_hi = carry + lo * m_hi + hi * m_lo + inc[0] + (new_lo < product)
+    return new_hi, new_lo
+
+
+def _xsl_rr(state: _Lanes) -> np.ndarray:
+    """PCG64's output of each lane's (already stepped) state."""
+    hi, lo = state
+    folded = hi ^ lo
+    rot = hi >> _ROT_SHIFT
+    return (folded >> rot) | (folded << ((_WORD_BITS - rot) & _ROT_MASK))
+
+
+def _seeded_states(words: np.ndarray) -> Tuple[_Lanes, _Lanes]:
+    """``PCG64(SeedSequence(row))``'s state and increment of every row."""
+    s_hi, s_lo, i_hi, i_lo = _seed_words(_pool(words))
+    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1; one LCG step from 0
+    # (which gives inc), add the seed, one more step.
+    inc = ((i_hi << _ONE) | (i_lo >> _TOP_BIT), (i_lo << _ONE) | _ONE)
+    lo = inc[1] + s_lo
+    hi = inc[0] + s_hi + (lo < s_lo)
+    return _lcg_step((hi, lo), inc, _multiplier()), inc
+
+
+def _pcg_normals(
+    state: _Lanes, inc: _Lanes, k: int, tables: Optional[Tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``standard_normal(k)`` of a PCG64 generator at each lane's state.
+
+    Each draw takes numpy's ziggurat fast lane on whole arrays: of an
+    output word ``r``, ``r & 0xff`` picks the strip, bit 8 the sign and
+    the 52 bits above it ``rabs``; the draw is ``±rabs * wi[strip]`` when
+    ``rabs < ki[strip]``. A lane with any other draw (``rabs`` at or
+    above the lower bound ``kc`` of ``ki``, strips 0 and 1 included) is
+    drawn by numpy from its state instead. Without ``tables`` every lane
+    is.
+    """
+    n = len(state[0])
+    out = np.empty((n, k))
+    if tables is None:
+        redo = np.ones(n, dtype=bool)
+    else:
+        wi, kc = tables
+        redo = np.zeros(n, dtype=bool)
+        mult = _multiplier()
+        stepped = state
+        for j in range(k):
+            stepped = _lcg_step(stepped, inc, mult)
+            word = _xsl_rr(stepped)
+            strip = (word & _STRIP).astype(np.intp)
+            rabs = (word >> _RABS_SHIFT) & _MASK52
+            draws = out[:, j]
+            np.multiply(rabs, wi[strip], out=draws)
+            np.negative(draws, out=draws, where=(word & _SIGN) != 0)
+            redo |= rabs >= kc[strip]
+    lanes = np.flatnonzero(redo)
+    if lanes.size:
+        _numpy_lanes(out, lanes, state, inc)
+    return out
+
+
+def _numpy_lanes(
+    out: np.ndarray, lanes: np.ndarray, state: _Lanes, inc: _Lanes
+) -> None:
+    """numpy's own ``standard_normal`` into ``out``'s rows ``lanes``,
+    each from its lane's state."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    parts = [half[lanes].tolist() for half in (*state, *inc)]
+    for lane, s_hi, s_lo, i_hi, i_lo in zip(lanes.tolist(), *parts):
+        pcg["state"] = s_hi << 64 | s_lo
+        pcg["inc"] = i_hi << 64 | i_lo
+        bit_generator.state = full
+        generator.standard_normal(out=out[lane])
+
+
+@functools.lru_cache(maxsize=None)
+def _ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """numpy's ziggurat tables for :func:`_pcg_normals`, read on first
+    use and checked, or ``None`` (after one warning) when they do not
+    reproduce numpy."""
+    try:
+        tables = _read_ziggurat()
+        ok, reason = _normals_check(tables), "values differ"
+    except Exception as exc:  # whatever broke, numpy's own path is exact
+        tables, ok, reason = None, False, repr(exc)
+    if not ok:
+        _warn("the seeded-normal fast lane", reason)
+        return None
+    return tables
+
+
+def _read_ziggurat() -> Tuple[np.ndarray, np.ndarray]:
+    """``wi`` exactly, and ``kc``, a lower bound of ``ki``, from numpy's
+    own ``standard_normal``.
+
+    A PCG64 state whose stepped value has a zero high word outputs its
+    low word unrotated, so stepping back from a chosen word (``(word -
+    inc) * MULT**-1``) crafts a draw. ``rabs = 1`` reads ``wi[i]``. For
+    ``i >= 2``, ``ki[i]`` is ``c = floor(2**52 * wi[i-1] / wi[i])`` or
+    ``c + 1``: ``kc[i] = c``, and numpy must accept ``c - 1`` in one
+    step and reject ``c + 1``. Strips 0 and 1 get ``kc = 0``, so their
+    draws always go to numpy.
+    """
+    mult = _PCG_MULT
+    inverse = pow(mult, -1, 1 << 128)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"inc": 1}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+
+    def draw(word: int) -> Tuple[float, int]:
+        """``standard_normal()`` of the next output ``word``, and the
+        LCG steps it took (1, 2, or 0 for more)."""
+        pcg["state"] = ((word - 1) * inverse) & _MASK128
+        bit_generator.state = full
+        value = generator.standard_normal()
+        after = bit_generator.state["state"]["state"]
+        steps = {word: 1, (word * mult + 1) & _MASK128: 2}.get(after, 0)
+        return value, steps
+
+    wi = []
+    for strip in range(256):
+        value, steps = draw(1 << _RABS_BITS | strip)
+        # ki[1] is 0: strip 1 always takes the wedge test, which draws
+        # one more word and accepts a value this close to zero.
+        if steps != (2 if strip == 1 else 1):
+            raise ValueError(f"strip {strip} took {steps} steps")
+        wi.append(value)
+    kc = [0, 0]
+    for strip in range(2, 256):
+        num, den = wi[strip - 1].as_integer_ratio()
+        num_i, den_i = wi[strip].as_integer_ratio()
+        bound = (num * den_i << 52) // (den * num_i)
+        value, steps = draw((bound - 1) << _RABS_BITS | strip)
+        if steps != 1 or value != (bound - 1) * wi[strip]:
+            raise ValueError(f"strip {strip} rejects rabs {bound - 1}")
+        if draw((bound + 1) << _RABS_BITS | strip)[1] == 1:
+            raise ValueError(f"strip {strip} accepts rabs {bound + 1}")
+        kc.append(bound)
+    return np.array(wi), np.array(kc, dtype=np.uint64)
+
+
+def _normals_check(tables: Tuple[np.ndarray, np.ndarray]) -> bool:
+    """The fast lane against numpy's per-item calls on 64 spawned and
+    64 digest-style streams, three draws each."""
+    digests = np.random.default_rng(3).integers(0, 1 << 32, size=(64, 2))
+    for rows in (spawn_entropy(11, np.arange(64)), digests):
+        rows = rows.astype(np.uint32)
+        state, inc = _seeded_states(rows)
+        fast = _pcg_normals(state, inc, 3, tables)
+        if fast.tobytes() != _numpy_normals(rows, 3).tobytes():
+            return False
+    return True
 
 
 # -- self-check ---------------------------------------------------------------------
@@ -413,14 +595,21 @@ def _self_check() -> bool:
     A few hundred draws, cheap enough for import time; the exhaustive
     comparisons live in the test suite.
     """
-    entropies = [0, 1, 7, _MASK32, 1 << 32, (1 << 64) - 1, 1 << 70]
-    keys = [(), (0,), (3,), (5, 1), (1 << 40,), (), (2,)]
-    for entropy, key, fast in zip(entropies, keys, _reseeded(entropies, keys)):
-        slow = _numpy_generator(entropy, key)
-        if fast.bit_generator.state != slow.bit_generator.state:
+    # Seeding and stepping of seeded_normals; its ziggurat decoding is
+    # checked when the tables are first read (see _ziggurat).
+    mult = _multiplier()
+    for row in ([0], [7, 1], [0, 0, 0, 0, 0], [3, 0, 0, 0, 5, 1], [_MASK32] * 9):
+        words = np.array([row], dtype=np.uint32)
+        state, inc = _seeded_states(words)
+        expected = np.random.PCG64(np.random.SeedSequence(words[0]))
+        pcg = expected.state["state"]
+        if [int(state[0][0]) << 64 | int(state[1][0]),
+                int(inc[0][0]) << 64 | int(inc[1][0])] != [pcg["state"], pcg["inc"]]:
             return False
-        if fast.standard_normal(3).tolist() != slow.standard_normal(3).tolist():
-            return False
+        for _ in range(3):
+            state = _lcg_step(state, inc, mult)
+            if int(_xsl_rr(state)[0]) != int(expected.random_raw()):
+                return False
     bounds = np.array([1, 2, 3, 5, 7, 1, 64, 1 << 32, 1000003, 1 << 31] * 30)
     # 299 and 300 draws, starting without and with a buffered high half.
     for buffered in (0, 1):
@@ -456,6 +645,16 @@ def _self_check() -> bool:
     return fast.random() == slow.random()
 
 
+def _warn(what: str, reason: str) -> None:
+    logger.warning(
+        "repro.streams: %s does not reproduce numpy %s's streams (%s); "
+        "using numpy's per-item calls (exact, slower)",
+        what,
+        np.__version__,
+        reason,
+    )
+
+
 def _activate() -> bool:
     """Run the self-check; on failure log one warning line."""
     try:
@@ -463,12 +662,7 @@ def _activate() -> bool:
     except Exception as exc:  # whatever broke, numpy's own path is exact
         ok, reason = False, repr(exc)
     if not ok:
-        logger.warning(
-            "repro.streams: bulk decoding does not reproduce numpy %s's "
-            "streams (%s); using numpy's per-item calls (exact, slower)",
-            np.__version__,
-            reason,
-        )
+        _warn("bulk decoding", reason)
     return ok
 
 

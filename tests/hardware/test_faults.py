@@ -21,6 +21,7 @@ from repro.hardware import (
     run_with_retry,
 )
 from repro.hardware.degradation import DegradationReport
+from repro.hardware.faults import timed_attempt
 
 FAST_RETRY = RetryPolicy(attempts=3, backoff_s=0.0)  # no real sleeping
 
@@ -106,6 +107,54 @@ class TestRunWithRetry:
                 sleep=lambda _: None,
                 clock=lambda: float(next(ticks)),
             )
+
+    @pytest.mark.parametrize("failures", [1, 2, 3])
+    def test_continuing_from_a_failed_first_attempt(self, failures):
+        """``first_fault`` resumes at the first retry: the same sleeps,
+        jitter draws, attempt count and final fault as a loop that made
+        the first attempt itself."""
+        policy = RetryPolicy(attempts=3, backoff_s=0.1, jitter=0.5)
+
+        def run(continued):
+            calls = {"n": 0}
+
+            def probe():
+                calls["n"] += 1
+                if calls["n"] <= failures:
+                    raise ProbeError(f"flake #{calls['n']}")
+                return 2.5
+
+            sleeps, built = [], []
+
+            def make_rng():
+                built.append(1)
+                stream = np.random.SeedSequence(3, spawn_key=(4, 1))
+                return np.random.default_rng(stream)
+
+            kwargs = dict(sleep=sleeps.append, make_rng=make_rng)
+            try:
+                if continued:
+                    try:
+                        timed_attempt(probe, policy)
+                    except ProbeError as fault:
+                        kwargs["first_fault"] = fault
+                outcome = run_with_retry(probe, policy, **kwargs)
+            except ProbeError as fault:
+                outcome = str(fault)
+            return outcome, sleeps, built, calls["n"]
+
+        assert run(True) == run(False)
+        assert run(True)[1]  # it did sleep
+
+    def test_timed_attempt(self):
+        ticks = iter([0.0, 2.0, 5.0, 5.5])
+        clock = lambda: next(ticks)  # noqa: E731
+        policy = RetryPolicy(timeout_s=1.0)
+        with pytest.raises(ProbeTimeout, match="1.0s budget"):
+            timed_attempt(lambda: 1.0, policy, clock)
+        assert timed_attempt(lambda: 7.0, policy, clock) == 7.0
+        # No budget: the probe alone, and no clock read.
+        assert timed_attempt(lambda: 3.0, FAST_RETRY, clock=None) == 3.0
 
     def test_non_probe_errors_propagate_immediately(self):
         calls = {"n": 0}
@@ -248,15 +297,10 @@ class TestLutDegradation:
         return healthy, degraded
 
     def _missing_cell(self, proxy_space, healthy, degraded):
-        from repro.hardware.lut import _cell_key
-        from repro.lint.lut_check import reachable_cells
-
-        for layer, op, cin, factor in reachable_cells(proxy_space):
-            if (
-                _cell_key(layer, op, cin, factor) in healthy.entries
-                and _cell_key(layer, op, cin, factor) not in degraded.entries
-            ):
-                return layer, op, cin, factor
+        cells = LatencyLUT.cells(proxy_space)
+        for coords, key in zip(cells.keys[cells.operators], cells.entry_keys):
+            if key in healthy.entries and key not in degraded.entries:
+                return coords
         pytest.fail("flaky build unexpectedly lost no cells")
 
     def test_failed_cells_are_omitted_and_reported(self, luts):

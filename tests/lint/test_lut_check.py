@@ -6,11 +6,7 @@ import pytest
 from repro.hardware import LatencyLUT, get_device
 from repro.hardware.lut import _cell_key, layer_cin_choices
 from repro.lint.findings import Severity
-from repro.lint.lut_check import (
-    check_lut_coverage,
-    reachable_cells,
-    reachable_head_widths,
-)
+from repro.lint.lut_check import check_lut_coverage
 from repro.space import SearchSpace, imagenet_a, proxy
 
 
@@ -30,14 +26,35 @@ def lut(space, device):
 
 
 class TestReachableSet:
+    """The checker reads the build's own enumeration, LatencyLUT.cells."""
+
     def test_matches_lut_build_enumeration(self, space, lut):
-        reachable = {
-            _cell_key(*cell) for cell in reachable_cells(space)
-        }
-        assert reachable == set(lut.entries)
+        cells = LatencyLUT.cells(space)
+        reachable = {_cell_key(*key) for key in cells.keys[cells.operators]}
+        assert reachable == set(cells.entry_keys) == set(lut.entries)
+        assert len(cells.keys) == len(cells.costs) == len(cells.kinds)
 
     def test_head_widths_match_lut(self, space, lut):
-        assert reachable_head_widths(space) == sorted(lut.head_ms)
+        assert sorted(LatencyLUT.cells(space).head_cins) == sorted(lut.head_ms)
+
+    def test_enumeration_is_per_layer_cin_op_factor(self, space):
+        cells = LatencyLUT.cells(space)
+        expected = [
+            (layer, op, cin, factor)
+            for layer in range(space.num_layers)
+            for cin in layer_cin_choices(space, layer)
+            for op in space.candidate_ops[layer]
+            for factor in space.candidate_factors[layer]
+        ]
+        assert list(cells.keys[cells.operators]) == expected
+        assert cells.kinds[0] == "stem"
+        assert set(cells.kinds[cells.heads]) == {"head"}
+
+    def test_equal_spaces_share_one_enumeration(self, space):
+        again = SearchSpace(proxy())
+        assert LatencyLUT.cells(again) is LatencyLUT.cells(space)
+        shrunk = space.fix_operator(space.num_layers - 1, 2)
+        assert LatencyLUT.cells(shrunk) is not LatencyLUT.cells(space)
 
 
 class TestCoverage:

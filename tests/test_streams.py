@@ -7,6 +7,9 @@ checkpoints save it), and the next draw after it.
 """
 
 import logging
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -21,7 +24,7 @@ from repro.hardware.calibration import calibrated_devices
 from repro.hardware.device import DeviceModel
 from repro.space import space_for_layout
 from repro.space.search_space import pick
-from repro.streams import bounded_draws, seeded_generators
+from repro.streams import bounded_draws
 
 
 def assert_same_generator(fast, slow):
@@ -29,22 +32,48 @@ def assert_same_generator(fast, slow):
     assert fast.random() == slow.random()
 
 
-def assert_seeded_like_numpy(entropies, spawn_keys=None):
-    keys = [()] * len(entropies) if spawn_keys is None else spawn_keys
-    fast = seeded_generators(entropies, spawn_keys)
-    for entropy, key, rng in zip(entropies, keys, fast):
-        expected = np.random.default_rng(
-            np.random.SeedSequence(entropy, spawn_key=key)
-        )
-        assert rng.bit_generator.state == expected.bit_generator.state, (
-            entropy,
-            key,
-        )
-    # The last generator also continues like numpy's.
-    assert rng.standard_normal() == expected.standard_normal()
+def numpy_normals(entropies, spawn_keys, k):
+    """numpy's own ``standard_normal(k)`` of each seeded stream."""
+    return np.array(
+        [
+            np.random.default_rng(
+                np.random.SeedSequence(entropy, spawn_key=key)
+            ).standard_normal(k)
+            for entropy, key in zip(entropies, spawn_keys)
+        ]
+    ).reshape(len(entropies), k)
 
 
-# -- seeded_generators ------------------------------------------------------------
+def entropy_row(entropy, key):
+    """The words ``SeedSequence(entropy, spawn_key=key)`` hashes."""
+    words = streams._words(entropy)
+    if key:
+        words += [0] * (4 - len(words))
+        for part in key:
+            words += streams._words(part)
+    return words
+
+
+def numpy_from_state(state, inc, k):
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator).standard_normal(k)
+
+
+def as_lanes(values):
+    """128-bit ints as the (high, low) uint64 lanes of ``_pcg_normals``."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & ((1 << 64) - 1) for v in values], dtype=np.uint64),
+    )
+
+
+# -- seeded_normals ----------------------------------------------------------------
 
 
 def test_fast_path_is_active():
@@ -52,35 +81,195 @@ def test_fast_path_is_active():
     only as a slower benchmark."""
     assert streams.FAST_PATH, f"bulk streams disabled on numpy {np.__version__}"
     assert streams._self_check()
+    assert streams.normal_fast_lane(), "seeded-normal fast lane disabled"
 
 
 def test_digest_seeds_one_and_two_words():
     """10^5 ``default_rng(int)`` seeds, the surrogate's digest pattern:
-    three in four need two uint32 words, one in four fits in one; the
-    two lengths are interleaved so both hash groups keep item order."""
+    three in four need two uint32 words, one in four fits in one, and
+    the two kinds are interleaved in one ``[low, high]`` array."""
     rng = np.random.default_rng(0)
     seeds = rng.integers(1 << 32, 1 << 64, size=100_000, dtype=np.uint64)
     seeds[::4] >>= np.uint64(32)
-    seeds = seeds.tolist()
     seeds[:4] = [0, 1, (1 << 32) - 1, 1 << 32]
-    assert_seeded_like_numpy(seeds)
+    words = seeds.astype("<u8").view("<u4").reshape(-1, 2)
+    expected = np.array(
+        [np.random.default_rng(seed).standard_normal(2) for seed in seeds.tolist()]
+    )
+    assert streams.seeded_normals(words, 2).tobytes() == expected.tobytes()
 
 
 def test_spawn_keys():
     """10^5 ``SeedSequence(seed, spawn_key=(i,))`` streams, the LUT
-    noise pattern, plus two-part and multi-word keys and seeds."""
+    noise pattern, at 1, 2 and 4 draws each."""
     count = 100_000
-    assert_seeded_like_numpy([7] * count, [(i,) for i in range(count)])
-    entropies = [0, 3, 1 << 40, (1 << 64) - 1, 1 << 130, 12345]
-    keys = [(0, 1), (99, 1), (1 << 33,), (5,), (2, 3, 4), ()]
-    assert_seeded_like_numpy(entropies, keys)
+    rows = streams.spawn_entropy(7, np.arange(count))
+    expected = numpy_normals([7] * count, [(i,) for i in range(count)], 4)
+    for k in (1, 2, 4):
+        fast = streams.seeded_normals(rows, k)
+        assert fast.tobytes() == np.ascontiguousarray(expected[:, :k]).tobytes()
 
 
-def test_seeded_generators_rejects_mismatched_keys():
-    with pytest.raises(ValueError, match="spawn keys"):
-        list(seeded_generators([1, 2], [(0,)]))
+@pytest.mark.parametrize(
+    "entropy, keys",
+    [
+        (0, [(0,), (5,), (1 << 31,), ((1 << 32) - 1,)]),
+        ((1 << 64) - 1, [(0,), (3,), (9,)]),
+        (1 << 130, [(2,), (4,)]),
+        (12345, [(0, 1), (99, 1), (7, 7)]),
+        (3, [(2, 3, 4), (1, 0, 0)]),
+        (1 << 40, [(1 << 33,), (1 << 34,)]),
+        (5, [(1 << 33, 2), (1 << 35, 0)]),
+    ],
+)
+def test_long_entropies_and_multi_part_keys(entropy, keys):
+    """Rows of 5 to 9 words (wide seeds, multi-part and multi-word
+    keys); every row of one call has the same length."""
+    rows = [entropy_row(entropy, key) for key in keys]
+    assert len({len(row) for row in rows}) == 1
+    assert len(rows[0]) >= 5
+    expected = numpy_normals([entropy] * len(keys), keys, 3)
+    assert streams.seeded_normals(rows, 3).tobytes() == expected.tobytes()
+    if len(keys[0]) == 1 and keys[0][0] < 1 << 32:
+        spawned = streams.spawn_entropy(entropy, [key[0] for key in keys])
+        assert spawned.tolist() == rows
+
+
+def test_short_rows_are_zero_filled():
+    """Rows of one to four words hash like their zero-filled forms."""
+    for row in ([9], [9, 0], [9, 0, 0], [9, 0, 0, 0]):
+        expected = np.random.default_rng(9).standard_normal(3)
+        assert streams.seeded_normals([row], 3).tobytes() == expected.tobytes()
+    assert streams.seeded_normals(np.zeros((0, 2), np.uint32), 2).shape == (0, 2)
+    assert streams.seeded_normals([[4]], 0).shape == (1, 0)
+
+
+class TestCraftedLanes:
+    """Lanes whose draws are chosen words, against numpy from the same
+    PCG64 state: the ziggurat strips the fast lane never serves, the
+    acceptance bound and its neighbours, and a late rejection."""
+
+    MULT = streams._PCG_MULT
+    INVERSE = pow(MULT, -1, 1 << 128)
+    MASK = (1 << 128) - 1
+
+    def state_before(self, stepped, inc):
+        return ((stepped - inc) * self.INVERSE) & self.MASK
+
+    def check(self, states, incs, k):
+        tables = streams._ziggurat()
+        fast = streams._pcg_normals(as_lanes(states), as_lanes(incs), k, tables)
+        expected = np.array(
+            [numpy_from_state(s, i, k) for s, i in zip(states, incs)]
+        )
+        assert fast.tobytes() == expected.tobytes()
+
+    def word(self, rabs, strip, negative=False):
+        return rabs << 9 | int(negative) << 8 | strip
+
+    def test_strips_zero_and_one(self):
+        words = [
+            self.word(rabs, strip, negative)
+            for strip in (0, 1)
+            for rabs in (0, 1, 12345, (1 << 52) - 1)
+            for negative in (False, True)
+        ]
+        incs = [2 * i + 1 for i in range(len(words))]
+        states = [self.state_before(w, inc) for w, inc in zip(words, incs)]
+        self.check(states, incs, 2)
+
+    def test_rabs_around_each_bound(self):
+        _, kc = streams._ziggurat()
+        words = [
+            self.word(int(kc[strip]) + delta, strip, negative=strip % 2 == 0)
+            for strip in range(2, 256)
+            for delta in (-1, 0, 1)
+        ]
+        incs = [0xDA3E39CB94B95BDB] * len(words)
+        states = [self.state_before(w, inc) for w, inc in zip(words, incs)]
+        self.check(states, incs, 2)
+
+    def test_rejection_on_second_of_two_draws(self):
+        wi, kc = streams._ziggurat()
+        second = self.word(int(kc[7]) + 5, 7)
+        for inc in range(1, 200, 2):
+            # Step back from the second word; keep an inc whose first
+            # word the fast lane accepts.
+            first = self.state_before(second, inc)
+            word = int(streams._xsl_rr(as_lanes([first]))[0])
+            rabs, strip = (word >> 9) & ((1 << 52) - 1), word & 0xFF
+            if strip >= 2 and rabs < int(kc[strip]):
+                break
+        else:
+            pytest.fail("no inc gives an accepted first draw")
+        state = self.state_before(first, inc)
+        self.check([state], [inc], 2)
+        # The lane is numpy's: a fast first draw, a redrawn second.
+        assert numpy_from_state(state, inc, 2)[0] == rabs * wi[strip] * (
+            -1 if word & 0x100 else 1
+        )
+
+
+def test_fast_path_off_uses_numpy(monkeypatch):
+    rows = streams.spawn_entropy(3, np.arange(500))
+    expected = numpy_normals([3] * 500, [(i,) for i in range(500)], 2)
+    monkeypatch.setattr(streams, "FAST_PATH", False)
+    assert streams.seeded_normals(rows, 2).tobytes() == expected.tobytes()
+
+
+def test_failed_ziggurat_check_falls_back_exactly(monkeypatch, caplog):
+    rows = streams.spawn_entropy(5, np.arange(2000))
+    expected = streams.seeded_normals(rows, 2)
+    read = streams._read_ziggurat
+
+    def corrupted():
+        wi, kc = read()
+        return wi * (1 + 2.0**-52), kc
+
+    monkeypatch.setattr(streams, "_read_ziggurat", corrupted)
+    streams._ziggurat.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="repro.streams"):
+            assert not streams.normal_fast_lane()
+            fallback = streams.seeded_normals(rows, 2)
+        warnings = [r for r in caplog.records if r.name == "repro.streams"]
+        assert len(warnings) == 1
+        assert "seeded-normal fast lane" in warnings[0].getMessage()
+        assert fallback.tobytes() == expected.tobytes()
+    finally:
+        monkeypatch.undo()
+        streams._ziggurat.cache_clear()
+    assert streams.normal_fast_lane()
+
+
+def test_import_does_not_read_the_tables():
+    src = pathlib.Path(streams.__file__).resolve().parents[1]
+    code = (
+        "import repro.streams as s, repro.hardware, repro.accuracy; "
+        "assert s.FAST_PATH; "
+        "assert s._ziggurat.cache_info().currsize == 0, 'tables read'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_seeded_normals_rejects_bad_input():
+    with pytest.raises(ValueError, match="array"):
+        streams.seeded_normals([1, 2], 1)
+    with pytest.raises(ValueError, match="uint32"):
+        streams.seeded_normals([[1, -1]], 1)
+    with pytest.raises(ValueError, match="uint32"):
+        streams.seeded_normals([[1 << 32]], 1)
+    with pytest.raises(ValueError, match="k must"):
+        streams.seeded_normals([[1]], -1)
     with pytest.raises(ValueError, match="non-negative"):
-        list(seeded_generators([-1]))
+        streams.spawn_entropy(-1, [0])
+    with pytest.raises(ValueError, match="spawn keys"):
+        streams.spawn_entropy(1, [1 << 32])
 
 
 # -- bounded_draws ----------------------------------------------------------------
