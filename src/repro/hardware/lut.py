@@ -206,7 +206,11 @@ class LatencyLUT:
         identity, never on profiling order. That is what lets
         ``workers >= 2`` fan the profiling out across processes with
         bit-identical results; ``workers=0`` (default) profiles serially
-        in-process.
+        in-process. A device that overrides :meth:`DeviceModel._probe`
+        (a :class:`~repro.hardware.faults.FlakyDevice`) always profiles
+        in-process: its fault stream is one sequence over the probes in
+        cell order, which worker processes would each replay from the
+        start.
 
         With a :class:`~repro.hardware.faults.RetryPolicy`, each cell's
         probe is retried under backoff (jitter drawn from a per-cell
@@ -279,6 +283,9 @@ class LatencyLUT:
                 out[pos] = None
                 messages[pos] = message
             return list(zip(out, extra, messages))
+
+        if type(device)._probe is not DeviceModel._probe:
+            backend, workers = "serial", 0
 
         from repro.parallel.backend import create_backend
 

@@ -2,9 +2,15 @@
 
 Used by the synthetic-traffic benchmark, the CI smoke job, and tests;
 it is also the reference for how a downstream service would talk to
-the daemon. One fresh ``http.client`` connection per request keeps the
-client trivially thread-safe (the traffic benchmark hammers a single
-:class:`ServeClient` from many threads).
+the daemon. Each thread that uses a :class:`ServeClient` keeps its own
+kept-alive ``http.client`` connection, so one client is safe to share
+across threads (the traffic benchmark drives one from two threads) and
+a warm hit pays no connect. :meth:`ServeClient.close` closes them all.
+
+A kept-alive connection the daemon has since closed (its idle timeout,
+a drain) fails before any response byte. Such an exchange is resent
+once on a fresh connection; that resend is transport bookkeeping, not
+a retry attempt.
 
 Transient transport faults — the connection resets and early
 disconnects a restarting or overloaded daemon produces — are retried
@@ -22,10 +28,11 @@ the only places allowed to construct HTTP connections directly.
 from __future__ import annotations
 
 import json
+import threading
 import time
-from http.client import HTTPConnection, RemoteDisconnected
+from http.client import HTTPConnection, HTTPResponse, RemoteDisconnected
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 from urllib.parse import urlencode
 
 import numpy as np
@@ -44,6 +51,18 @@ _TRANSIENT = (
 )
 
 DEFAULT_RETRY = RetryPolicy(attempts=3, backoff_s=0.05)
+
+
+def _send(
+    conn: HTTPConnection,
+    method: str,
+    path: str,
+    payload: Optional[bytes],
+    headers: dict,
+) -> HTTPResponse:
+    """Send one request and read the response's status and headers."""
+    conn.request(method, path, body=payload, headers=headers)
+    return conn.getresponse()
 
 
 class ServeError(RuntimeError):
@@ -74,6 +93,9 @@ class ServeClient:
         transport attempt — the chaos harness's injection point
         (:meth:`repro.resilience.ChaosInjector.transport_hook`).
         Faults it raises are retried like real ones.
+
+    Any exception in an attempt, the hook's included, drops the
+    calling thread's connection; its next request connects afresh.
     """
 
     def __init__(
@@ -85,6 +107,9 @@ class ServeClient:
         retry_seed: int = 0,
         fault_hook: Optional[Callable[[], None]] = None,
     ):
+        # One kept-alive connection per thread that sent a request.
+        self._connections: Dict[threading.Thread, HTTPConnection] = {}
+        self._lock = threading.Lock()
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -129,24 +154,62 @@ class ServeClient:
 
     # -- transport ---------------------------------------------------------------
 
+    def _connection(self) -> HTTPConnection:
+        """The calling thread's connection, made on its first request.
+
+        Making one also closes those of threads that have exited.
+        """
+        thread = threading.current_thread()
+        with self._lock:
+            conn = self._connections.get(thread)
+            if conn is None:
+                for gone in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(gone).close()
+                conn = HTTPConnection(
+                    self.host, self.port, timeout=self.timeout
+                )
+                self._connections[thread] = conn
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._lock:
+            connections, self._connections = self._connections, {}
+        for conn in connections.values():
+            conn.close()
+
+    def __del__(self) -> None:
+        self.close()
+
     def _attempt(
         self, method: str, path: str, body: Optional[object]
     ) -> Tuple[int, bytes]:
-        """One transport attempt (fresh connection, no retry)."""
-        if self.fault_hook is not None:
-            self.fault_hook()
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        """One transport attempt on this thread's connection (no retry)."""
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn = self._connection()
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
+            if self.fault_hook is not None:
+                self.fault_hook()
+            # ``sock`` is unset on a fresh connection and after a reply
+            # that closed the last one.
+            reused = conn.sock is not None
+            try:
+                response = _send(conn, method, path, payload, headers)
+            except _TRANSIENT:
+                if not reused:
+                    raise
+                # The daemon closed the idle connection before reading
+                # this request: resend it once on a new one.
+                conn.close()
+                response = _send(conn, method, path, payload, headers)
             return response.status, response.read()
-        finally:
+        except BaseException:
             conn.close()
+            raise
 
     def request_raw(
         self,

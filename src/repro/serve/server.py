@@ -1,10 +1,15 @@
 """Stdlib HTTP/JSON front end for :class:`~repro.serve.SearchService`.
 
-``ThreadingHTTPServer`` with non-daemon request threads: every
-connection gets a thread, and :meth:`ServeServer.server_close` joins
-them all — which is what makes the SIGTERM drain *graceful*: in-flight
-queries finish and are answered before the process exits and the final
-state snapshot is written.
+The daemon speaks HTTP/1.1 with keep-alive: a client connection stays
+open across requests, served by one non-daemon handler thread. A
+connection waiting for its next request is *idle*, and the daemon
+closes it after :data:`IDLE_TIMEOUT_S` without one. The SIGTERM drain
+is graceful and never waits on an idle connection:
+:class:`ServeServer` marks itself draining, closes every idle
+connection at once, and :meth:`ServeServer.server_close` joins the
+handler threads, so in-flight queries finish and are answered (with
+``Connection: close``) before the process exits and the final state
+snapshot is written.
 
 Endpoints (all JSON, all deterministic bodies — ``sort_keys`` and no
 timestamps, so identical queries yield byte-identical responses):
@@ -32,37 +37,45 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.resilience import BreakerOpenError, DeadlineExceeded
 from repro.runstate import atomic_write_json
 from repro.serve.config import ServeConfig
-from repro.serve.service import SearchService, cancel_token_from_payload
+from repro.serve.service import (
+    SearchService,
+    _json_bytes,
+    cancel_token_from_payload,
+)
 
 ENDPOINT_FILE = "endpoint.json"
-
-
-def _json_bytes(payload: dict) -> bytes:
-    """The canonical response encoding: sorted keys, trailing newline.
-
-    Determinism here is load-bearing: the coalescing and warm-restart
-    contracts promise *byte*-identical responses for identical queries.
-    """
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+# How long a kept-alive connection may wait for its next request, and
+# any one read or write may stall, before the daemon closes it.
+IDLE_TIMEOUT_S = 5.0
+# How often the accept loop checks for a shutdown request: the longest
+# a drain waits before it stops accepting.
+SHUTDOWN_POLL_S = 0.05
 
 
 class ServeHandler(BaseHTTPRequestHandler):
-    """One request; the heavy lifting happens in the shared service."""
+    """One connection; the heavy lifting happens in the shared service."""
 
     server_version = "repro-serve/1"
-    # HTTP/1.0 closes the connection per response, so a drained server
-    # never waits on an idle keep-alive thread.
-    protocol_version = "HTTP/1.0"
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes: with Nagle on, a kept-alive
+    # body waits out the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
+    # Whether the current request declared a body not yet read; a reply
+    # sent before it is read closes the connection, since the next
+    # request could not be told apart from the rest of this one.
+    _unread_body = False
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -74,17 +87,47 @@ class ServeHandler(BaseHTTPRequestHandler):
         if not self.service.config.quiet:
             super().log_message(format, *args)
 
-    def _reply(
-        self, status: int, payload: dict, headers: Optional[dict] = None
+    def handle(self) -> None:
+        """Serve requests until either side closes the connection."""
+        self.close_connection = True
+        try:
+            while self.server.enter_idle(self.connection):
+                self.handle_one_request()
+                if self.close_connection:
+                    break
+        except ConnectionError:
+            pass  # the client vanished; there is no one left to answer
+        finally:
+            self.server.leave_idle(self.connection)
+
+    def parse_request(self) -> bool:
+        # A request line arrived: the connection is busy until answered.
+        self.server.leave_idle(self.connection)
+        if not super().parse_request():
+            return False
+        self._unread_body = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        return True
+
+    def _send(
+        self, status: int, body: bytes, headers: Optional[dict] = None
     ) -> None:
-        body = _json_bytes(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
+        if self.close_connection or self._unread_body or self.server.draining:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _reply(
+        self, status: int, payload: dict, headers: Optional[dict] = None
+    ) -> None:
+        self._send(status, _json_bytes(payload), headers)
 
     def _shed(self, endpoint: str, reason: str) -> None:
         """Deterministic 503: body + ``Retry-After``, counters recorded."""
@@ -146,7 +189,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     ) -> None:
         start = perf_counter()
         try:
-            response = self.service.resolve(payload, cancel=cancel)
+            body = self.service.resolve_bytes(payload, cancel=cancel)
         except ValueError as exc:
             # Malformed query: client error, one actionable line.
             self.service.metrics.record_query(
@@ -175,7 +218,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
         elapsed_ms = (perf_counter() - start) * 1e3
         self.service.metrics.record_query(endpoint, elapsed_ms)
-        self._reply(200, response)
+        self._send(200, body)
 
     # -- endpoints ---------------------------------------------------------------
 
@@ -197,7 +240,15 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length) or b"{}")
+            if length < 0:
+                raise ValueError(f"negative length {length}")
+        except ValueError as exc:
+            self._reply(400, {"error": f"bad Content-Length: {exc}"})
+            return
+        raw = self.rfile.read(length)
+        self._unread_body = "Transfer-Encoding" in self.headers
+        try:
+            payload = json.loads(raw or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("query body must be a JSON object")
         except (ValueError, json.JSONDecodeError) as exc:
@@ -218,6 +269,63 @@ class ServeServer(ThreadingHTTPServer):
         super().__init__((config.host, config.port), ServeHandler)
         self.config = config
         self.service = service
+        # Set once by the drain; replies then close their connection.
+        self.draining = False
+        # Connections accepted since the server started.
+        self.connections_accepted = 0
+        # Connections whose handler waits for a request line.
+        self._idle: Set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+
+    def serve_forever(self, poll_interval: float = SHUTDOWN_POLL_S) -> None:
+        super().serve_forever(poll_interval)
+
+    def process_request(self, request, client_address) -> None:
+        self.connections_accepted += 1
+        super().process_request(request, client_address)
+
+    # -- keep-alive and drain ------------------------------------------------------
+
+    def enter_idle(self, connection: socket.socket) -> bool:
+        """Register ``connection`` as waiting for a request; ``False``
+        (close it instead) once the server is draining."""
+        with self._idle_lock:
+            if self.draining:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def leave_idle(self, connection: socket.socket) -> None:
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def _drain_idle(self) -> None:
+        """Mark the server draining and close every idle connection.
+
+        Shutting the read side wakes each idle handler with an
+        end-of-stream, so it closes its connection now instead of
+        after :data:`IDLE_TIMEOUT_S`; a request already read is still
+        answered. Idempotent.
+        """
+        with self._idle_lock:
+            self.draining = True
+            for connection in self._idle:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already closed it
+            self._idle.clear()
+
+    def shutdown(self) -> None:
+        """Stop accepting: drain idle connections, then end the loop."""
+        self._drain_idle()
+        super().shutdown()
+
+    def server_close(self) -> None:
+        """Close the listener and join every handler thread; in-flight
+        requests are answered first, idle connections do not wait."""
+        self._drain_idle()
+        super().server_close()
 
     @property
     def endpoint(self) -> Tuple[str, int]:
@@ -293,8 +401,9 @@ def run_server(config: ServeConfig) -> int:
     }
     try:
         server.serve_forever()
-        # Stop accepting, join every in-flight request thread, answer
-        # them all, then write the final warm-restart snapshot.
+        # Stop accepting, close idle connections, answer every
+        # in-flight request and join its thread, then write the final
+        # warm-restart snapshot.
         server.server_close()
         service.close()
     finally:

@@ -3,7 +3,7 @@
 :class:`SearchService` is the transport-independent heart of the
 daemon (the HTTP layer in :mod:`repro.serve.server` is a thin skin
 over it, which is also what makes it unit-testable without sockets).
-It layers three speedups over the offline pipeline, none of which may
+It layers four speedups over the offline pipeline, none of which may
 change a single byte of any result:
 
 1. **Front cache** — computed fronts are memoized in an
@@ -20,6 +20,10 @@ change a single byte of any result:
    persisted through :mod:`repro.runstate` atomic checkpoints so a
    killed daemon restarts warm, serving bit-identical bytes without
    recomputation.
+4. **Encode once** — a healthy answer without ``target_ms`` is a pure
+   function of its cached front, so its response bytes are encoded the
+   first time it is served and kept with the entry
+   (:attr:`CachedFront.body`); a warm hit sends them as they are.
 
 Cache-missing computations funnel through the shared
 :mod:`repro.serve.pipeline` recipe — the same code path as ``repro
@@ -29,10 +33,12 @@ PR-6 :class:`~repro.parallel.EvaluationBackend`.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -92,6 +98,15 @@ def cancel_token_from_payload(payload: dict) -> Optional[CancelToken]:
     return CancelToken.after_ms(deadline_ms)
 
 
+def _json_bytes(payload: dict) -> bytes:
+    """The canonical response encoding: sorted keys, trailing newline.
+
+    Determinism here is load-bearing: the coalescing and warm-restart
+    contracts promise *byte*-identical responses for identical queries.
+    """
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
 @dataclass(frozen=True)
 class CachedFront:
     """One resolved front: the query that names it plus the result."""
@@ -111,6 +126,29 @@ class CachedFront:
 
     def key(self) -> Tuple:
         return self.query.key()
+
+    def response(
+        self, query: FrontQuery, target_ms: Optional[float] = None
+    ) -> dict:
+        """The healthy answer to ``query`` from this front, before any
+        ``target_ms`` cut or degraded flag."""
+        return {
+            "query": query.to_dict(),
+            "target_ms": target_ms,
+            "num_evaluations": self.num_evaluations,
+            "front": [p.to_dict() for p in self.front],
+        }
+
+    @cached_property
+    def body(self) -> bytes:
+        """The encoded healthy answer without ``target_ms``, built once.
+
+        Such an answer depends on nothing but this entry: the query it
+        echoes is this entry's, since the cache key is every query
+        field. The bytes live and die with the entry; they are neither
+        compared nor snapshotted (:meth:`to_dict`).
+        """
+        return _json_bytes(self.response(self.query))
 
     def to_dict(self) -> dict:
         return {
@@ -470,6 +508,28 @@ class SearchService:
         ``degraded_reason`` — degraded fronts are never cached and
         never persisted.
         """
+        return self._response(*self._lookup(payload, cancel))
+
+    def resolve_bytes(self, payload: dict, cancel=None) -> bytes:
+        """:meth:`resolve`, encoded: the body the daemon answers with.
+
+        A healthy answer without ``target_ms`` is its entry's memoized
+        :attr:`CachedFront.body`; every other answer is encoded anew.
+        """
+        query, target, cached, degraded_reason = self._lookup(
+            payload, cancel
+        )
+        if target is None and degraded_reason is None:
+            return cached.body
+        return _json_bytes(
+            self._response(query, target, cached, degraded_reason)
+        )
+
+    def _lookup(
+        self, payload: dict, cancel
+    ) -> Tuple[FrontQuery, Optional[float], CachedFront, Optional[str]]:
+        """Parse one request and find its front: ``(query, target_ms,
+        front, degraded_reason)``, the reason ``None`` when healthy."""
         payload = dict(payload)
         if cancel is None:
             cancel = cancel_token_from_payload(payload)
@@ -484,25 +544,26 @@ class SearchService:
                     f"target_ms must be a number: {target!r}"
                 ) from exc
         query = FrontQuery.from_dict(payload)
-        degraded_reason: Optional[str] = None
-        served_query: Optional[FrontQuery] = None
         try:
-            cached = self.front(query, cancel=cancel)
+            return query, target, self.front(query, cancel=cancel), None
         except BreakerOpenError:
             cached, degraded_reason = self._degraded_fallback(query)
-            served_query = cached.query
             self.metrics.record_degraded()
-        response = {
-            "query": query.to_dict(),
-            "target_ms": target,
-            "num_evaluations": cached.num_evaluations,
-            "front": [p.to_dict() for p in cached.front],
-        }
+            return query, target, cached, degraded_reason
+
+    @staticmethod
+    def _response(
+        query: FrontQuery,
+        target: Optional[float],
+        cached: CachedFront,
+        degraded_reason: Optional[str],
+    ) -> dict:
+        response = cached.response(query, target)
         if degraded_reason is not None:
             response["degraded"] = True
             response["degraded_reason"] = degraded_reason
-            if served_query is not None and served_query != query:
-                response["served_query"] = served_query.to_dict()
+            if cached.query != query:
+                response["served_query"] = cached.query.to_dict()
         if target is not None:
             try:
                 best = Nsga2Result(front=list(cached.front)).knee_under(

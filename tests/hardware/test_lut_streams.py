@@ -180,6 +180,33 @@ class TestStreamEquivalence:
         )
         _assert_same(built, historical_build(space, dev, 4, 2, retry=NO_WAIT))
 
+    @pytest.mark.skipif(not fork_available(), reason="requires fork")
+    def test_workers_on_a_flaky_device_match_serial(self, spaces):
+        """A flaky device's one fault stream is drawn in cell order
+        whatever the worker count: same values, degradation and
+        device counters."""
+
+        def build(workers):
+            device = FlakyDevice(
+                calibrated_devices()["edge"], failure_rate=0.3, seed=1
+            )
+            lut = LatencyLUT.build(
+                spaces["mini"], device, workers=workers,
+                retry=RetryPolicy(attempts=2, backoff_s=0),
+            )
+            counters = (
+                device.probes,
+                device.injected_failures,
+                device.injected_timeouts,
+            )
+            return lut, counters
+
+        serial, serial_counters = build(0)
+        fanned, fanned_counters = build(2)
+        assert serial.build_degradation.missing_cells > 0
+        _assert_same(fanned, serial)
+        assert fanned_counters == serial_counters
+
 
 class TestNoiseDraw:
     @pytest.mark.parametrize("sigma", [0.0, 0.02, 0.055, 0.3, 1.7])

@@ -34,8 +34,11 @@ outlives the storm.
 ``--drain`` saturates the daemon, SIGTERMs it (pid from
 ``endpoint.json``) while requests are in flight, and asserts the
 graceful half of the drain: every admitted request is still answered
-200; refused connections are the only other acceptable outcome. The
-daemon's exit code and drain line are the caller's to check.
+200; refused connections are the only other acceptable outcome. It
+holds one idle kept-alive connection and one silent socket (connected,
+never sending) open across the SIGTERM and asserts the daemon closes
+both at once instead of waiting on them. The daemon's exit code and
+drain line are the caller's to check.
 
 Exit 0 on success; any broken contract raises (non-zero exit).
 """
@@ -44,9 +47,11 @@ import argparse
 import json
 import os
 import signal
+import socket
 import sys
 import threading
 import time
+from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import urlencode
 
@@ -256,6 +261,18 @@ def _chaos_drill(client: ServeClient) -> None:
     )
 
 
+def _assert_closed_by_daemon(sock: socket.socket, what: str) -> None:
+    """The daemon closes ``sock`` within the socket's 30 s timeout."""
+    try:
+        data = sock.recv(1)
+    except ConnectionResetError:
+        data = b""
+    except socket.timeout:
+        raise AssertionError(f"drain left the {what} open") from None
+    assert data == b"", f"{what} received {data!r} during the drain"
+    print(f"drain closed the {what}")
+
+
 def _drain_drill(client: ServeClient, state_dir: str) -> None:
     """SIGTERM under load: admitted requests answered, then a clean exit."""
     endpoint = json.loads(
@@ -292,8 +309,20 @@ def _drain_drill(client: ServeClient, state_dir: str) -> None:
         time.sleep(0.05)
     else:
         raise AssertionError("no request ever went in flight")
+    # One connection that never sends a byte, and one kept alive idle
+    # after a request: the drain must close both, not wait on them. The
+    # daemon accepts in connect order, so the answered request shows it
+    # accepted the silent connection too.
+    silent = socket.create_connection((client.host, client.port), timeout=30)
+    idle = HTTPConnection(client.host, client.port, timeout=30)
+    idle.request("GET", "/healthz")
+    assert idle.getresponse().read() == b'{"status": "ok"}\n'
     os.kill(pid, signal.SIGTERM)
     print(f"SIGTERM sent to pid {pid} with work in flight")
+    _assert_closed_by_daemon(idle.sock, "idle kept-alive connection")
+    _assert_closed_by_daemon(silent, "silent connection")
+    idle.close()
+    silent.close()
 
     for t in threads:
         t.join(timeout=600)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.serve import FrontQuery, SearchService, ServeConfig
 from repro.serve.pipeline import space_for_layout
+from repro.serve.service import _json_bytes
 from repro.tabular import TabularArtifactError, save_artifact, tabulate
 
 # The mini layout is the only registered layout small enough to
@@ -57,6 +58,15 @@ class TestCoveredReplay:
             "computed": 1, "warm_precomputed": 0, "replayed": 1,
             "restored": 0,
         }
+
+    def test_replayed_front_encodes_the_live_bytes(self, mini_artifact):
+        payload = dict(MINI_QUERY_KW)
+        live = SearchService(ServeConfig(backend="serial", quiet=True))
+        replaying = SearchService(replay_config(mini_artifact))
+        body = replaying.resolve_bytes(payload)
+        assert replaying.metrics.snapshot()["fronts"]["replayed"] == 1
+        assert body == _json_bytes(replaying.resolve(payload))
+        assert body == live.resolve_bytes(payload)
 
     def test_repeat_covered_query_hits_front_cache(self, mini_artifact):
         service = SearchService(replay_config(mini_artifact))

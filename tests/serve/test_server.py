@@ -7,7 +7,8 @@ from urllib.parse import urlencode
 import pytest
 
 from repro.serve import ServeClient, ServeConfig, ServeError, start_server
-from repro.serve.server import ENDPOINT_FILE, _json_bytes
+from repro.serve.server import ENDPOINT_FILE
+from repro.serve.service import _json_bytes
 
 from tests.serve.conftest import SMALL_QUERY_KW
 

@@ -14,7 +14,7 @@ from repro.serve.pipeline import (
     front_search,
     space_for_layout,
 )
-from repro.serve.service import CachedFront
+from repro.serve.service import CachedFront, _json_bytes
 
 from tests.serve.conftest import SMALL_QUERY_KW
 
@@ -134,32 +134,34 @@ class TestResolve:
             service.resolve({**SMALL_QUERY_KW, "tarmac": 1})
 
 
+def _gate_compute(monkeypatch):
+    """Patch _compute to block until released, counting real calls."""
+    release = threading.Event()
+    computed = []
+    original = SearchService._compute
+
+    def gated(self, query, warm, cancel=None):
+        computed.append(query)
+        assert release.wait(timeout=60), "gate never released"
+        return original(self, query, warm, cancel=cancel)
+
+    monkeypatch.setattr(SearchService, "_compute", gated)
+    return release, computed
+
+
+def _await_value(read, want, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while read() < want:
+        assert time.monotonic() < deadline, "condition never reached"
+        time.sleep(0.005)
+
+
 class TestCoalescing:
-    def _gate_compute(self, monkeypatch):
-        """Patch _compute to block until released, counting real calls."""
-        release = threading.Event()
-        computed = []
-        original = SearchService._compute
-
-        def gated(self, query, warm, cancel=None):
-            computed.append(query)
-            assert release.wait(timeout=60), "gate never released"
-            return original(self, query, warm, cancel=cancel)
-
-        monkeypatch.setattr(SearchService, "_compute", gated)
-        return release, computed
-
-    def _await_value(self, read, want, timeout=30.0):
-        deadline = time.monotonic() + timeout
-        while read() < want:
-            assert time.monotonic() < deadline, "condition never reached"
-            time.sleep(0.005)
-
     def test_identical_concurrent_queries_share_one_computation(
         self, monkeypatch, serial_config, small_query
     ):
         service = SearchService(serial_config)
-        release, computed = self._gate_compute(monkeypatch)
+        release, computed = _gate_compute(monkeypatch)
         results = [None] * 5
 
         def worker(i):
@@ -172,7 +174,7 @@ class TestCoalescing:
             t.start()
         # One leader is inside the gated compute; the other four must
         # all have registered as coalesced followers before we release.
-        self._await_value(lambda: service.metrics.coalesced, 4)
+        _await_value(lambda: service.metrics.coalesced, 4)
         assert len(computed) == 1
         release.set()
         for t in threads:
@@ -190,7 +192,7 @@ class TestCoalescing:
         self, monkeypatch, serial_config, small_query
     ):
         service = SearchService(serial_config)
-        release, computed = self._gate_compute(monkeypatch)
+        release, computed = _gate_compute(monkeypatch)
         other = replace(small_query, seed=small_query.seed + 1)
         results = {}
 
@@ -205,7 +207,7 @@ class TestCoalescing:
             t.start()
         # Both are leaders of distinct keys: two real computations are
         # in flight simultaneously, nobody coalesces.
-        self._await_value(lambda: len(computed), 2)
+        _await_value(lambda: len(computed), 2)
         release.set()
         for t in threads:
             t.join(timeout=60)
@@ -235,7 +237,7 @@ class TestCoalescing:
         threads = [threading.Thread(target=worker) for _ in range(3)]
         for t in threads:
             t.start()
-        self._await_value(lambda: service.metrics.coalesced, 2)
+        _await_value(lambda: service.metrics.coalesced, 2)
         release.set()
         for t in threads:
             t.join(timeout=60)
@@ -292,3 +294,76 @@ class TestWarmRestart:
         )
         assert clone == served
         assert clone.key() == small_query.key()
+
+
+class TestEncodedBody:
+    """A healthy answer without ``target_ms`` is encoded once per cached
+    front; every other answer is encoded per request."""
+
+    def test_computed_front_is_encoded_once(self, serial_config):
+        service = SearchService(serial_config)
+        payload = dict(SMALL_QUERY_KW)
+        body = service.resolve_bytes(payload)
+        assert body == _json_bytes(service.resolve(payload))
+        assert service.resolve_bytes(payload) is body
+
+    def test_coalesced_followers_share_the_leaders_body(
+        self, monkeypatch, serial_config
+    ):
+        service = SearchService(serial_config)
+        release, computed = _gate_compute(monkeypatch)
+        bodies = [None] * 3
+
+        def worker(i):
+            bodies[i] = service.resolve_bytes(dict(SMALL_QUERY_KW))
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(3)
+        ]
+        for t in threads:
+            t.start()
+        _await_value(lambda: service.metrics.coalesced, 2)
+        release.set()
+        for t in threads:
+            t.join(timeout=60)
+        assert len(computed) == 1
+        assert all(body is bodies[0] for body in bodies)
+        assert bodies[0] == _json_bytes(service.resolve(dict(SMALL_QUERY_KW)))
+
+    def test_restored_front_encodes_the_same_bytes(self, tmp_path):
+        config = ServeConfig(
+            backend="serial", quiet=True, state_dir=str(tmp_path / "state")
+        )
+        payload = dict(SMALL_QUERY_KW)
+        first = SearchService(config)
+        body = first.resolve_bytes(payload)
+        first.close()
+        saved = first._checkpoint.load()["cache"]["entries"]
+        # The snapshot holds the front, not its encoded bytes.
+        assert [set(entry) for entry in saved] == [
+            {"query", "front", "num_evaluations"}
+        ]
+
+        second = SearchService(config)
+        assert second.resolve_bytes(payload) == body
+        assert _json_bytes(second.resolve(payload)) == body
+        assert second.metrics.front_computations == 0
+
+    def test_target_and_degraded_answers_are_never_memoized(
+        self, small_query
+    ):
+        service = SearchService(
+            ServeConfig(backend="serial", quiet=True, breaker_failures=1)
+        )
+        with_target = {**SMALL_QUERY_KW, "target_ms": 1e9}
+        body = service.resolve_bytes(with_target)
+        assert body == _json_bytes(service.resolve(with_target))
+        entry = service.front(small_query)
+        assert "body" not in vars(entry)
+
+        service.breaker.record_failure()
+        degraded = {**SMALL_QUERY_KW, "seed": small_query.seed + 6}
+        body = service.resolve_bytes(degraded)
+        assert json.loads(body)["degraded"] is True
+        assert body == _json_bytes(service.resolve(degraded))
+        assert "body" not in vars(entry)
