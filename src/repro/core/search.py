@@ -16,8 +16,8 @@ Given a target device and latency constraint ``T``, the pipeline
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Tuple
-
 
 from repro.accuracy.surrogate import AccuracySurrogate
 from repro.core.cache import EvaluationCache
@@ -248,8 +248,19 @@ class HSCoNAS:
     # left off; a payload missing any of these predates this format.
     _PREDICTOR_KEYS = ("lut", "bias_ms", "profiler_rng", "ledger", "degradation")
 
-    def _restore_predictor(self, saved: dict) -> LatencyPredictor:
+    def _restore_predictor(self, saved: dict, source: Path) -> LatencyPredictor:
         lut = LatencyLUT.from_json(saved["lut"])
+        # The LUT may lack only the cells whose probes failed for good,
+        # which a degraded build leaves out too.
+        missing, first = lut.uncovered(self.space)
+        failed = saved["degradation"].get("missing_cells", 0)
+        if missing > failed:
+            raise RunStateError(
+                f"predictor checkpoint in {source} does not cover the "
+                f"search space: {first} ({missing} missing, "
+                f"{failed} recorded as failed probes); start a new run "
+                "with --run-dir"
+            )
         self.ledger.restore(saved["ledger"])
         self.degradation.restore(saved["degradation"])
         self.profiler.set_rng_state(saved["profiler_rng"])
@@ -282,7 +293,10 @@ class HSCoNAS:
 
         The profiler's measurement-noise rng state is saved *after*
         bias calibration, so the final verification measurement of a
-        resumed run draws the same noise as an uninterrupted one.
+        resumed run draws the same noise as an uninterrupted one. A
+        restored LUT must hold every cell of the space except those its
+        saved degradation report counts as failed probes; any other
+        hole raises :class:`RunStateError` before the shrink phase.
         """
         if run_state is None:
             return self.build_predictor()
@@ -296,7 +310,7 @@ class HSCoNAS:
                     f"{', '.join(missing)} (written by an older version); "
                     "start a new run with --run-dir"
                 )
-            return self._restore_predictor(saved)
+            return self._restore_predictor(saved, run_state.path)
         predictor = self.build_predictor()
         checkpoint.save(self._predictor_payload(predictor), complete=True)
         return predictor

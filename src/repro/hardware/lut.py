@@ -450,6 +450,27 @@ class LatencyLUT:
             f"op={nearest[1]} cin={nearest[2]} factor={nearest[3]}"
         )
 
+    def uncovered(self, space: SearchSpace) -> Tuple[int, str]:
+        """How many cells of ``space`` this LUT lacks, and a one-line
+        message naming the first with its nearest present cell (empty
+        when none is missing). Operator cells come first, then heads."""
+        cells = self.cells(space)
+        holes = [
+            key
+            for key, entry in zip(cells.keys[cells.operators], cells.entry_keys)
+            if entry not in self.entries
+        ]
+        heads = [cin for cin in cells.head_cins if cin not in self.head_ms]
+        if holes:
+            return len(holes) + len(heads), self._miss_message(*holes[0])
+        if not heads:
+            return 0, ""
+        message = f"LUT has no head cell for cin={heads[0]}"
+        if self.head_ms:
+            nearest = min(self.head_ms, key=lambda c: (abs(c - heads[0]), c))
+            message += f"; nearest existing head cell is cin={nearest}"
+        return len(heads), message
+
     def sum_ops_ms(
         self,
         arch: Architecture,

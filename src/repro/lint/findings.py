@@ -1,11 +1,10 @@
 """Findings: the common currency of every lint rule.
 
-Both halves of ``repro.lint`` — the AST code lint and the domain
-checkers — report :class:`Finding` objects. A finding carries a stable
-rule id (``RL1xx`` for code rules, ``RD2xx`` for domain rules), a
-severity, a human message, and a location: ``file:line:col`` for code
-findings, a logical ``component`` (e.g. ``lut:edge/imagenet-a``) for
-domain findings.
+The AST code lint and the flow analyses both report :class:`Finding`
+objects. A finding carries a stable rule id (``RL1xx`` for code rules,
+``RF3xx`` for flow rules), a severity, a human message, and a location:
+``file:line:col`` for code findings, a logical ``component`` (e.g.
+``baseline:lint_baseline.json``) for a stale baseline entry.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ class Finding:
     """One rule violation.
 
     Exactly one of (``file``, ``component``) is normally set: code
-    findings point into a source file, domain findings at a logical
-    artifact (a LUT, a space, a config).
+    findings point into a source file, a stale-baseline finding at the
+    baseline file as a whole.
     """
 
     rule_id: str
@@ -67,7 +66,7 @@ class Finding:
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
     """Stable report order: file findings first (by path/line/col), then
-    domain findings by component and rule id."""
+    component findings by component and rule id."""
     return sorted(
         findings,
         key=lambda f: (

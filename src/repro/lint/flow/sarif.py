@@ -8,7 +8,7 @@ with findings inline. The emitter maps the lint's own schema onto it:
   catalog (id, name, help text) so the UI can render rule metadata;
 * one ``result`` per finding, ``error`` -> ``"error"`` level,
   ``warning`` -> ``"warning"``; code findings carry a physical
-  location (uri + line/column), domain findings a logical one.
+  location (uri + line/column), a stale-baseline finding a logical one.
 
 The output is deterministic (sorted findings, sorted keys) so the
 snapshot test can diff it byte-for-byte.
@@ -31,12 +31,9 @@ SARIF_SCHEMA = (
 def _rule_catalog(rule_ids: Iterable[str]) -> List[Dict]:
     """Metadata for every rule that appears in the findings (plus any
     registered rule, so the catalog is stable across runs)."""
-    from repro.lint.rules import CODE_RULES, DOMAIN_RULES
+    from repro.lint.rules import CODE_RULES
 
-    known = {}
-    for registry in (CODE_RULES, DOMAIN_RULES):
-        for rule in registry.all():
-            known[rule.rule_id] = rule
+    known = {rule.rule_id: rule for rule in CODE_RULES.all()}
     catalog = []
     for rule_id in sorted(set(rule_ids)):
         rule = known.get(rule_id)

@@ -1,8 +1,8 @@
 """Rule framework: registry, metadata, and inline suppression.
 
 A :class:`Rule` is pure metadata (id, name, default severity, rationale)
-shared by the report renderer and the docs. Checkers — AST visitors or
-domain functions — reference their rule and emit
+shared by the report renderer and the docs. Checkers — AST visitors and
+flow analyses — reference their rule and emit
 :class:`~repro.lint.findings.Finding` objects.
 
 Inline suppression mirrors the usual lint idiom::
@@ -12,9 +12,9 @@ Inline suppression mirrors the usual lint idiom::
     entries[0.5] = ms  # repro-lint: disable
 
 A bare ``disable`` suppresses every rule on that line; named forms
-suppress only the listed ids. Suppression applies to *code* findings
-(they have a file/line); domain findings cannot be suppressed inline —
-fix the artifact instead.
+suppress only the listed ids. Suppression applies to findings with a
+file/line; a stale-baseline finding (``RF399``) has neither — delete
+the dead baseline entry instead.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class RuleRegistry:
 
 
 CODE_RULES = RuleRegistry()
-DOMAIN_RULES = RuleRegistry()
 
 
 def suppressed_rules(source_line: str) -> Optional[Set[str]]:

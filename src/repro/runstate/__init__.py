@@ -5,7 +5,7 @@ The subsystem behind ``repro search --resume RUN_DIR``:
 * :mod:`repro.runstate.atomic` — write-then-rename file emission, used
   by every JSON artifact the stack produces.
 * :mod:`repro.runstate.manifest` — the versioned ``manifest.json``
-  schema (validated both at resume time and by the RD211 lint check).
+  schema, validated when a run directory is opened for resume.
 * :mod:`repro.runstate.rundir` — :class:`RunDir` (checkpoint storage
   with self-checksummed files) and :class:`PhaseCheckpoint` (the handle
   search components save intra-phase progress through).

@@ -7,14 +7,13 @@ the ordered list of pipeline phases with their completion status. The
 per-phase *state* lives in separate self-checksummed checkpoint files
 (see :mod:`repro.runstate.rundir`); the manifest only records identity
 and progress, which keeps its update window tiny and its validation
-cheap — the properties the RD211 lint check and ``--resume`` both rely
-on.
+cheap — the properties ``--resume`` relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -87,9 +86,8 @@ class RunManifest:
 def validate_manifest_dict(payload: object) -> List[str]:
     """Schema/consistency problems of a raw manifest payload.
 
-    Returns human-readable problem strings (empty = valid). Shared by
-    :meth:`RunManifest.from_dict` and the RD211 lint check so both
-    enforce exactly the same contract.
+    Returns human-readable problem strings (empty = valid);
+    :meth:`RunManifest.from_dict` joins them into one error.
     """
     problems: List[str] = []
     if not isinstance(payload, dict):

@@ -14,7 +14,9 @@ previous good version or the new good version. The manifest is the
 the *truth* for intra-phase progress — a checkpoint's own ``complete``
 flag wins over the manifest status, which closes the race where a
 checkpoint lands on disk but the process dies before the manifest
-update.
+update. No crash window produces the reverse (a manifest that marks a
+phase complete whose checkpoint is missing or in progress) or a
+checkpoint that names another phase, so reading one fails in one line.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class RunStateError(Exception):
 
 
 class CorruptCheckpointError(RunStateError):
-    """A checkpoint file failed its self-checksum or schema check."""
+    """A checkpoint file failed its self-checksum or schema check, or
+    contradicts the manifest."""
 
 
 def _canonical_json(record: dict) -> str:
@@ -191,9 +194,10 @@ class RunDir:
     def load_checkpoint(self, phase: str) -> Optional[dict]:
         """The validated checkpoint *record* for a phase, or ``None``.
 
-        Raises :class:`CorruptCheckpointError` when the file exists but
-        fails validation — a resume must never silently continue from
-        damaged state.
+        Raises :class:`CorruptCheckpointError` when the file fails
+        validation, names another phase, or contradicts a manifest that
+        marks the phase complete (file missing, or still in progress) —
+        a resume must never silently continue from damaged state.
         """
         if phase not in self.manifest.phases:
             raise RunStateError(
@@ -201,42 +205,61 @@ class RunDir:
                 f"(expected one of {self.manifest.phase_order})"
             )
         target = self._checkpoint_path(phase)
+        marked_complete = self.manifest.status(phase) == PHASE_COMPLETE
+        # A phase the manifest marks complete cannot be redone alone:
+        # later phases were built on it.
+        remedy = (
+            "restart the run in a fresh directory"
+            if marked_complete
+            else f"delete it to restart the {phase!r} phase"
+        )
         if not target.exists():
+            if marked_complete:
+                raise CorruptCheckpointError(
+                    f"phase {phase!r} is marked complete but its checkpoint "
+                    f"{target} is missing; {remedy}"
+                )
             return None
         try:
             envelope = json.loads(target.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(
-                f"checkpoint {target} is unreadable ({exc}); delete it to "
-                f"restart the {phase!r} phase from its last phase boundary"
+                f"checkpoint {target} is unreadable ({exc}); {remedy}"
             ) from exc
         record = envelope.get("record") if isinstance(envelope, dict) else None
         stated = envelope.get("sha256") if isinstance(envelope, dict) else None
         if not isinstance(record, dict) or not isinstance(stated, str):
             raise CorruptCheckpointError(
-                f"checkpoint {target} has an unexpected layout; delete it "
-                f"to restart the {phase!r} phase"
+                f"checkpoint {target} has an unexpected layout; {remedy}"
             )
         actual = sha256_text(_canonical_json(record))
         if actual != stated:
             raise CorruptCheckpointError(
                 f"checkpoint {target} failed its checksum (expected "
-                f"{stated[:12]}…, got {actual[:12]}…); delete it to restart "
-                f"the {phase!r} phase"
+                f"{stated[:12]}…, got {actual[:12]}…); {remedy}"
             )
         if record.get("format") != CHECKPOINT_FORMAT:
             raise CorruptCheckpointError(
                 f"checkpoint {target} has format {record.get('format')!r}; "
                 f"this build reads format {CHECKPOINT_FORMAT}"
             )
+        if record.get("phase") != phase:
+            raise CorruptCheckpointError(
+                f"checkpoint {target} belongs to phase "
+                f"{record.get('phase')!r}, not {phase!r}; {remedy}"
+            )
+        if marked_complete and not record.get("complete"):
+            raise CorruptCheckpointError(
+                f"phase {phase!r} is marked complete but its checkpoint "
+                f"{target} is still in progress; {remedy}"
+            )
         return record
 
     def phase_complete(self, phase: str) -> bool:
-        """Whether a phase finished (checkpoint flag wins over manifest)."""
+        """Whether a phase finished: its checkpoint says so (the manifest
+        may lag one write behind it)."""
         record = self.load_checkpoint(phase)
-        if record is not None:
-            return bool(record["complete"])
-        return self.manifest.status(phase) == PHASE_COMPLETE
+        return record is not None and bool(record["complete"])
 
 
 class PhaseCheckpoint:

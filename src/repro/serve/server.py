@@ -61,6 +61,9 @@ IDLE_TIMEOUT_S = 5.0
 # How often the accept loop checks for a shutdown request: the longest
 # a drain waits before it stops accepting.
 SHUTDOWN_POLL_S = 0.05
+# The largest ``POST /query`` body the daemon reads; a query is a few
+# hundred bytes, and a read allocates what ``Content-Length`` declares.
+MAX_BODY_BYTES = 64 * 1024
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -238,6 +241,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         if url.path != "/query":
             self._reply(404, {"error": f"unknown path {url.path!r}"})
             return
+        if "Transfer-Encoding" in self.headers:
+            self._reply(411, {"error": "send the query with a Content-Length"})
+            return
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
@@ -245,8 +251,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._reply(400, {"error": f"bad Content-Length: {exc}"})
             return
+        if length > MAX_BODY_BYTES:
+            self._reply(
+                413, {"error": f"query body over {MAX_BODY_BYTES} bytes"}
+            )
+            return
         raw = self.rfile.read(length)
-        self._unread_body = "Transfer-Encoding" in self.headers
+        self._unread_body = False
         try:
             payload = json.loads(raw or b"{}")
             if not isinstance(payload, dict):

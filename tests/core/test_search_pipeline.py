@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import EvolutionConfig, HSCoNAS, HSCoNASConfig
 from repro.hardware import get_device
+from repro.hardware.faults import FlakyDevice, RetryPolicy
+from repro.runstate import RunDir
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +96,45 @@ class TestPipeline:
             proxy_space, get_device("gpu"), quick_config
         ).run()
         assert fast.measured_latency_ms < slow_result.measured_latency_ms
+
+
+def _fingerprint(result):
+    return {
+        "arch": result.arch.to_dict(),
+        "errors": (result.top1_error, result.top5_error),
+        "latency_ms": (
+            result.predicted_latency_ms,
+            result.measured_latency_ms,
+            result.bias_ms,
+        ),
+        "cache_stats": result.search.cache_stats,
+        "generations": [g.best.score for g in result.search.generations],
+        "shrink": result.shrink.to_dict(),
+        "missing_cells": result.degradation.missing_cells,
+    }
+
+
+class TestDegradedResume:
+    def test_resume_after_predictor_phase_matches_uninterrupted_run(
+        self, proxy_space, quick_config, tmp_path
+    ):
+        # A degraded LUT lacks the cells whose probes failed for good; a
+        # resume must accept exactly those holes.
+        from dataclasses import replace
+
+        cfg = replace(
+            quick_config,
+            retry=RetryPolicy(attempts=2, backoff_s=0.0),
+            degraded_ok=True,
+        )
+
+        def flaky():
+            return FlakyDevice(get_device("gpu"), failure_rate=0.05, seed=1)
+
+        uninterrupted = HSCoNAS(proxy_space, flaky(), cfg).run()
+        assert uninterrupted.degradation.missing_cells > 0
+        run = RunDir.create(tmp_path / "run", "search", {}, HSCoNAS.PHASES)
+        # The killed process got as far as the predictor checkpoint.
+        HSCoNAS(proxy_space, flaky(), cfg).checkpointed_predictor(run)
+        resumed = HSCoNAS(proxy_space, flaky(), cfg).run(RunDir.open(run.path))
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)

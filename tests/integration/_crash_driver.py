@@ -7,7 +7,9 @@ the Nth checkpoint save of that phase lands — a real process death at a
 checkpoint boundary, which is exactly the window an external ``kill -9``
 hits. The test harness then re-invokes the driver with the same run
 directory (no --crash) and asserts the fingerprint matches an
-uninterrupted run bit-for-bit.
+uninterrupted run bit-for-bit. A run directory that cannot be resumed
+ends the driver as it ends ``repro --resume``: one ``error:`` line on
+stderr and exit status 2.
 
 Usage:
     python _crash_driver.py RUN_DIR OUT_JSON --workers N \
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from repro.core import EvolutionConfig, HSCoNAS, HSCoNASConfig
 from repro.hardware import get_device
-from repro.runstate import RunDir
+from repro.runstate import RunDir, RunStateError
 from repro.runstate.atomic import atomic_write_json
 from repro.space import SearchSpace, proxy
 
@@ -91,16 +93,21 @@ def main() -> int:
     config = make_config(args.workers)
     space = SearchSpace(proxy())
     run_config = {"target_ms": config.target_ms, "seed": config.seed}
-    if args.run_dir.exists():
-        run_state = RunDir.open(
-            args.run_dir, expect_kind="search", expect_config=run_config
+    try:
+        if args.run_dir.exists():
+            run_state = RunDir.open(
+                args.run_dir, expect_kind="search", expect_config=run_config
+            )
+        else:
+            run_state = RunDir.create(
+                args.run_dir, "search", run_config, HSCoNAS.PHASES
+            )
+        result = HSCoNAS(space, get_device("gpu"), config).run(
+            run_state=run_state
         )
-    else:
-        run_state = RunDir.create(
-            args.run_dir, "search", run_config, HSCoNAS.PHASES
-        )
-
-    result = HSCoNAS(space, get_device("gpu"), config).run(run_state=run_state)
+    except RunStateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     atomic_write_json(args.out, fingerprint(result))
     return 0
 

@@ -1,12 +1,14 @@
-"""End-to-end CLI behaviour: exit codes, formats, domain mode."""
+"""End-to-end CLI behaviour: exit codes, formats, strict mode."""
 
 import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.hardware import LatencyLUT, get_device
 from repro.lint.cli import main
-from repro.space import SearchSpace, proxy
+from repro.runstate import RunDir
+from repro.space import SearchSpace, mini, proxy
 
 CLEAN = "def f(x, rng):\n    return rng.normal()\n"
 VIOLATION = "import numpy as np\n\nnp.random.seed(0)\n"
@@ -62,107 +64,92 @@ class TestCodeLintCli:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--domain"],
+            ["--preset", "mini"],
+            ["--build-lut"],
+            ["--lut", "lut.json"],
+            ["--device", "edge"],
+            ["--run-dir", "run"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_retired_artifact_options_are_usage_errors(
+        self, clean_file, option
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([clean_file] + option)
+        assert exc.value.code == 2
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "RL101" in out and "RD201" in out
+        assert "RL101" in out and "RD2" not in out
 
 
 class TestDomainCli:
-    def test_presets_are_clean(self, capsys):
-        assert main(["--domain"]) == 0
+    """What the retired ``--domain --lut``/``--build-lut`` modes proved,
+    checked where a LUT enters a run: a resume reads its LUT back from
+    JSON, and ``HSCoNAS`` refuses it unless ``uncovered`` allows it."""
 
-    def test_saved_lut_coverage_clean(self, tmp_path, capsys):
+    def test_saved_lut_coverage_clean(self):
         space = SearchSpace(proxy())
         lut = LatencyLUT.build(
             space, get_device("edge"), samples_per_cell=1, seed=0
         )
-        path = tmp_path / "lut.json"
-        path.write_text(lut.to_json())
-        assert main(
-            ["--domain", "--preset", "proxy", "--lut", str(path)]
-        ) == 0
+        assert LatencyLUT.from_json(lut.to_json()).uncovered(space) == (0, "")
 
-    def test_hole_punched_lut_fails_and_names_cell(self, tmp_path, capsys):
+    def test_hole_punched_lut_fails_and_names_cell(self):
         space = SearchSpace(proxy())
         lut = LatencyLUT.build(
             space, get_device("edge"), samples_per_cell=1, seed=0
         )
         victim = sorted(lut.entries)[0]
         del lut.entries[victim]
-        path = tmp_path / "lut.json"
-        path.write_text(lut.to_json())
-        assert main(
-            ["--domain", "--preset", "proxy", "--lut", str(path)]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "RD201" in out
+        missing, message = LatencyLUT.from_json(lut.to_json()).uncovered(space)
+        assert missing == 1
         layer, op, cin, _factor = victim
-        assert f"layer={layer} op={op} cin={cin}" in out
+        assert f"layer={layer} op={op} cin={cin}" in message
 
-    def test_build_lut_coverage(self, capsys):
-        assert main(
-            ["--domain", "--preset", "mini", "--build-lut",
-             "--device", "edge"]
-        ) == 0
+    def test_build_lut_coverage(self):
+        space = SearchSpace(mini())
+        lut = LatencyLUT.build(space, get_device("edge"), samples_per_cell=1)
+        assert lut.uncovered(space) == (0, "")
 
-    def test_lut_and_build_lut_conflict(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--domain", "--lut", "x.json", "--build-lut"])
-        assert exc.value.code == 2
-
-    def test_missing_lut_file_is_one_line_error(self, capsys):
-        assert main(["--domain", "--lut", "no/such/lut.json"]) == 2
+    def test_missing_lut_file_is_one_line_error(self, tmp_path, capsys):
+        # The LUT a resume reads is the completed predictor checkpoint.
+        argv = ["--out", str(tmp_path / "out"), "shrink", "--layout", "mini",
+                "--quality-samples", "2"]
+        run_dir = str(tmp_path / "run")
+        assert repro_main(argv + ["--run-dir", run_dir]) == 0
+        RunDir.open(run_dir)._checkpoint_path("predictor").unlink()
+        capsys.readouterr()
+        assert repro_main(argv + ["--resume", run_dir]) == 2
         err = capsys.readouterr().err
-        assert "does not exist" in err
-        assert "Traceback" not in err
+        assert "predictor" in err and "is missing" in err
+        assert err.count("\n") == 1
 
 
 class TestRunDirCli:
-    def _make_run(self, tmp_path):
-        from repro.runstate import RunDir
-
-        return RunDir.create(
-            tmp_path / "run",
-            kind="search",
-            config={"seed": 0},
-            phase_order=("predictor", "shrink", "search"),
-        )
-
-    def test_valid_run_dir_exits_zero(self, tmp_path, capsys):
-        run = self._make_run(tmp_path)
-        run.save_checkpoint("predictor", {"x": 1}, complete=True)
-        assert main(["--run-dir", str(run.path)]) == 0
-
-    def test_tampered_run_dir_fails_with_rd211(self, tmp_path, capsys):
-        run = self._make_run(tmp_path)
-        run.save_checkpoint("search", {"gen": 1})
-        target = run._checkpoint_path("search")
-        envelope = json.loads(target.read_text())
-        envelope["record"]["payload"]["gen"] = 2
-        target.write_text(json.dumps(envelope))  # repro-lint: disable=RL106
-        assert main(["--run-dir", str(run.path)]) == 1
-        assert "RD211" in capsys.readouterr().out
+    """The retired ``--run-dir`` audit is the resume itself."""
 
     def test_missing_run_dir_is_one_line_error(self, capsys):
-        assert main(["--run-dir", "no/such/run"]) == 2
+        assert repro_main(["shrink", "--resume", "no/such/run"]) == 2
         err = capsys.readouterr().err
         assert "does not exist" in err
-        assert "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 class TestStrictMode:
-    def test_warning_passes_without_strict(self):
-        # Domain warning: RD200 (LUT built for another device) is a
+    def test_warning_passes_without_strict(self, tmp_path):
+        # RL106 (a JSON artifact written without the atomic helper) is a
         # warning, so non-strict passes and strict fails.
-        from repro.lint import check_lut_coverage
-        from repro.lint.findings import exit_code
-
-        space = SearchSpace(proxy())
-        lut = LatencyLUT.build(
-            space, get_device("edge"), samples_per_cell=1, seed=0
+        path = tmp_path / "save.py"
+        path.write_text(
+            "import json\n\n\ndef save(path, obj):\n"
+            "    path.write_text(json.dumps(obj))\n"
         )
-        findings = check_lut_coverage(space, lut, expected_device="gpu")
-        assert [f.rule_id for f in findings] == ["RD200"]
-        assert exit_code(findings, strict=False) == 0
-        assert exit_code(findings, strict=True) == 1
+        assert main([str(path)]) == 0
+        assert main([str(path), "--strict"]) == 1

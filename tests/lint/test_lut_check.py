@@ -1,12 +1,12 @@
-"""LUT-coverage checker: complete LUTs are silent, hole-punched LUTs
-name the exact missing cell and its nearest present neighbour."""
+"""LUT coverage (retired rules RD201/RD202), now ``LatencyLUT.uncovered``:
+a complete LUT has no hole, a hole-punched one names the exact missing
+cell and its nearest present neighbour. ``HSCoNAS`` applies it to every
+LUT a resume restores (``tests/test_cli.py`` covers that path)."""
 
 import pytest
 
 from repro.hardware import LatencyLUT, get_device
 from repro.hardware.lut import _cell_key, layer_cin_choices
-from repro.lint.findings import Severity
-from repro.lint.lut_check import check_lut_coverage
 from repro.space import SearchSpace, imagenet_a, proxy
 
 
@@ -26,7 +26,8 @@ def lut(space, device):
 
 
 class TestReachableSet:
-    """The checker reads the build's own enumeration, LatencyLUT.cells."""
+    """The coverage check reads the build's own enumeration,
+    LatencyLUT.cells."""
 
     def test_matches_lut_build_enumeration(self, space, lut):
         cells = LatencyLUT.cells(space)
@@ -59,55 +60,52 @@ class TestReachableSet:
 
 class TestCoverage:
     def test_full_lut_is_clean(self, space, lut):
-        assert check_lut_coverage(space, lut) == []
+        assert lut.uncovered(space) == (0, "")
 
     def test_removed_cell_is_named_exactly(self, space, lut):
         victim = sorted(lut.entries)[7]
         del lut.entries[victim]
-        findings = check_lut_coverage(space, lut)
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.rule_id == "RD201"
-        assert f.severity is Severity.ERROR
+        missing, message = lut.uncovered(space)
+        assert missing == 1
         layer, op, cin, factor = victim
-        assert f"layer={layer} op={op} cin={cin}" in f.message
-        assert f"factor={factor}" in f.message
-        assert "nearest existing cell" in f.message
+        assert f"layer={layer} op={op} cin={cin}" in message
+        assert f"factor={factor}" in message
+        assert "nearest existing cell" in message
 
     def test_removed_head_cell_fires_rd202(self, space, lut):
         victim = sorted(lut.head_ms)[0]
         del lut.head_ms[victim]
-        findings = check_lut_coverage(space, lut)
-        assert [f.rule_id for f in findings] == ["RD202"]
-        assert f"cin={victim}" in findings[0].message
+        missing, message = lut.uncovered(space)
+        assert missing == 1
+        assert message.startswith(f"LUT has no head cell for cin={victim};")
+        assert "nearest existing head cell" in message
 
     def test_many_missing_cells_are_summarized(self, space, lut):
-        for key in list(lut.entries)[:80]:
+        # One count and the first hole, not one line per hole.
+        first = min(lut.entries)
+        for key in sorted(lut.entries)[:80]:
             del lut.entries[key]
-        findings = check_lut_coverage(space, lut, max_reports=10)
-        rd201 = [f for f in findings if f.rule_id == "RD201"]
-        assert len(rd201) == 11  # 10 named + 1 summary
-        assert "70 more missing cells" in rd201[-1].message
-
-    def test_device_mismatch_warns(self, space, lut):
-        findings = check_lut_coverage(space, lut, expected_device="gpu")
-        assert [f.rule_id for f in findings] == ["RD200"]
-        assert findings[0].severity is Severity.WARNING
+        missing, message = lut.uncovered(space)
+        assert missing == 80
+        assert message.startswith(
+            f"LUT has no cell for layer={first[0]} op={first[1]} "
+            f"cin={first[2]} factor={first[3]}"
+        )
 
     def test_shrunk_space_reachable_subset(self, space, device, lut):
         shrunk = space.fix_operator(space.num_layers - 1, 2)
-        assert check_lut_coverage(shrunk, lut) == []
+        assert lut.uncovered(shrunk) == (0, "")
         # Remove a cell only the *shrunk* space cares about.
         layer = space.num_layers - 1
         cin = layer_cin_choices(space, layer)[0]
         factor = space.candidate_factors[layer][0]
         del lut.entries[_cell_key(layer, 2, cin, factor)]
-        assert check_lut_coverage(shrunk, lut) != []
+        assert lut.uncovered(shrunk)[0] == 1
 
 
 class TestImagenetAPreset:
-    """Acceptance: the full imagenet_a LUT has zero missing cells; with
-    one cell removed the checker names that exact cell statically."""
+    """The full imagenet_a LUT has zero missing cells; with one cell
+    removed the check names that exact cell."""
 
     @pytest.fixture(scope="class")
     def space_a(self):
@@ -120,7 +118,7 @@ class TestImagenetAPreset:
         )
 
     def test_full_lut_zero_missing(self, space_a, lut_a):
-        assert check_lut_coverage(space_a, lut_a) == []
+        assert lut_a.uncovered(space_a) == (0, "")
 
     def test_one_removed_cell_is_pinpointed(self, space_a, lut_a):
         victim = _cell_key(12, 3, 128, 0.7)
@@ -131,7 +129,6 @@ class TestImagenetAPreset:
             lut_a.device_key, entries,
             stem_ms=lut_a.stem_ms, head_ms=lut_a.head_ms,
         )
-        findings = check_lut_coverage(space_a, punched)
-        assert len(findings) == 1
-        assert findings[0].rule_id == "RD201"
-        assert "layer=12 op=3 cin=128 factor=0.7" in findings[0].message
+        missing, message = punched.uncovered(space_a)
+        assert missing == 1
+        assert "layer=12 op=3 cin=128 factor=0.7" in message

@@ -1,11 +1,12 @@
-"""RD211: run-directory validation (manifest + checkpoint integrity)."""
+"""Retired rule RD211's run-directory cases, held by ``RunDir`` itself:
+opening a run directory and reading its checkpoints, which every
+``--resume`` does, fails in one line on each of them."""
 
 import json
 
 import pytest
 
-from repro.lint.runstate_check import check_run_dir
-from repro.runstate import RunDir
+from repro.runstate import RunDir, RunStateError
 from repro.runstate.manifest import MANIFEST_NAME
 
 PHASES = ("predictor", "shrink", "search")
@@ -18,32 +19,35 @@ def run(tmp_path):
     )
 
 
-def _messages(findings):
-    return [f.message for f in findings]
+def _resume_error(path):
+    """The one-line error a resume of ``path`` stops with, or ``None``."""
+    try:
+        run = RunDir.open(path)
+        for phase in run.manifest.phase_order:
+            run.load_checkpoint(phase)
+    except RunStateError as exc:
+        return str(exc)
+    return None
 
 
 class TestCheckRunDir:
     def test_valid_run_dir_is_clean(self, run):
         run.save_checkpoint("predictor", {"lut": 1}, complete=True)
         run.save_checkpoint("shrink", {"stage": 0})
-        assert check_run_dir(run.path) == []
+        assert _resume_error(run.path) is None
 
     def test_missing_dir_is_one_finding(self, tmp_path):
-        findings = check_run_dir(tmp_path / "nope")
-        assert len(findings) == 1
-        assert findings[0].rule_id == "RD211"
-        assert "does not exist" in findings[0].message
+        error = _resume_error(tmp_path / "nope")
+        assert "does not exist" in error
+        assert "\n" not in error
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "plain").mkdir()
-        findings = check_run_dir(tmp_path / "plain")
-        assert len(findings) == 1
-        assert MANIFEST_NAME in findings[0].message
+        assert MANIFEST_NAME in _resume_error(tmp_path / "plain")
 
     def test_unreadable_manifest(self, run):
         (run.path / MANIFEST_NAME).write_text("{truncated")
-        findings = check_run_dir(run.path)
-        assert len(findings) == 1
+        assert "corrupt" in _resume_error(run.path)
 
     def test_bad_manifest_schema_reported(self, run):
         payload = json.loads((run.path / MANIFEST_NAME).read_text())
@@ -51,7 +55,7 @@ class TestCheckRunDir:
         (run.path / MANIFEST_NAME).write_text(  # repro-lint: disable=RL106
             json.dumps(payload)
         )
-        assert any("version" in m for m in _messages(check_run_dir(run.path)))
+        assert "version" in _resume_error(run.path)
 
     def test_tampered_checkpoint_reported(self, run):
         run.save_checkpoint("search", {"gen": 2})
@@ -59,17 +63,12 @@ class TestCheckRunDir:
         envelope = json.loads(target.read_text())
         envelope["record"]["payload"]["gen"] = 3
         target.write_text(json.dumps(envelope))  # repro-lint: disable=RL106
-        assert any(
-            "checksum" in m for m in _messages(check_run_dir(run.path))
-        )
+        assert "checksum" in _resume_error(run.path)
 
     def test_complete_phase_missing_checkpoint_reported(self, run):
         run.save_checkpoint("predictor", {"x": 1}, complete=True)
         run._checkpoint_path("predictor").unlink()
-        assert any(
-            "missing" in m for m in _messages(check_run_dir(run.path))
-        )
+        assert "missing" in _resume_error(run.path)
 
     def test_findings_name_the_run_dir_component(self, tmp_path):
-        findings = check_run_dir(tmp_path / "nope")
-        assert str(tmp_path / "nope") in findings[0].component
+        assert str(tmp_path / "nope") in _resume_error(tmp_path / "nope")

@@ -1,10 +1,11 @@
-"""Space checks: RD204 fires on seeded geometry violations, and the
-retired encoding and shrink-plan rules' fixtures (RD203, RD205) are
-rejected where those inputs now enter the program.
+"""The retired space rules' fixtures (RD203, RD204, RD205), held where
+each invariant now lives (docs/static_analysis.md, "Retired rules").
 
 An encoding is checked by ``SearchSpace.contains``; a shrink plan by
 ``validate_stage_layers``, which ``HSCoNAS`` calls before stage 1
-profiles a single LUT cell (docs/static_analysis.md, "Retired rules").
+profiles a single LUT cell. Geometry is derived from the config alone,
+so RD204's cases are the unit test in ``tests/space/test_geometry.py``,
+collected here under their former class name as well.
 """
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 from repro.core import EvolutionConfig, HSCoNAS, HSCoNASConfig
 from repro.core.shrinking import default_stage_layers, validate_stage_layers
 from repro.hardware import MeasurementLedger, get_device
-from repro.lint.space_check import check_space
 from repro.space import Architecture, SearchSpace, imagenet_a, imagenet_b, mini, proxy
+
+from tests.space.test_geometry import TestStagePlan as TestSpaceConsistency  # noqa: F401
 
 
 @pytest.fixture(scope="module")
@@ -39,22 +41,6 @@ class TestEncoding:
 
     def test_off_grid_factor_fires(self, space, rng):
         assert not space.contains(space.sample(rng).with_factor(0, 0.55))
-
-
-class TestSpaceConsistency:
-    @pytest.mark.parametrize("factory", [imagenet_a, mini, proxy])
-    def test_presets_are_clean(self, factory):
-        assert check_space(SearchSpace(factory())) == []
-
-    def test_shrunk_space_is_still_clean(self, space):
-        assert check_space(space.fix_operator(0, 3)) == []
-
-    def test_off_grid_candidate_factor_fires(self):
-        tampered = SearchSpace(proxy())
-        tampered.candidate_factors[2] = (0.25, 1.0)
-        findings = check_space(tampered)
-        assert [f.rule_id for f in findings] == ["RD204"]
-        assert "layer 2" in findings[0].message
 
 
 def _fails_before_stage_1(monkeypatch, space, plan, reason):

@@ -1,6 +1,7 @@
 """Tests for run directories: manifest, checkpoints, resume contracts."""
 
 import json
+import shutil
 
 import pytest
 
@@ -25,6 +26,30 @@ def make_run(tmp_path, name="run"):
     return RunDir.create(
         tmp_path / name, kind="search", config={"seed": 3}, phase_order=PHASES
     )
+
+
+# Run directories no crash window leaves behind. Each returns the phase
+# whose read must fail and what its one-line error says.
+def _checkpoint_of_another_phase(run):
+    run.save_checkpoint("predictor", {"x": 1}, complete=True)
+    shutil.copyfile(
+        run._checkpoint_path("predictor"), run._checkpoint_path("shrink")
+    )
+    return "shrink", "belongs to phase 'predictor'"
+
+
+def _complete_phase_without_checkpoint(run):
+    run.save_checkpoint("predictor", {"x": 1}, complete=True)
+    run._checkpoint_path("predictor").unlink()
+    return "predictor", "is missing"
+
+
+def _complete_phase_with_checkpoint_in_progress(run):
+    run.save_checkpoint("predictor", {"x": 1})
+    in_progress = run._checkpoint_path("predictor").read_bytes()
+    run.save_checkpoint("predictor", {"x": 1}, complete=True)
+    run._checkpoint_path("predictor").write_bytes(in_progress)
+    return "predictor", "still in progress"
 
 
 class TestManifestValidation:
@@ -173,6 +198,23 @@ class TestCheckpoints:
         target.write_text(target.read_text()[: len(target.read_text()) // 2])
         with pytest.raises(CorruptCheckpointError, match="unreadable"):
             run.load_checkpoint("search")
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            _checkpoint_of_another_phase,
+            _complete_phase_without_checkpoint,
+            _complete_phase_with_checkpoint_in_progress,
+        ],
+        ids=["another-phase", "complete-but-missing", "complete-but-in-progress"],
+    )
+    def test_inconsistent_run_dir_refused_in_one_line(self, tmp_path, fault):
+        run = make_run(tmp_path)
+        phase, reason = fault(run)
+        resumed = RunDir.open(run.path)
+        with pytest.raises(CorruptCheckpointError, match=reason) as exc:
+            resumed.phase_complete(phase)
+        assert "\n" not in str(exc.value)
 
     def test_future_format_refused(self, tmp_path):
         run = make_run(tmp_path)

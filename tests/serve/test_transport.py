@@ -14,7 +14,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.serve import SearchService, ServeClient, start_server
-from repro.serve.server import ServeHandler
+from repro.serve.server import IDLE_TIMEOUT_S, MAX_BODY_BYTES, ServeHandler
 
 from tests.serve.conftest import SMALL_QUERY_KW
 
@@ -122,8 +122,25 @@ class TestUnframedRequests:
                 b"Content-Length: 2\r\n\r\n{}",
                 b"404",
             ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                b'1e\r\n{"layout": "proxy", "seed": 3}\r\n0\r\n\r\n',
+                b"411",
+            ),
+            (
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n{}" % (MAX_BODY_BYTES + 1),
+                b"413",
+            ),
         ],
-        ids=["non-numeric-length", "negative-length", "unread-body"],
+        ids=[
+            "non-numeric-length",
+            "negative-length",
+            "unread-body",
+            "chunked-body",
+            "oversized-body",
+        ],
     )
     def test_reply_before_the_body_is_read_closes(
         self, served, request_bytes, status
@@ -132,6 +149,21 @@ class TestUnframedRequests:
         reply = _raw_exchange(served, request_bytes)
         assert reply.startswith(b"HTTP/1.1 " + status)
         assert b"\r\nConnection: close\r\n" in reply
+
+    def test_oversized_declared_body_is_refused_at_once(self, served):
+        # Nothing but the header arrives: a daemon that tried to read the
+        # declared 50 MB would sit in the read until its idle timeout.
+        start = time.monotonic()
+        reply = _raw_exchange(
+            served,
+            b"POST /query HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 50000000\r\n\r\n",
+        )
+        assert time.monotonic() - start < IDLE_TIMEOUT_S / 2
+        assert reply.startswith(b"HTTP/1.1 413")
+        client = ServeClient(*served.endpoint)
+        assert client.health() == {"status": "ok"}
+        client.close()
 
     def test_read_body_keeps_the_connection(self, served):
         conn = HTTPConnection(*served.endpoint, timeout=10)

