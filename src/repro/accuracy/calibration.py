@@ -3,7 +3,9 @@
 ``ACCURACY_ANCHORS`` lists published (FLOPs, top-1 error) pairs of
 *searched* mobile architectures — the quality level HSCoNAS's
 ShuffleNetV2-block space is known to reach. The capacity curve is a
-three-parameter saturating power law fit to these anchors with scipy;
+three-parameter saturating power law fit to these anchors with scipy
+(imported by :func:`fit_capacity_curve` alone, so importing this module
+does not load it);
 the top-1 -> top-5 mapping is a least-squares line through the paired
 error rates reported in the paper's Table I.
 """
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 # (name, MACs, published top-1 error %) — searched mobile models.
 ACCURACY_ANCHORS: Tuple[Tuple[str, float, float], ...] = (
@@ -87,6 +88,8 @@ def fit_capacity_curve(
         floor, scale, gamma = params
         pred = floor + scale * (flops / 3e8) ** (-gamma)
         return pred - errors
+
+    from scipy import optimize
 
     result = optimize.least_squares(
         residual,

@@ -200,11 +200,15 @@ class DeviceModel:
         """Noise-free isolated times (ms) of many cost-table cells, from
         the memo :meth:`cell_time_ms` reads. No probe: the caller probes
         each cell itself."""
-        prices = list(map(self._cell_ms.get, map(id, cells)))
+        memo = self._cell_ms
+        prices = list(map(memo.get, map(id, cells)))
         if None in prices:
             for pos, cell in enumerate(cells):
                 if prices[pos] is None:
-                    prices[pos] = self._price_cell(cell)
+                    # Again from the memo: a cell may repeat in ``cells``
+                    # (layers of equal geometry share one).
+                    ms = memo.get(id(cell))
+                    prices[pos] = self._price_cell(cell) if ms is None else ms
         return np.array(prices, dtype=np.float64)
 
     def _price_cell(self, cell: CellCost) -> float:

@@ -1,11 +1,15 @@
-"""Error and correlation metrics for predictor evaluation."""
+"""Error and correlation metrics for predictor evaluation.
+
+scipy is imported inside :func:`pearson` and :func:`spearman`, the only
+functions that need it, so importing this module (and ``repro``) does not
+load ``scipy.stats``.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def _pair(a: Sequence[float], b: Sequence[float]) -> tuple:
@@ -41,6 +45,8 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     x, y = _pair(a, b)
     if np.allclose(x, x[0]) or np.allclose(y, y[0]):
         return 0.0
+    from scipy import stats
+
     return float(stats.pearsonr(x, y).statistic)
 
 
@@ -49,4 +55,6 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     x, y = _pair(a, b)
     if np.allclose(x, x[0]) or np.allclose(y, y[0]):
         return 0.0
+    from scipy import stats
+
     return float(stats.spearmanr(x, y).statistic)

@@ -325,10 +325,7 @@ class WorkerPool:
             try:
                 self._check_cancel()
                 executor = self._ensure_executor()
-                while remaining and len(window) < self._max_inflight:
-                    cid = remaining.popleft()
-                    window[cid] = executor.submit(_run_chunk, cid, chunks[cid])
-                    self.chunks_dispatched += 1
+                self._dispatch(executor, chunks, remaining, window)
                 last_progress = time.monotonic()
                 while window:
                     done, _ = wait(
@@ -365,12 +362,7 @@ class WorkerPool:
                                 f"for {len(chunks[returned_id])} items"
                             )
                         results[returned_id] = values
-                    while remaining and len(window) < self._max_inflight:
-                        cid = remaining.popleft()
-                        window[cid] = executor.submit(
-                            _run_chunk, cid, chunks[cid]
-                        )
-                        self.chunks_dispatched += 1
+                    self._dispatch(executor, chunks, remaining, window)
             except BrokenProcessPool:
                 # A worker died. Every chunk still in the window is
                 # unaccounted for: retry each a bounded number of times
@@ -395,6 +387,20 @@ class WorkerPool:
                 raise
 
         return [value for cid in range(len(chunks)) for value in results[cid]]
+
+    def _dispatch(self, executor, chunks, remaining, window) -> None:
+        """Submit queued chunks until the in-flight window is full.
+
+        A chunk leaves ``remaining`` only once ``submit`` has returned:
+        a pool that a dead worker broke raises ``BrokenProcessPool``
+        from ``submit``, and the chunk must still be queued for the
+        retry, or ``map`` would wait for it forever.
+        """
+        while remaining and len(window) < self._max_inflight:
+            cid = remaining[0]
+            window[cid] = executor.submit(_run_chunk, cid, chunks[cid])
+            remaining.popleft()
+            self.chunks_dispatched += 1
 
     def _wait_timeout_s(self) -> Optional[float]:
         """How long one dispatch wait may block.

@@ -284,6 +284,9 @@ class PhaseCheckpoint:
         self.phase = phase
         self._extra_save = extra_save
         self._extra_restore = extra_restore
+        # The complete flag of the record last loaded or saved; None
+        # until either happens.
+        self._complete: Optional[bool] = None
 
     def load(self) -> Optional[dict]:
         """The phase payload to resume from, or ``None`` for a fresh start.
@@ -291,6 +294,7 @@ class PhaseCheckpoint:
         Restores any piggybacked owner state as a side effect.
         """
         record = self.run.load_checkpoint(self.phase)
+        self._complete = record is not None and bool(record["complete"])
         if record is None:
             return None
         payload = record["payload"]
@@ -299,13 +303,19 @@ class PhaseCheckpoint:
         return payload
 
     def is_complete(self) -> bool:
-        return self.run.phase_complete(self.phase)
+        """Whether the phase finished, from the record :meth:`load` or
+        :meth:`save` last handled; read from the run directory only
+        when neither has run."""
+        if self._complete is None:
+            self._complete = self.run.phase_complete(self.phase)
+        return self._complete
 
     def save(self, payload: dict, complete: bool = False) -> None:
         if self._extra_save is not None:
             payload = dict(payload)
             payload["owner_state"] = self._extra_save()
         self.run.save_checkpoint(self.phase, payload, complete=complete)
+        self._complete = bool(complete)
 
 
 class MemoryCheckpoint:

@@ -10,9 +10,14 @@ the same memo. Three tables fill lazily, on first use:
 * per layer, ``factor -> active output channels`` for the config's
   factors (any other factor takes the unmemoized ``channels_kept``
   path, which also keeps its range check);
-* per ``(layer, op, cin, cout)`` cell, the operator's MACs, weight count
-  and primitive tuple, all derived from :meth:`OperatorSpec.primitives`
-  and :meth:`OperatorSpec.params` — the single source of truth;
+* per operator shape ``(op, cin, cout, in_size, stride)``, one
+  :class:`CellCost`: the operator's MACs, weight count and primitive
+  tuple, all derived from :meth:`OperatorSpec.primitives` and
+  :meth:`OperatorSpec.params` — the single source of truth. A cell
+  depends on its layer only through ``(in_size, stride)``, so layers of
+  equal geometry share one object (layout ``a``'s 9,550 LUT cells are
+  3,550 shapes); a per-layer ``(layer, op, cin, cout)`` index over the
+  shared cells keeps :meth:`CostTables.chain`'s lookup one dict read;
 * per final width, the head's MACs, weight count and primitives.
 
 Populations are scored as ``(N, L)`` gene arrays. :meth:`CostTables.chain_many`
@@ -23,9 +28,10 @@ runs the active-channel recurrence once per layer over every row, and
 
 MACs and weight counts are integer-valued floats far below ``2**53``,
 so summing per-cell totals gives exactly the value of summing every
-primitive in turn, in any order. The memo is bounded by the distinct
-cells of the geometry (about 10k for the paper layouts); equal
-primitives are interned, so a full LUT build adds little memory.
+primitive in turn, in any order. The cells are bounded by the distinct
+operator shapes of the geometry (about 3.5k for the paper layouts, under
+about 10k per-layer keys); equal primitives are interned, so a full LUT
+build adds little memory.
 
 A fill is idempotent: two threads that miss the same entry compute
 equal values and either store wins, so reads and fills take no lock.
@@ -78,7 +84,10 @@ class CostTables:
         # factor's index and equality tells on-grid from off-grid.
         self._factor_grid = np.array(config.channel_factors, dtype=np.float64)
         self._out_channels: List[Dict[float, int]] = [{} for _ in self.geometry]
+        # (layer, op, cin, cout) -> cell, read by chain(); every entry
+        # is the one cell of its operator shape in ``_shapes``.
         self._cells: Dict[Tuple[int, int, int, int], CellCost] = {}
+        self._shapes: Dict[Tuple[int, int, int, int, int], CellCost] = {}
         self._heads: Dict[int, CellCost] = {}
         self._interned: Dict[Primitive, Primitive] = {}
         self.stem = self._stem_cost()
@@ -96,20 +105,28 @@ class CostTables:
         return cout
 
     def cell(self, layer: int, op: int, cin: int, cout: int) -> CellCost:
-        """Cost of operator ``op`` at ``layer`` with active ``cin -> cout``."""
+        """Cost of operator ``op`` at ``layer`` with active ``cin -> cout``.
+
+        Layers of equal ``(in_size, stride)`` get the same object for
+        the same ``(op, cin, cout)``.
+        """
         key = (layer, op, cin, cout)
         cost = self._cells.get(key)
         if cost is None:
             geom = self.geometry[layer]
-            spec = get_operator(op)
-            prims = self._intern(
-                spec.primitives(cin, cout, geom.in_size, geom.stride)
-            )
-            cost = CellCost(
-                sum(p.flops for p in prims),
-                spec.params(cin, cout, geom.stride),
-                prims,
-            )
+            shape = (op, cin, cout, geom.in_size, geom.stride)
+            cost = self._shapes.get(shape)
+            if cost is None:
+                spec = get_operator(op)
+                prims = self._intern(
+                    spec.primitives(cin, cout, geom.in_size, geom.stride)
+                )
+                # setdefault: threads racing on one shape share one object.
+                cost = self._shapes.setdefault(shape, CellCost(
+                    sum(p.flops for p in prims),
+                    spec.params(cin, cout, geom.stride),
+                    prims,
+                ))
             self._cells[key] = cost
         return cost
 

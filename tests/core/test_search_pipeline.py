@@ -138,3 +138,25 @@ class TestDegradedResume:
         HSCoNAS(proxy_space, flaky(), cfg).checkpointed_predictor(run)
         resumed = HSCoNAS(proxy_space, flaky(), cfg).run(RunDir.open(run.path))
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+
+def test_resumed_finished_run_reads_each_checkpoint_once(
+    proxy_space, quick_config, tmp_path, monkeypatch
+):
+    """A resume answers "is this phase complete?" from the record it
+    already read and checksummed, so each phase file is read once."""
+    run = RunDir.create(tmp_path / "run", "search", {}, HSCoNAS.PHASES)
+    finished = HSCoNAS(proxy_space, get_device("gpu"), quick_config).run(run)
+    reads = {}
+    load_checkpoint = RunDir.load_checkpoint
+
+    def counting(self, phase):
+        reads[phase] = reads.get(phase, 0) + 1
+        return load_checkpoint(self, phase)
+
+    monkeypatch.setattr(RunDir, "load_checkpoint", counting)
+    resumed = HSCoNAS(proxy_space, get_device("gpu"), quick_config).run(
+        RunDir.open(run.path)
+    )
+    assert reads == {"predictor": 1, "shrink": 1, "search": 1}
+    assert _fingerprint(resumed) == _fingerprint(finished)

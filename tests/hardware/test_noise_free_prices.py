@@ -216,6 +216,15 @@ class TestWarmLutBuild:
         assert len(device._cell_ms) == len(device._cells_kept)
         assert len(device._cell_ms) <= 1 + len(lut.head_ms) + len(lut.entries)
 
+    def test_shared_cells_are_priced_once(self, space):
+        """Layers of equal geometry share cells, so one build repeats
+        them; the first build still prices each distinct cell once."""
+        device = DeviceModel(_edge().spec)
+        lut = LatencyLUT.build(space, device, samples_per_cell=1, seed=0)
+        distinct = {id(cell) for cell in LatencyLUT.cells(space).costs}
+        assert len(distinct) < 1 + len(lut.head_ms) + len(lut.entries)
+        assert len(device._cell_ms) == len(device._cells_kept) == len(distinct)
+
 
 def test_each_run_is_one_probe(space, archs):
     """A session makes one fault decision per run, retries included."""

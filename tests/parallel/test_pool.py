@@ -13,6 +13,8 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,28 @@ class TestCrashContainment:
             assert pool.chunk_retries >= 1
             assert pool.serial_fallbacks == 0
         assert not sentinel.exists()
+
+    def test_pool_broken_at_submit_loses_no_chunk(self, monkeypatch):
+        # A worker's death can surface from submit() itself, once the
+        # executor has marked itself broken; the chunk being submitted
+        # must be retried, not dropped. A dropped chunk would leave
+        # map() spinning, so a deadline turns that into a failure.
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaks_on_third_call(executor, *args):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise BrokenProcessPool("a worker died")
+            return submit(executor, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaks_on_third_call)
+        items = list(range(24))
+        with WorkerPool(square_chunk, workers=2, chunk_size=4) as pool:
+            pool.set_cancel(CancelToken(deadline_s=20))
+            assert pool.map(items) == [x * x for x in items]
+            assert pool.pool_rebuilds == 1
+            assert sorted(set(calls)) == list(range(6))
 
     def test_always_killed_chunk_falls_back_to_parent(self, tmp_path):
         # The sentinel stays, so every retry dies too; after max_retries

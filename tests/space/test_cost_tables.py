@@ -25,6 +25,7 @@ from repro.space import (
     space_for_layout,
 )
 from repro.space.cost_tables import cost_tables
+from repro.space.operators import NUM_OPERATORS
 
 NUM_ARCHS = 500
 
@@ -251,6 +252,36 @@ def test_concurrent_fills_agree():
         prims = get_operator(op).primitives(cin, cout, geom.in_size, geom.stride)
         assert list(cell.primitives) == prims
         assert cell.flops == sum(p.flops for p in prims)
+        # Racing fills still leave one object per operator shape.
+        assert cell is tables._shapes[op, cin, cout, geom.in_size, geom.stride]
+
+
+def test_layers_of_equal_geometry_share_cells():
+    space = space_for_layout("a")
+    tables = cost_tables(space.config)
+    by_shape = {}
+    for layer, geom in enumerate(tables.geometry):
+        by_shape.setdefault((geom.in_size, geom.stride), []).append(layer)
+    first, second = next(ls for ls in by_shape.values() if len(ls) > 1)[:2]
+    other = by_shape[tables.geometry[-1].in_size, 1][0]
+    assert tables.geometry[other].in_size != tables.geometry[first].in_size
+    cin = cout = tables.geometry[second].max_in_channels
+    for op in range(NUM_OPERATORS):
+        cell = tables.cell(first, op, cin, cout)
+        assert tables.cell(second, op, cin, cout) is cell
+        assert tables.cell(other, op, cin, cout) is not cell
+
+
+@pytest.mark.parametrize(
+    "layout, cells, shapes", [("a", 9550, 3550), ("proxy", 3550, 1550)]
+)
+def test_lut_cells_share_one_object_per_shape(layout, cells, shapes):
+    from repro.hardware.lut import LatencyLUT
+
+    enumerated = LatencyLUT.cells(space_for_layout(layout))
+    operator_cells = enumerated.costs[enumerated.operators]
+    assert len(operator_cells) == cells
+    assert len({id(cell) for cell in operator_cells}) == shapes
 
 
 def skip_chains(space, seed, count=200):
