@@ -52,9 +52,19 @@ class CapacityCurve:
     ref_flops: float = 3e8
 
     def error_at(self, flops: float) -> float:
-        if flops <= 0:
+        return float(self.errors_at(np.array([flops], dtype=np.float64))[0])
+
+    def errors_at(self, flops: np.ndarray) -> np.ndarray:
+        """:meth:`error_at` of every entry of a float64 array.
+
+        The power is Python's ``**`` per element: numpy's array
+        ``power`` differs from it in the last bit on some values.
+        """
+        if (flops <= 0).any():
             raise ValueError("flops must be positive")
-        return self.floor + self.scale * (flops / self.ref_flops) ** (-self.gamma)
+        exponent = -self.gamma
+        powers = [ratio**exponent for ratio in (flops / self.ref_flops).tolist()]
+        return self.floor + self.scale * np.array(powers, dtype=np.float64)
 
 
 def frontier_curve() -> CapacityCurve:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,10 +69,31 @@ def extract_features(space: SearchSpace, arch: Architecture) -> ArchFeatures:
     )
 
 
-def features_many(
+class FeatureColumns(NamedTuple):
+    """:class:`ArchFeatures` of a batch: one ``(N,)`` array per field,
+    row ``i`` from the batch's ``i``-th architecture (int64 counts,
+    float64 measures)."""
+
+    flops: np.ndarray
+    depth: np.ndarray
+    num_layers: np.ndarray
+    mean_factor: np.ndarray
+    std_factor: np.ndarray
+    min_factor: np.ndarray
+    num_distinct_ops: np.ndarray
+    mean_kernel: np.ndarray
+
+    @classmethod
+    def of(cls, feats: ArchFeatures) -> "FeatureColumns":
+        """The columns of a batch of one."""
+        return cls._make(np.array([getattr(feats, name)]) for name in cls._fields)
+
+
+def feature_columns(
     space: SearchSpace, archs: Sequence[Architecture]
-) -> List[ArchFeatures]:
-    """:func:`extract_features` of every architecture, bit for bit.
+) -> FeatureColumns:
+    """:func:`extract_features` of every architecture as columns, bit for
+    bit.
 
     The population is scored as ``(N, L)`` gene arrays: MACs from
     :meth:`SearchSpace.arch_flops_many`, and the factor mean, standard
@@ -81,33 +102,35 @@ def features_many(
     :func:`extract_features`; that is numpy's behaviour rather than a
     documented contract, and ``tests/accuracy/test_features_many.py``
     holds it. Depth, kernel sums and distinct operators are integer
-    counts.
+    counts, and their float quotient is the one ``sum / len`` rounds.
     """
     ops, factors = space.gene_arrays(archs)
     non_skip = ~IS_SKIP_ARRAY[ops]
     used = np.zeros((len(ops), NUM_OPERATORS), dtype=bool)
     used[np.arange(len(ops))[:, None], ops] = True
     used &= ~IS_SKIP_ARRAY
-    columns = zip(
-        space.arch_flops_many(ops, factors).tolist(),
-        non_skip.sum(axis=1).tolist(),
-        factors.mean(axis=1).tolist(),
-        factors.std(axis=1).tolist(),
-        factors.min(axis=1).tolist(),
-        used.sum(axis=1).tolist(),
-        (KERNEL_SIZE_ARRAY[ops] * non_skip).sum(axis=1).tolist(),
+    depth = non_skip.sum(axis=1)
+    kernel_sum = (KERNEL_SIZE_ARRAY[ops] * non_skip).sum(axis=1)
+    mean_kernel = np.zeros(len(ops))
+    np.divide(kernel_sum, depth, out=mean_kernel, where=depth > 0)
+    return FeatureColumns(
+        flops=space.arch_flops_many(ops, factors),
+        depth=depth,
+        num_layers=np.full(len(ops), space.num_layers),
+        mean_factor=factors.mean(axis=1),
+        std_factor=factors.std(axis=1),
+        min_factor=factors.min(axis=1),
+        num_distinct_ops=used.sum(axis=1),
+        mean_kernel=mean_kernel,
     )
-    num_layers = space.num_layers
+
+
+def features_many(
+    space: SearchSpace, archs: Sequence[Architecture]
+) -> List[ArchFeatures]:
+    """:func:`extract_features` of every architecture, bit for bit: the
+    rows of :func:`feature_columns` as Python ``int``/``float`` fields."""
+    columns = feature_columns(space, archs)
     return [
-        ArchFeatures(
-            flops=flops,
-            depth=depth,
-            num_layers=num_layers,
-            mean_factor=mean,
-            std_factor=std,
-            min_factor=low,
-            num_distinct_ops=distinct,
-            mean_kernel=kernel_sum / depth if depth else 0.0,
-        )
-        for flops, depth, mean, std, low, distinct, kernel_sum in columns
+        ArchFeatures(*row) for row in zip(*(column.tolist() for column in columns))
     ]

@@ -27,7 +27,7 @@ supernets).
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +37,11 @@ from repro.accuracy.calibration import (
     fit_top5_mapping,
     frontier_curve,
 )
-from repro.accuracy.features import ArchFeatures, extract_features, features_many
+from repro.accuracy.features import (
+    FeatureColumns,
+    extract_features,
+    feature_columns,
+)
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace
 from repro.streams import seeded_normals
@@ -57,15 +61,24 @@ def _digest_residual(digest: str, salt: str, sigma: float) -> float:
     return float(np.random.default_rng(_digest_seed(digest, salt)).normal(0.0, sigma))
 
 
-def _digest_residuals(digests: List[str], salt: str, sigma: float) -> List[float]:
-    """:func:`_digest_residual` of every digest, drawn in one pass.
+def _digest_residual_pair(
+    digests: List[str], standalone_sigma: float, proxy_sigma: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_digest_residual` of every digest under the ``standalone``
+    and the ``proxy`` salt, drawn in one :func:`seeded_normals` call over
+    both salts' lanes.
 
     Each seed's bytes are its two little-endian uint32 entropy words;
     ``normal(0, sigma)`` computes ``0.0 + sigma * z``.
     """
-    seeds = b"".join(_seed_bytes(digest, salt) for digest in digests)
-    words = np.frombuffer(seeds, dtype="<u4").reshape(len(digests), 2)
-    return (0.0 + sigma * seeded_normals(words, 1)[:, 0]).tolist()
+    seeds = b"".join(
+        _seed_bytes(digest, salt)
+        for salt in ("standalone", "proxy")
+        for digest in digests
+    )
+    words = np.frombuffer(seeds, dtype="<u4").reshape(-1, 2)
+    standalone, proxy = seeded_normals(words, 1).reshape(2, len(digests))
+    return 0.0 + standalone_sigma * standalone, 0.0 + proxy_sigma * proxy
 
 
 class AccuracySurrogate:
@@ -118,6 +131,10 @@ class AccuracySurrogate:
         self.proxy_gap = proxy_gap
         self.proxy_sigma = proxy_sigma
         self.flops_scale = flops_scale
+        # 0.45 * k ** 1.3 for k skips beyond the free ones (k = 0 adds 0).
+        self._skip_penalty = np.array(
+            [0.0] + [0.45 * k**1.3 for k in range(1, space.num_layers + 1)]
+        )
 
     @classmethod
     def for_space(cls, space: SearchSpace, **kwargs) -> "AccuracySurrogate":
@@ -133,27 +150,36 @@ class AccuracySurrogate:
         scale = 1.0 if max_flops >= 5e7 else cls._REFERENCE_MAX_FLOPS / max_flops
         return cls(space, flops_scale=scale, **kwargs)
 
-    # -- structural penalties -------------------------------------------------
+    # -- the error model, on feature columns -----------------------------------
 
-    @staticmethod
-    def _penalties(feats: ArchFeatures) -> float:
-        penalty = 0.0
+    def _penalties(self, feats: FeatureColumns) -> np.ndarray:
         # Excessive skip connections: a couple of skips are harmless
         # (residual-like shortcuts), but beyond ~L/8 each one removes a
-        # transformation stage and costs real accuracy.
-        free_skips = feats.num_layers // 8
-        num_skips = feats.num_layers - feats.depth
-        if num_skips > free_skips:
-            penalty += 0.45 * (num_skips - free_skips) ** 1.3
+        # transformation stage and costs real accuracy. A term that does
+        # not apply adds 0.0, which leaves the sum's bits as they are.
+        excess = feats.num_layers - feats.depth - feats.num_layers // 8
+        penalty = 0.0 + self._skip_penalty[np.maximum(excess, 0)]
         # Width bottleneck below factor 0.3.
-        if feats.min_factor < 0.3:
-            penalty += 8.0 * (0.3 - feats.min_factor)
+        low = feats.min_factor
+        penalty += np.where(low < 0.3, 8.0 * (0.3 - low), 0.0)
         # Erratic width profile.
         penalty += 1.2 * feats.std_factor
         # Kernel diversity bonus (small).
-        if feats.num_distinct_ops >= 3:
-            penalty -= 0.15
+        penalty -= np.where(feats.num_distinct_ops >= 3, 0.15, 0.0)
         return penalty
+
+    def _top1_errors(self, feats: FeatureColumns, standalone: np.ndarray) -> np.ndarray:
+        error = self.curve.errors_at(feats.flops * self.flops_scale)
+        error += self._penalties(feats)
+        error += standalone
+        return np.minimum(np.maximum(error, 5.0), 95.0)
+
+    def _proxy_accuracies(
+        self, feats: FeatureColumns, standalone: np.ndarray, proxy: np.ndarray
+    ) -> np.ndarray:
+        error = self._top1_errors(feats, standalone) + self.proxy_gap
+        error += proxy
+        return np.minimum(np.maximum((100.0 - error) / 100.0, 0.0), 1.0)
 
     # -- stand-alone (train-from-scratch) accuracy ------------------------------
 
@@ -162,13 +188,8 @@ class AccuracySurrogate:
         residual = _digest_residual(
             arch.digest(), salt="standalone", sigma=self.residual_sigma
         )
-        return self._top1_error(extract_features(self.space, arch), residual)
-
-    def _top1_error(self, feats: ArchFeatures, residual: float) -> float:
-        error = self.curve.error_at(feats.flops * self.flops_scale)
-        error += self._penalties(feats)
-        error += residual
-        return float(min(max(error, 5.0), 95.0))
+        feats = FeatureColumns.of(extract_features(self.space, arch))
+        return self._top1_errors(feats, np.array([residual])).item()
 
     def top5_error(self, arch: Architecture) -> float:
         """Stand-alone top-5 error (%), via the fitted top-1 mapping."""
@@ -192,30 +213,25 @@ class AccuracySurrogate:
         actually operates.
         """
         digest = arch.digest()
-        return self._proxy_accuracy(
-            extract_features(self.space, arch),
-            _digest_residual(digest, salt="standalone", sigma=self.residual_sigma),
-            _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma),
+        standalone = _digest_residual(
+            digest, salt="standalone", sigma=self.residual_sigma
         )
+        proxy = _digest_residual(digest, salt="proxy", sigma=self.proxy_sigma)
+        feats = FeatureColumns.of(extract_features(self.space, arch))
+        return self._proxy_accuracies(
+            feats, np.array([standalone]), np.array([proxy])
+        ).item()
 
     def proxy_accuracy_many(self, archs: Sequence[Architecture]) -> List[float]:
-        """:meth:`proxy_accuracy` of every architecture, bit for bit:
-        features from one pass over the batch's gene arrays
-        (:func:`features_many`), residual streams seeded in bulk."""
+        """:meth:`proxy_accuracy` of every architecture, bit for bit: one
+        digest per architecture, then whole-array work (the features as
+        columns, both residual streams in one seeded draw, the error
+        model on columns)."""
         archs = list(archs)
-        digests = [arch.digest() for arch in archs]
-        standalone = _digest_residuals(digests, "standalone", self.residual_sigma)
-        proxy = _digest_residuals(digests, "proxy", self.proxy_sigma)
-        return [
-            self._proxy_accuracy(feats, s, p)
-            for feats, s, p in zip(
-                features_many(self.space, archs), standalone, proxy
-            )
-        ]
-
-    def _proxy_accuracy(
-        self, feats: ArchFeatures, standalone: float, proxy: float
-    ) -> float:
-        error = self._top1_error(feats, standalone) + self.proxy_gap
-        error += proxy
-        return float(min(max((100.0 - error) / 100.0, 0.0), 1.0))
+        if not archs:
+            return []
+        standalone, proxy = _digest_residual_pair(
+            [arch.digest() for arch in archs], self.residual_sigma, self.proxy_sigma
+        )
+        feats = feature_columns(self.space, archs)
+        return self._proxy_accuracies(feats, standalone, proxy).tolist()

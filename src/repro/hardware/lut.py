@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -510,14 +511,20 @@ class LatencyLUT:
         cached_len, cached = self._dense
         if cached is not None and cached_len == len(self.entries):
             return cached
-        num_layers = 1 + max((k[0] for k in self.entries), default=-1)
-        num_ops = max(
-            NUM_OPERATORS, 1 + max((k[1] for k in self.entries), default=0)
-        )
-        max_cin = max((k[2] for k in self.entries), default=0)
+        count = len(self.entries)
+        keys = np.fromiter(
+            chain.from_iterable(self.entries), dtype=np.float64, count=4 * count
+        ).reshape(count, 4)
+        layers, ops, cins = keys[:, :3].astype(np.intp).T
+        # ``np.rint`` rounds half to even, as ``round`` does.
+        deciles = np.rint(keys[:, 3] * 10).astype(np.intp)
+        num_layers = 1 + int(layers.max(initial=-1))
+        num_ops = max(NUM_OPERATORS, 1 + int(ops.max(initial=0)))
+        max_cin = int(cins.max(initial=0))
         cells = np.full((num_layers, num_ops, max_cin + 1, 11), np.nan)
-        for (layer, op, cin, factor), ms in self.entries.items():
-            cells[layer, op, cin, int(round(factor * 10))] = ms
+        cells[layers, ops, cins, deciles] = np.fromiter(
+            self.entries.values(), dtype=np.float64, count=count
+        )
         max_head = max(self.head_ms, default=0)
         head = np.full(max_head + 1, np.nan)
         for cin, ms in self.head_ms.items():

@@ -52,6 +52,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -347,12 +348,23 @@ def _words(value: int) -> List[int]:
     return words
 
 
-def _hashmix(values: np.ndarray, const: int) -> Tuple[np.ndarray, int]:
-    values = values ^ np.uint32(const)
-    const = (const * _MULT_A) & _MASK32
-    values = values * np.uint32(const)
-    values ^= values >> _XSHIFT
-    return values, const
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The constants of ``count`` successive ``SeedSequence`` hashes, as
+    ``(count, 1)`` uint32 columns: row ``k`` of the first is what hash
+    ``k`` xors with, row ``k`` of the second what it multiplies by."""
+    consts = [init]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column[:-1], column[1:]
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = (values ^ xor) * mul
+    out ^= out >> _XSHIFT
+    return out
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -361,40 +373,48 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pool(entropy: np.ndarray) -> List[np.ndarray]:
-    """``SeedSequence.pool`` of every row of ``entropy`` (items x words)."""
-    const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        if i < entropy.shape[1]:
-            word = entropy[:, i]
-        else:
-            word = np.zeros(entropy.shape[0], dtype=np.uint32)
-        mixed, const = _hashmix(word, const)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], mixed)
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(entropy[:, src], const)
-            pool[dst] = _mix(pool[dst], mixed)
+# Each pool word's destinations, in numpy's order.
+_OTHERS = [
+    [dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)
+]
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence.pool`` of every row of ``entropy`` (items x words),
+    as a ``(4, items)`` array.
+
+    numpy hashes each source word once per destination, with successive
+    constants, and a source is never its own destination, so one
+    source's hashes into all its destinations are one array step.
+    """
+    items, width = entropy.shape
+    extra = max(width - _POOL_SIZE, 0)
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * extra)
+    words = np.zeros((_POOL_SIZE, items), dtype=np.uint32)
+    words[: width - extra] = entropy[:, :_POOL_SIZE].T
+    pool = _hash(words, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        end = k + len(dst)
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:end], mul[k:end]))
+        k = end
+    for src in range(_POOL_SIZE, width):
+        end = k + _POOL_SIZE
+        pool = _mix(pool, _hash(entropy[:, src], xor[k:end], mul[k:end]))
+        k = end
     return pool
 
 
-def _seed_words(pool: List[np.ndarray]) -> List[np.ndarray]:
-    """``generate_state(4, np.uint64)`` of every item: four uint64 arrays."""
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        word = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        word = word * np.uint32(const)
-        word ^= word >> _XSHIFT
-        halves.append(word.astype(np.uint64))
-    return [halves[2 * j] | (halves[2 * j + 1] << _HALF) for j in range(4)]
+# ``generate_state(4, np.uint64)`` hashes the pool words in this order.
+_STATE_WORDS = [i % _POOL_SIZE for i in range(8)]
+
+
+def _seed_words(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of every item: a ``(4, items)``
+    uint64 array."""
+    halves = _hash(pool[_STATE_WORDS], *_hash_consts(_INIT_B, _MULT_B, 8))
+    halves = halves.astype(np.uint64)
+    return halves[0::2] | (halves[1::2] << _HALF)
 
 
 # A 128-bit PCG64 state or increment per lane, as (high, low) uint64 arrays.
@@ -494,8 +514,8 @@ def _numpy_lanes(
 ) -> None:
     """numpy's own ``standard_normal`` into ``out``'s rows ``lanes``,
     each from its lane's state."""
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
+    generator = _lane_generator()
+    bit_generator = generator.bit_generator
     pcg = {}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     parts = [half[lanes].tolist() for half in (*state, *inc)]
@@ -504,6 +524,20 @@ def _numpy_lanes(
         pcg["inc"] = i_hi << 64 | i_lo
         bit_generator.state = full
         generator.standard_normal(out=out[lane])
+
+
+_LANES = threading.local()
+
+
+def _lane_generator() -> np.random.Generator:
+    """This thread's scratch generator for :func:`_numpy_lanes`, which
+    sets its whole state before every draw: built once per thread
+    rather than seeded afresh on every call, and per thread so that
+    threads never draw on each other's state."""
+    generator = getattr(_LANES, "generator", None)
+    if generator is None:
+        generator = _LANES.generator = np.random.Generator(np.random.PCG64(0))
+    return generator
 
 
 @functools.lru_cache(maxsize=None)

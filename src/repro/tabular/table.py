@@ -155,7 +155,9 @@ def decode_indices(
 
     Bit-identical to the scalar decoder — the per-layer digits are the
     same mixed-radix remainders, just computed with one array modulo
-    per layer instead of a Python loop per architecture.
+    per layer, and each layer's digits pick its genes with one gather.
+    The genes come back through ``tolist`` as Python ``int``/``float``,
+    as the digest requires.
     """
     indices = list(indices)
     if not indices:
@@ -163,29 +165,25 @@ def decode_indices(
     total = space_cardinality(space)
     if total > _INT64_MAX or max(indices) > _INT64_MAX:
         return [index_to_architecture(space, i) for i in indices]
-    choices = [
-        _layer_choices(space, layer) for layer in range(space.num_layers)
-    ]
     remainder = np.asarray(indices, dtype=np.int64)
     if remainder.min() < 0 or remainder.max() >= total:
         bad = int(remainder.min()) if remainder.min() < 0 else int(remainder.max())
         raise ValueError(f"index {bad} outside [0, {total})")
-    digit_columns: List[np.ndarray] = []
+    # Gene columns, last layer first (the order the digits come out in).
+    op_columns: List[List[int]] = []
+    factor_columns: List[List[float]] = []
     for layer in reversed(range(space.num_layers)):
-        radix = len(choices[layer])
-        digit_columns.append(remainder % radix)
-        remainder = remainder // radix
-    digit_columns.reverse()
-    archs = []
-    for row in range(len(indices)):
-        ops = []
-        factors = []
-        for layer in range(space.num_layers):
-            op, factor = choices[layer][int(digit_columns[layer][row])]
-            ops.append(op)
-            factors.append(factor)
-        archs.append(Architecture.from_candidates(tuple(ops), tuple(factors)))
-    return archs
+        layer_ops, layer_factors = zip(*_layer_choices(space, layer))
+        digits = remainder % len(layer_ops)
+        remainder //= len(layer_ops)
+        op_columns.append(np.array(layer_ops)[digits].tolist())
+        factor_columns.append(np.array(layer_factors)[digits].tolist())
+    return [
+        Architecture.from_candidates(ops, factors)
+        for ops, factors in zip(
+            zip(*reversed(op_columns)), zip(*reversed(factor_columns))
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The batched surrogate path against the per-architecture one.
 
-``features_many`` reduces the factor matrix row by row, and
-``proxy_accuracy_many`` scores from those features; both must equal the
-per-architecture functions bit for bit, compared as ``float.hex()``.
+``feature_columns`` reduces the factor matrix row by row,
+``features_many`` returns its rows and ``proxy_accuracy_many`` scores
+from its columns; both must equal the per-architecture functions bit
+for bit, compared as ``float.hex()``.
 The row-wise ``mean``/``std`` equal numpy's 1-D reductions only because
 numpy sums each row in the 1-D order, which numpy does not document:
 these tests are what hold it.

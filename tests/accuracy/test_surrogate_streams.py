@@ -4,7 +4,10 @@ The references below are the historical implementations: features from
 numpy scalar reductions and ``get_operator`` per layer, with a
 parameter count nothing read; clipping through ``np.clip``; and the
 digest hashing the ``json.dumps`` text. Scores are compared as
-``float.hex()`` strings, so even a last-bit difference fails.
+``float.hex()`` strings, so even a last-bit difference fails. Both the
+per-architecture methods and ``proxy_accuracy_many`` (whole batches,
+batches of one, batches with repeats; bulk streams on and off) are held
+to them.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import streams
 from repro.accuracy import AccuracySurrogate
 from repro.accuracy.features import extract_features
 from repro.space import LAYOUT_NAMES, Architecture, space_for_layout
@@ -91,44 +95,69 @@ def _bits(features, drop=None):
     }
 
 
+def _assert_batches_match(surrogate, archs, expected, monkeypatch):
+    """``proxy_accuracy_many`` over ``archs`` as one batch, as batches of
+    one and as a batch with repeats gives the ``expected`` scores (as
+    ``float.hex``), with the bulk streams on and off."""
+    repeats = [0, 1, 0, len(archs) - 1, 1, len(archs) - 1, 0]
+    for fast in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(streams, "FAST_PATH", fast)
+            assert [v.hex() for v in surrogate.proxy_accuracy_many(archs)] == expected
+            assert [
+                surrogate.proxy_accuracy_many([a])[0].hex() for a in archs[:25]
+            ] == expected[:25]
+            assert [
+                v.hex()
+                for v in surrogate.proxy_accuracy_many([archs[i] for i in repeats])
+            ] == [expected[i] for i in repeats]
+
+
+def _all_skip(space):
+    """All-skip architectures at the smallest and the largest factor."""
+    grid = space.candidate_factors[0]
+    return [Architecture.uniform(space.num_layers, 4, f) for f in (grid[0], grid[-1])]
+
+
 @pytest.mark.parametrize("layout", LAYOUT_NAMES)
 @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "for_space"])
-def test_scores_match_historical_bits(layout, scaled):
+def test_scores_match_historical_bits(layout, scaled, monkeypatch):
     space = space_for_layout(layout)
     surrogate = (
         AccuracySurrogate.for_space(space) if scaled else AccuracySurrogate(space)
     )
     rng = np.random.default_rng(2 * LAYOUT_NAMES.index(layout) + scaled)
-    for _ in range(2000):
-        arch = space.sample(rng)
+    archs = space.sample_many(rng, 2000) + _all_skip(space)
+    expected = []
+    for arch in archs:
         digest = historical_digest(arch)
         assert arch.digest() == digest
         assert _bits(dataclasses.asdict(extract_features(space, arch))) == _bits(
             historical_features(space, arch), drop="params"
         )
-        assert (
-            surrogate.proxy_accuracy(arch).hex()
-            == historical_proxy_accuracy(surrogate, arch).hex()
-        )
+        expected.append(historical_proxy_accuracy(surrogate, arch).hex())
+        assert surrogate.proxy_accuracy(arch).hex() == expected[-1]
         assert (
             surrogate.top1_error(arch).hex()
             == historical_top1_error(surrogate, arch, digest).hex()
         )
+    _assert_batches_match(surrogate, archs, expected, monkeypatch)
 
 
-def test_clipped_scores_match_historical_bits():
+def test_clipped_scores_match_historical_bits(monkeypatch):
     """Both clamps engage: a huge gap pins proxy accuracy at 0 and the
-    top-1 error at 95; a negative gap pins proxy accuracy at 1."""
+    top-1 error at 95; a negative gap pins proxy accuracy at 1. The
+    batch adds all-skip architectures and (off ``mini``'s grid) a width
+    bottleneck below factor 0.3."""
     space = space_for_layout("mini")
     rng = np.random.default_rng(3)
-    archs = [space.sample(rng) for _ in range(200)]
+    archs = [space.sample(rng) for _ in range(200)] + _all_skip(space)
+    archs.append(archs[0].with_factor(1, 0.2))
     for gap in (-200.0, 200.0):
         surrogate = AccuracySurrogate(space, proxy_gap=gap)
-        for arch in archs:
-            assert (
-                surrogate.proxy_accuracy(arch).hex()
-                == historical_proxy_accuracy(surrogate, arch).hex()
-            )
+        expected = [historical_proxy_accuracy(surrogate, a).hex() for a in archs]
+        assert [surrogate.proxy_accuracy(a).hex() for a in archs] == expected
+        _assert_batches_match(surrogate, archs, expected, monkeypatch)
     unscaled = AccuracySurrogate(space)
     assert {unscaled.top1_error(a) for a in archs} == {95.0}
 

@@ -17,6 +17,7 @@ from repro.hardware import (
     get_device,
 )
 from repro.space import Architecture, SearchSpace, mini, proxy
+from repro.space.operators import NUM_OPERATORS
 
 NUM_ARCHS = 200
 
@@ -63,6 +64,27 @@ class TestDenseTable:
         table = lut.as_table()
         # Factor decile 0 (factor 0.0) is never profiled.
         assert np.isnan(table.cells[0, 0, :, 0]).all()
+
+    def test_scatter_matches_the_per_entry_fill(self, lut):
+        """Built, restored and degraded (cells missing, a NaN cell) LUTs
+        and an empty one fill exactly what the per-entry loop fills."""
+        restored = LatencyLUT.from_json(lut.to_json())
+        kept = dict(list(lut.entries.items())[::3])
+        kept[next(iter(kept))] = float("nan")
+        degraded = LatencyLUT(lut.device_key, kept, lut.stem_ms, lut.head_ms)
+        empty = LatencyLUT(lut.device_key, {})
+        for case in (lut, restored, degraded, empty):
+            keys = case.entries
+            shape = (
+                1 + max((k[0] for k in keys), default=-1),
+                max(NUM_OPERATORS, 1 + max((k[1] for k in keys), default=0)),
+                1 + max((k[2] for k in keys), default=0),
+                11,
+            )
+            expected = np.full(shape, np.nan)
+            for (layer, op, cin, factor), ms in keys.items():
+                expected[layer, op, cin, int(round(factor * 10))] = ms
+            assert case.as_table().cells.tobytes() == expected.tobytes()
 
 
 class TestBatchSums:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.space import Architecture, space_for_layout
+from repro.space import Architecture, SearchSpace, space_for_layout
 from repro.space.encoding import (
     architecture_to_index,
     index_to_architecture,
@@ -61,6 +61,31 @@ class TestDecodeIndices:
             indices, decode_indices(proxy_space, indices)
         ):
             assert architecture_to_index(proxy_space, arch) == index
+
+    @pytest.mark.parametrize("name", ["micro", "mini-012"])
+    def test_genes_are_python_scalars_with_the_scalar_digest(
+        self, name, micro_space
+    ):
+        """Unsorted and repeated indices decode to Python ``int`` ops and
+        ``float`` factors: ``repr(np.int64(3))`` would change a digest."""
+        if name == "micro":
+            space = micro_space
+        else:
+            config = space_for_layout("mini").config
+            space = SearchSpace(
+                config, candidate_ops=[(0, 1, 2)] * config.num_layers
+            )
+        total = space_cardinality(space)
+        rng = np.random.default_rng(4)
+        indices = rng.integers(0, total, 300).tolist()
+        indices += [total - 1, 0, indices[5], total - 1, indices[5]]
+        for index, arch in zip(indices, decode_indices(space, indices)):
+            assert all(type(op) is int for op in arch.ops)
+            assert all(type(f) is float for f in arch.factors)
+            assert type(arch.ops) is tuple and type(arch.factors) is tuple
+            reference = index_to_architecture(space, index)
+            assert arch == reference
+            assert arch.digest() == reference.digest()
 
     def test_empty_and_out_of_range(self, micro_space):
         assert decode_indices(micro_space, []) == []

@@ -581,6 +581,36 @@ def test_concurrent_consumers_match_serial(mini):
         assert results[seed] == [serial[seed]] * 5
 
 
+def test_threads_redrawing_lanes_match_serial(monkeypatch):
+    """Every lane redrawn by numpy (no ziggurat tables), from four
+    threads on two cores: each thread's scratch generator is its own."""
+    rows = [streams.spawn_entropy(seed, np.arange(300)) for seed in range(4)]
+    monkeypatch.setattr(streams, "_ziggurat", lambda: None)
+    serial = [streams.seeded_normals(r, 2).tobytes() for r in rows]
+    results = {}
+    barrier = threading.Barrier(len(rows), timeout=60)
+
+    def work(slot):
+        barrier.wait()
+        results[slot] = [
+            streams.seeded_normals(rows[slot], 2).tobytes() for _ in range(20)
+        ]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(rows))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for slot, expected in enumerate(serial):
+        assert results[slot] == [expected] * 20
+
+
 def _corrupt_seeding(monkeypatch):
     monkeypatch.setattr(streams, "_PCG_MULT", streams._PCG_MULT + 2)
 
