@@ -31,7 +31,7 @@ from repro.core.shrinking import (
 )
 from repro.hardware.degradation import DegradationReport
 from repro.hardware.device import DeviceModel
-from repro.hardware.faults import RetryPolicy
+from repro.hardware.faults import FlakyDevice, RetryPolicy
 from repro.hardware.ledger import MeasurementLedger
 from repro.hardware.lut import LatencyLUT
 from repro.hardware.predictor import LatencyPredictor
@@ -247,6 +247,10 @@ class HSCoNAS:
     # Everything a resumed run needs to continue exactly where stage 1
     # left off; a payload missing any of these predates this format.
     _PREDICTOR_KEYS = ("lut", "bias_ms", "profiler_rng", "ledger", "degradation")
+    # Optional: only a degraded run's report reads them, and older
+    # checkpoints lack them.
+    #   lut_fallbacks: the LUT's nearest-cell memo (``fallback_cells``)
+    #   device_faults: a FlakyDevice's fault stream (``probe_retries``)
 
     def _restore_predictor(self, saved: dict, source: Path) -> LatencyPredictor:
         lut = LatencyLUT.from_json(saved["lut"])
@@ -261,6 +265,10 @@ class HSCoNAS:
                 f"{failed} recorded as failed probes); start a new run "
                 "with --run-dir"
             )
+        if "lut_fallbacks" in saved:
+            lut.restore_fallback_state(saved["lut_fallbacks"])
+        if "device_faults" in saved and isinstance(self.device, FlakyDevice):
+            self.device.restore_fault_state(saved["device_faults"])
         self.ledger.restore(saved["ledger"])
         self.degradation.restore(saved["degradation"])
         self.profiler.set_rng_state(saved["profiler_rng"])
@@ -276,14 +284,18 @@ class HSCoNAS:
         return predictor
 
     def _predictor_payload(self, predictor: LatencyPredictor) -> dict:
-        return {
+        payload = {
             "format": 1,
             "lut": predictor.lut.to_json(),
+            "lut_fallbacks": predictor.lut.fallback_state(),
             "bias_ms": predictor.bias_ms,
             "profiler_rng": self.profiler.rng_state(),
             "ledger": self.ledger.to_dict(),
             "degradation": self.degradation.to_dict(),
         }
+        if isinstance(self.device, FlakyDevice):
+            payload["device_faults"] = self.device.fault_state()
+        return payload
 
     def checkpointed_predictor(
         self, run_state: Optional[RunDir]

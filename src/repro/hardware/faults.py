@@ -88,6 +88,24 @@ class FaultStream:
                 return name
         return None
 
+    def state(self) -> dict:
+        """Where the stream stands (JSON-serializable, for checkpoints)."""
+        from repro.runstate.rng import generator_state
+
+        return {
+            "rng": generator_state(self._rng),
+            "fail_first": self.fail_first,
+            "draws": self.draws,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Rewind the stream to a :meth:`state` (bit-exact resume)."""
+        from repro.runstate.rng import set_generator_state
+
+        set_generator_state(self._rng, state["rng"])
+        self.fail_first = int(state["fail_first"])
+        self.draws = int(state["draws"])
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -248,6 +266,22 @@ class FlakyDevice(DeviceModel):
     @property
     def fail_first(self) -> int:
         return self._faults.fail_first
+
+    _COUNTERS = ("probes", "injected_failures", "injected_timeouts")
+
+    def fault_state(self) -> dict:
+        """The fault stream and counters, for run checkpoints: a run
+        resumed from them injects the faults the uninterrupted run
+        would have."""
+        state = {name: getattr(self, name) for name in self._COUNTERS}
+        state["stream"] = self._faults.state()
+        return state
+
+    def restore_fault_state(self, state: dict) -> None:
+        """Continue from a :meth:`fault_state`."""
+        self._faults.restore(state["stream"])
+        for name in self._COUNTERS:
+            setattr(self, name, int(state[name]))
 
     def _probe(self) -> None:
         """One fault decision per probe: every probe of the measurement

@@ -408,6 +408,26 @@ class LatencyLUT:
             report.fallback_lookups += 1
         return self._fallback_memo[key]
 
+    def fallback_state(self) -> dict:
+        """The nearest-cell fallbacks served so far (JSON-serializable).
+
+        A run checkpoint keeps them so that a resumed run counts a
+        missing cell as newly served (``fallback_cells``) only where
+        the uninterrupted run would.
+        """
+        return {
+            "cells": [[*key, ms] for key, ms in sorted(self._fallback_memo.items())],
+            "head": [[cin, ms] for cin, ms in sorted(self._head_fallback_memo.items())],
+        }
+
+    def restore_fallback_state(self, state: dict) -> None:
+        """Continue from a :meth:`fallback_state`."""
+        self._fallback_memo = {
+            _cell_key(int(layer), int(op), int(cin), factor): float(ms)
+            for layer, op, cin, factor, ms in state["cells"]
+        }
+        self._head_fallback_memo = {int(cin): float(ms) for cin, ms in state["head"]}
+
     def _head_fallback_value(
         self, cin: int, report: Optional[DegradationReport]
     ) -> float:

@@ -24,6 +24,18 @@ host the per-arch training-style forward is the wall.
   on the layer before zeroes that whole half. Such rows skip the
   branch: it runs once per call on one all-zero image, and each dead
   row takes its left half beside that constant.
+* **Channel-major depthwise unfold** — every non-skip operator is built
+  on depthwise kxk convolutions. Their input is padded once into a
+  ``(C, Hp, Wp, N)`` buffer and unfolded as ``(C, k*k, OH*OW*N)``, so
+  each copy run is ``OW*N`` elements long instead of ``OW``, and each
+  channel is one GEMV per block of rows instead of one per image. Every
+  output still goes through OpenBLAS's ``dgemv_n`` SIMD kernel with
+  the same taps in the same order, which keeps it bit-identical to the
+  per-image product under two conditions that the dispatch checks:
+  ``OH*OW`` is a multiple of 4 (so the per-image product has no rows in
+  the kernel's scalar tail), and each block's row count is a multiple
+  of 8 with ``rows * k*k`` below OpenBLAS's threading threshold (so no
+  GEMV is split across threads). Other geometries unfold per image.
 * **Opt-in int8 GEMMs** — ``precision="int8"`` runs every conv/linear
   GEMM against the *deployment* int8 weight grid (the per-output-channel
   scales of :mod:`repro.deploy.quantize`, via
@@ -39,9 +51,10 @@ the equivalence tests assert with ``assert_array_equal``. (A dead row's
 branch output may differ from the per-arch one only in the sign of a
 zero.)
 
-Per-stage wall-time attribution (im2col / GEMM / scoring / other) is
-accumulated in :meth:`stage_times`; the end-to-end benchmark's
-``supernet_proxy`` workload reads it for its per-operation table.
+Per-stage wall-time attribution (im2col / GEMM / scoring / other, and
+BN and masking inside other) is accumulated in :meth:`stage_times`;
+the end-to-end benchmark's ``supernet_proxy`` workload reads it for its
+per-operation table.
 """
 
 from __future__ import annotations
@@ -71,6 +84,20 @@ PRECISIONS = ("float", "int8")
 
 #: Bytes of running sums per sample block of :func:`_depthwise_taps`.
 _DW_BLOCK_BYTES = 1 << 17
+
+#: OpenBLAS runs a GEMV on one thread while ``rows * columns`` stays
+#: below ``2304 * GEMM_MULTITHREAD_THRESHOLD`` (4 unless rebuilt).
+_GEMV_ONE_THREAD = 2304 * 4
+
+
+def _depthwise_block_rows(k: int, out_hw: int, n: int) -> int:
+    """Rows per GEMV of the channel-major depthwise unfold, or 0 when
+    ``n`` images of ``out_hw`` outputs each would not be bit-exact there
+    (see the module docstring)."""
+    block = (_GEMV_ONE_THREAD - 1) // (k * k) // 8 * 8
+    if out_hw % 4 or (out_hw * n) % 8 or block == 0:
+        return 0
+    return block
 
 
 def _depthwise_taps(
@@ -121,6 +148,11 @@ def _depthwise_taps(
     return out
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """``a``'s bytes as a flat ``uint8`` array (a view when contiguous)."""
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+
+
 def _shuffled(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``ChannelShuffle(groups=2)`` of ``concat([left, right])``, one write.
 
@@ -159,9 +191,9 @@ class SupernetFastEval:
         The weight-sharing supernet. Its weights are read, never
         written, and no module's ``forward`` runs, so its train/eval
         flags and backward caches stay as they were.
-        Int8 weight codes and fused BN constants are cached on first
-        use, so build a new instance once the weights or BN statistics
-        change.
+        BN constants, int8 weight codes and the stem's output on the
+        last image batch are cached, so build a new instance once the
+        weights or BN statistics change.
     precision:
         ``"float"`` (default) for the bit-exact float64 path, or
         ``"int8"`` for quantized GEMMs (see module docstring).
@@ -180,7 +212,9 @@ class SupernetFastEval:
         # grown to the largest unfold seen.
         self._cols = np.empty(0, dtype=np.uint8)
         self._qweights: Dict[int, QuantizedTensor] = {}
-        self._bn_fused: Dict[int, tuple] = {}
+        self._bn_consts: Dict[int, tuple] = {}
+        # (images, stem output) of the last stem pass, both read-only.
+        self._stem_memo: Optional[tuple] = None
         self._times: Dict[str, float] = {}
         self.reset_stage_times()
 
@@ -193,6 +227,8 @@ class SupernetFastEval:
             "gemm_s": 0.0,
             "scoring_s": 0.0,
             "other_s": 0.0,
+            "bn_s": 0.0,
+            "mask_s": 0.0,
             "total_s": 0.0,
         }
 
@@ -202,7 +238,9 @@ class SupernetFastEval:
         ``gemm_s`` includes int8 quantize/rescale when running at int8;
         ``other_s`` is everything not otherwise attributed (BN,
         activations, pooling, concat/shuffle, mask application, the
-        dead-row test and the dead rows' writes).
+        dead-row test and the dead rows' writes). Two of its parts are
+        also reported on their own: ``bn_s`` (eval BN) and ``mask_s``
+        (channel masks, the dead-row test and the dead rows' writes).
         """
         times = dict(self._times)
         attributed = times["im2col_s"] + times["gemm_s"] + times["scoring_s"]
@@ -221,6 +259,17 @@ class SupernetFastEval:
     def _conv(self, conv: Conv2d, x: np.ndarray) -> np.ndarray:
         if self.precision == "int8":
             return self._conv_int8(conv, x)
+        out = None
+        if conv.groups == x.shape[1] == conv.out_channels and not conv._is_pointwise:
+            out = self._depthwise(conv, x)
+        if out is None:
+            out = self._conv_gemm(conv, x)
+        if conv.bias is not None:
+            out = out + conv.bias.data[None, :, None, None]
+        return out
+
+    def _conv_gemm(self, conv: Conv2d, x: np.ndarray) -> np.ndarray:
+        """``Conv2d.forward``'s im2col and grouped GEMM, without bias."""
         n, c, h, w = x.shape
         g = conv.groups
         k = conv.kernel_size
@@ -229,6 +278,10 @@ class SupernetFastEval:
 
         t0 = time.perf_counter()
         if conv._is_pointwise:
+            if x.strides[3] != x.itemsize:
+                # A channel-major depthwise output (after its BN): BLAS
+                # takes only unit-stride rows, so copy it image-major.
+                x = np.ascontiguousarray(x)
             cols, out_h, out_w = x.reshape(n, c, h * w), h, w
         else:
             cols, out_h, out_w = self._im2col(conv, x)
@@ -239,11 +292,14 @@ class SupernetFastEval:
         wmat = conv.weight.data.reshape(g, cout_g, cin_g * k * k)
         out = np.matmul(wmat[None], colsg)
         self._times["gemm_s"] += time.perf_counter() - t1
+        return out.reshape(n, conv.out_channels, out_h, out_w)
 
-        out = out.reshape(n, conv.out_channels, out_h, out_w)
-        if conv.bias is not None:
-            out = out + conv.bias.data[None, :, None, None]
-        return out
+    def _arena(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """A ``shape`` array over the shared column arena."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if self._cols.size < nbytes:
+            self._cols = np.empty(nbytes, dtype=np.uint8)
+        return self._cols[:nbytes].view(dtype).reshape(shape)
 
     def _im2col(self, conv: Conv2d, x: np.ndarray):
         """im2col into the shared column arena."""
@@ -254,11 +310,58 @@ class SupernetFastEval:
             conv_output_size(h, k, conv.stride, conv.padding),
             conv_output_size(w, k, conv.stride, conv.padding),
         )
-        nbytes = math.prod(shape) * x.itemsize
-        if self._cols.size < nbytes:
-            self._cols = np.empty(nbytes, dtype=np.uint8)
-        buf = self._cols[:nbytes].view(x.dtype).reshape(shape)
-        return im2col(x, k, conv.stride, conv.padding, out=buf)
+        return im2col(x, k, conv.stride, conv.padding, out=self._arena(shape, x.dtype))
+
+    def _depthwise(self, conv: Conv2d, x: np.ndarray) -> Optional[np.ndarray]:
+        """Depthwise convolution unfolded channel-major, without bias, or
+        ``None`` where that would not be bit-exact.
+
+        Channel ``c``'s columns are ``(k*k, OH*OW*N)`` with the image
+        index innermost, and its outputs are GEMVs over blocks of them
+        (:func:`_depthwise_block_rows`), bit-identical to the per-image
+        ``(1, k*k) @ (k*k, OH*OW)`` products of ``Conv2d.forward``.
+        Returns an ``(N, C, OH, OW)`` view of a ``(C, OH, OW, N)``
+        array: the BN that follows runs on it in place, and the 1x1
+        convolution after that copies it image-major.
+        """
+        n, c, h, w = x.shape
+        k, stride, p = conv.kernel_size, conv.stride, conv.padding
+        out_h = conv_output_size(h, k, stride, p)
+        out_w = conv_output_size(w, k, stride, p)
+        block = _depthwise_block_rows(k, out_h * out_w, n)
+        if not block:
+            return None
+        rows = out_h * out_w * n
+        t0 = time.perf_counter()
+        xp = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+        xp[:, p : p + h, p : p + w] = x.transpose(1, 2, 3, 0)
+        sc, sh, sw, sn = xp.strides
+        # ``as_strided``'s view, without its ~10 us of Python per call.
+        windows = np.ndarray(
+            (c, k, k, out_h, out_w, n),
+            dtype=xp.dtype,
+            buffer=xp,
+            strides=(sc, sh, sw, sh * stride, sw * stride, sn),
+        )
+        cols = self._arena((c, k * k, rows), x.dtype)
+        np.copyto(cols.reshape(c, k, k, out_h, out_w, n), windows)
+        t1 = time.perf_counter()
+        self._times["im2col_s"] += t1 - t0
+
+        taps = conv.weight.data.reshape(c, 1, 1, k * k)
+        out = np.empty((c, rows), dtype=np.result_type(taps, cols))
+        full = rows - rows % block
+        if full:
+            # (C, blocks, k*k, block) views: one single-thread GEMV each.
+            np.matmul(
+                taps,
+                cols[:, :, :full].reshape(c, k * k, -1, block).transpose(0, 2, 1, 3),
+                out=out[:, :full].reshape(c, -1, 1, block),
+            )
+        if full < rows:
+            np.matmul(taps[:, 0], cols[:, :, full:], out=out[:, None, full:])
+        self._times["gemm_s"] += time.perf_counter() - t1
+        return out.reshape(c, out_h, out_w, n).transpose(3, 0, 1, 2)
 
     def _conv_int8(self, conv: Conv2d, x: np.ndarray) -> np.ndarray:
         """Convolution against the deployment int8 weight grid, float32.
@@ -314,37 +417,66 @@ class SupernetFastEval:
         Float: ``BatchNorm2d.forward``'s operations in its order
         (subtract the mean, scale by ``inv_std``, then ``gamma``, add
         ``beta``) on one array. Int8: folded to one float32
-        multiply-add per element.
+        multiply-add per element. Either way the per-channel constants
+        are computed once per layer and cached.
         """
+        t0 = time.perf_counter()
+        consts = self._bn_consts.get(id(bn))
+        if consts is None:
+            inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+            if self.precision == "int8":
+                scale = bn.gamma.data * inv_std
+                shift = bn.beta.data - bn.running_mean * bn.gamma.data * inv_std
+                consts = (scale.astype(np.float32), shift.astype(np.float32))
+            else:
+                consts = (bn.running_mean, inv_std, bn.gamma.data, bn.beta.data)
+            consts = tuple(np.array(v)[None, :, None, None] for v in consts)
+            self._bn_consts[id(bn)] = consts
         if self.precision == "int8":
-            fused = self._bn_fused.get(id(bn))
-            if fused is None:
-                inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-                scale = (bn.gamma.data * inv_std).astype(np.float32)
-                shift = (
-                    bn.beta.data - bn.running_mean * bn.gamma.data * inv_std
-                ).astype(np.float32)
-                fused = (scale[None, :, None, None], shift[None, :, None, None])
-                self._bn_fused[id(bn)] = fused
-            scale, shift = fused
+            scale, shift = consts
             out = np.multiply(x, scale, out=x if inplace else None)
             out += shift
-            return out
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-        out = np.subtract(
-            x, bn.running_mean[None, :, None, None], out=x if inplace else None
-        )
-        out *= inv_std[None, :, None, None]
-        out *= bn.gamma.data[None, :, None, None]
-        out += bn.beta.data[None, :, None, None]
+        else:
+            mean, inv_std, gamma, beta = consts
+            out = np.subtract(x, mean, out=x if inplace else None)
+            out *= inv_std
+            out *= gamma
+            out += beta
+        self._times["bn_s"] += time.perf_counter() - t0
         return out
 
     def _mask(self, block, x: np.ndarray) -> np.ndarray:
         """Apply a choice block's channel mask (float32 at int8)."""
+        t0 = time.perf_counter()
         mask = block.mask.mask
         if self.precision == "int8":
             mask = mask.astype(np.float32)
-        return x * mask[None, :, None, None]
+        out = x * mask[None, :, None, None]
+        self._times["mask_s"] += time.perf_counter() - t0
+        return out
+
+    def _stem(self, images: np.ndarray) -> np.ndarray:
+        """The stem's output on ``images``, read-only.
+
+        Kept for the next call: a batch equal to the last one, bit for
+        bit, reuses it (every search scores its candidates on one fixed
+        image batch).
+        """
+        memo = self._stem_memo
+        if memo is not None:
+            seen, out = memo
+            if (
+                seen.shape == images.shape
+                and seen.dtype == images.dtype
+                and np.array_equal(_bits(seen), _bits(images))
+            ):
+                return out
+        seen = np.array(images)
+        out = self._module(self.supernet.stem, seen)
+        seen.flags.writeable = False
+        out.flags.writeable = False
+        self._stem_memo = (seen, out)
+        return out
 
     def _linear(self, linear: Linear, x: np.ndarray) -> np.ndarray:
         t0 = time.perf_counter()
@@ -401,7 +533,7 @@ class SupernetFastEval:
         net = self.supernet
         net.set_architecture(arch)
         t0 = time.perf_counter()
-        x = self._module(net.stem, images)
+        x = self._stem(images)
         for block in net.blocks:
             x = self._module(block.ops[block.active_op], x)
             x = self._mask(block, x)
@@ -486,7 +618,7 @@ class SupernetFastEval:
         net = self.supernet
         n_img = images.shape[0]
         mask_dtype = np.float32 if self.precision == "int8" else np.float64
-        acts = self._module(net.stem, images)[None]  # (rows, N, C, H, W)
+        acts = self._stem(images)[None]  # (rows, N, C, H, W)
         rows = [0] * len(paths)  # activation row of each path
         for li, block in enumerate(net.blocks):
             keys = [(p[li][0], row, p[li][1]) for p, row in zip(paths, rows)]
@@ -503,10 +635,12 @@ class SupernetFastEval:
                 src = sorted({row for _, row, _ in group})
                 dead = set()
                 if li > 0 and _splits_input(m):
+                    t0 = time.perf_counter()
                     # The activation itself is tested, not the kept
                     # count, so a NaN/inf in the masked half stays live.
                     half = acts.shape[2] // 2
                     dead = {row for row in src if not acts[row, :, half:].any()}
+                    self._times["mask_s"] += time.perf_counter() - t0
                 live = [row for row in src if row not in dead]
                 if live:
                     sub = acts if len(live) == len(acts) else acts[live]
@@ -527,6 +661,7 @@ class SupernetFastEval:
                     shape = out.shape[1:] if live else acts.shape[1:]
                     dtype = out.dtype if live else np.result_type(acts, const)
                     new_acts = np.empty((len(distinct),) + shape, dtype=dtype)
+                t0 = time.perf_counter()
                 masks = np.zeros((len(group), new_acts.shape[2]), dtype=mask_dtype)
                 for i, (_, _, kept) in enumerate(group):
                     masks[i, :kept] = 1.0
@@ -535,16 +670,17 @@ class SupernetFastEval:
                 lo += len(group)
                 if len(live) == len(group):  # one key per live row, in order
                     np.multiply(out, masks, out=dst)
-                    continue
-                local = {row: i for i, row in enumerate(live)}
-                for i, (_, row, _) in enumerate(group):
-                    if row in dead:
-                        pairs = dst[i].reshape(n_img, half, 2, *dst.shape[3:])
-                        pairs[:, :, 0] = acts[row, :, :half]
-                        pairs[:, :, 1] = const
-                        dst[i] *= masks[i]
-                    else:
-                        np.multiply(out[local[row]], masks[i], out=dst[i])
+                else:
+                    local = {row: i for i, row in enumerate(live)}
+                    for i, (_, row, _) in enumerate(group):
+                        if row in dead:
+                            pairs = dst[i].reshape(n_img, half, 2, *dst.shape[3:])
+                            pairs[:, :, 0] = acts[row, :, :half]
+                            pairs[:, :, 1] = const
+                            dst[i] *= masks[i]
+                        else:
+                            np.multiply(out[local[row]], masks[i], out=dst[i])
+                self._times["mask_s"] += time.perf_counter() - t0
             acts = new_acts
         x = self._module(net.head, acts.reshape(-1, *acts.shape[2:]))
         # The classifier is the one 2-D GEMM in the whole pass: its BLAS

@@ -139,6 +139,33 @@ class TestDegradedResume:
         resumed = HSCoNAS(proxy_space, flaky(), cfg).run(RunDir.open(run.path))
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
 
+    def test_resumed_degradation_report_matches_uninterrupted_run(
+        self, proxy_space, quick_config, tmp_path
+    ):
+        # The predictor checkpoint keeps the LUT's nearest-cell memo
+        # (else calibration's fallbacks count again as fallback_cells)
+        # and the device's fault stream (else the final measurement's
+        # probes draw their faults from probe 0 again: probe_retries).
+        from dataclasses import replace
+
+        cfg = replace(
+            quick_config,
+            retry=RetryPolicy(attempts=2, backoff_s=0.0),
+            degraded_ok=True,
+        )
+
+        def flaky():
+            return FlakyDevice(get_device("gpu"), failure_rate=0.3, seed=1)
+
+        uninterrupted = HSCoNAS(proxy_space, flaky(), cfg).run()
+        report = uninterrupted.degradation.to_dict()
+        assert report["fallback_cells"] > 0 and report["probe_retries"] > 0
+        run = RunDir.create(tmp_path / "run", "search", {}, HSCoNAS.PHASES)
+        HSCoNAS(proxy_space, flaky(), cfg).checkpointed_predictor(run)
+        resumed = HSCoNAS(proxy_space, flaky(), cfg).run(RunDir.open(run.path))
+        assert resumed.degradation.to_dict() == report
+        assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
 
 def test_resumed_finished_run_reads_each_checkpoint_once(
     proxy_space, quick_config, tmp_path, monkeypatch

@@ -5,8 +5,9 @@ import pytest
 
 from repro.nn import assert_no_eval_caches, ranking_fidelity
 from repro.nn.inference import CACHE_ATTRS
-from repro.space import Architecture
-from repro.supernet import SupernetFastEval
+from repro.nn.layers.conv import Conv2d
+from repro.space import Architecture, SearchSpace, mini, proxy
+from repro.supernet import Supernet, SupernetFastEval
 from repro.supernet.fast_eval import _depthwise_taps
 from repro.train import SupernetTrainer, TrainConfig, top_k_accuracy
 
@@ -190,6 +191,12 @@ class TestApiAndTiming:
             + times["other_s"]
         )
         assert attributed <= times["total_s"] + times["scoring_s"] + 1e-9
+        # BN and masking are parts of other_s (which, like the total,
+        # leaves out scoring).
+        assert times["bn_s"] > 0.0
+        assert times["mask_s"] > 0.0
+        parts = times["bn_s"] + times["mask_s"]
+        assert parts <= times["other_s"] + times["scoring_s"] + 1e-9
         fe.reset_stage_times()
         assert all(v == 0.0 for v in fe.stage_times().values())
 
@@ -436,3 +443,147 @@ def test_depthwise_taps_match_per_tap_loop(n, k, stride):
     want = reference_depthwise_taps(x, taps, k, stride, k // 2)
     assert got.shape == want.shape and got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
+
+
+def depthwise_geometries(config, stride):
+    """``(channels, input size)`` of a space's stride-``stride``
+    depthwise convolutions: a stride-2 unit's left and branch halves on
+    the stage input, a stride-1 unit's branch on half the channels."""
+    hw, cin = config.input_size // 2, config.stem_channels
+    out = set()
+    for stage in config.stages:
+        half = stage.channels // 2
+        if stride == 2:
+            out |= {(cin, hw), (half, hw)}
+        hw //= 2
+        if stride == 1:
+            out.add((half, hw))
+        cin = stage.channels
+    return sorted(out)
+
+
+def depthwise_calls(fe):
+    """Count the convolutions ``fe`` unfolds channel-major."""
+    calls = []
+    depthwise = fe._depthwise
+
+    def counting(conv, x):
+        out = depthwise(conv, x)
+        if out is not None:
+            calls.append(x.shape)
+        return out
+
+    fe._depthwise = counting
+    return calls
+
+
+def eval_conv(conv, x):
+    conv.eval()
+    try:
+        return conv.forward(x)
+    finally:
+        conv.train()
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestChannelMajorDepthwise:
+    """The channel-major depthwise unfold against ``Conv2d.forward``."""
+
+    @pytest.mark.parametrize("n", [1, 8, 80])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("config", [proxy(), mini()], ids=["proxy", "mini"])
+    def test_bit_exact_on_space_geometries(self, tiny_supernet, config, k, stride, n):
+        # 80 images of 8x8 outputs with 49 taps is 3136 rows x 49
+        # columns per channel: a GEMV OpenBLAS would thread unblocked.
+        fe = SupernetFastEval(tiny_supernet)
+        calls = depthwise_calls(fe)
+        rng = np.random.default_rng(100 * k + 10 * stride + n)
+        for c, hw in depthwise_geometries(config, stride):
+            conv = Conv2d(c, c, k, stride=stride, padding=k // 2, groups=c, rng=rng)
+            x = rng.standard_normal((n, c, hw, hw))
+            x[x < -1.5] = -0.0
+            del calls[:]
+            got = fe._conv(conv, x)
+            assert_same_bits(got, eval_conv(conv, x))
+            out_hw = ((hw + 2 * (k // 2) - k) // stride + 1) ** 2
+            # The one geometry left per image: 2x2 outputs of one image.
+            assert len(calls) == (0 if out_hw * n % 8 else 1)
+
+    @pytest.mark.parametrize("stride,hw", [(1, 7), (2, 14)])
+    def test_odd_output_takes_per_image_unfold(self, tiny_supernet, stride, hw):
+        # 7x7 outputs: 49 rows per image, one in the kernel's scalar tail.
+        fe = SupernetFastEval(tiny_supernet)
+        calls = depthwise_calls(fe)
+        rng = np.random.default_rng(stride)
+        for k in (3, 5, 7):
+            conv = Conv2d(8, 8, k, stride=stride, padding=k // 2, groups=8, rng=rng)
+            x = rng.standard_normal((16, 8, hw, hw))
+            assert_same_bits(fe._conv(conv, x), eval_conv(conv, x))
+        assert calls == []
+
+    def test_forward_many_proxy_chunks_match_per_arch(self):
+        space = SearchSpace(proxy())
+        net = Supernet(space, seed=0)
+        images = np.random.default_rng(1).standard_normal((8, 3, 32, 32))
+        archs = sample_archs(space, 24, seed=5)
+        fe = SupernetFastEval(net)
+        calls = depthwise_calls(fe)
+        fast = fe.forward_many(archs, images, chunk_archs=10)
+        assert calls
+        np.testing.assert_array_equal(fast, per_arch_eval_logits(net, archs, images))
+
+
+class TestStemMemo:
+    @staticmethod
+    def count_stem_calls(fe, net):
+        calls = []
+        dispatch = fe._module
+
+        def counting(m, x):
+            if m is net.stem:
+                calls.append(x.shape[0])
+            return dispatch(m, x)
+
+        fe._module = counting
+        return calls
+
+    def test_equal_images_reuse_the_stem(self, trained, tiny_space, tiny_dataset):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:6].copy()
+        archs = sample_archs(tiny_space, 5)
+        fe = SupernetFastEval(net)
+        calls = self.count_stem_calls(fe, net)
+        first = fe.forward_many(archs, images, chunk_archs=2)
+        assert calls == [6]
+        again = fe.forward_many(archs, images.copy())
+        single = fe.forward(archs[0], images.copy())
+        assert calls == [6]
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(single, first[0])
+
+    def test_changed_pixel_recomputes(self, trained, tiny_space, tiny_dataset):
+        net = trained.supernet
+        images = tiny_dataset.test_x[:6].copy()
+        archs = sample_archs(tiny_space, 4)
+        fe = SupernetFastEval(net)
+        calls = self.count_stem_calls(fe, net)
+        fe.forward_many(archs, images)
+        images[3, 1, 5, 7] += 0.25
+        fast = fe.forward_many(archs, images)
+        assert calls == [6, 6]
+        np.testing.assert_array_equal(fast, per_arch_eval_logits(net, archs, images))
+
+    def test_memo_is_read_only(self, trained, tiny_dataset):
+        fe = SupernetFastEval(trained.supernet)
+        images = tiny_dataset.test_x[:4].copy()
+        out = fe._stem(images)
+        assert fe._stem(images.copy()) is out
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            fe._stem_memo[0][0, 0, 0, 0] = 1.0
