@@ -7,15 +7,10 @@ or is structurally prone to:
   (``np.random.rand`` & friends, stdlib ``random``) make supernet
   training and EA runs non-reproducible; every draw must flow through an
   injected ``np.random.Generator`` seeded once per run.
-* **RL102 float-key** — raw floats as dict/cache keys are the
-  ``_cell_key`` bug class from PR 1: ``0.1 * 3 != 0.3`` silently misses
-  LUT cells. Keys must be quantized (``round``/``_quantize_factor``).
 * **RL103 workspace-mutation** — arrays handed out by cache/workspace
   accessors (``Im2colWorkspace.get``, ``LatencyLUT.as_table``,
   ``EvaluationCache.get_or_eval``) are shared; mutating them in place
   corrupts every other alias (the im2col aliasing hazard).
-* **RL104 mutable-default** — mutable default arguments alias across
-  calls.
 * **RL106 raw-json-write** — JSON artifacts written via
   ``json.dump``/``handle.write(json.dumps(...))``/``Path.write_text``
   can be torn in half by a crash; every JSON artifact must go through
@@ -55,50 +50,30 @@ from repro.lint.astcache import (
     attr_chain,
     collect_python_files,
 )
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.rules import CODE_RULES, Rule, filter_suppressed
 
 RL101 = CODE_RULES.register(
     Rule(
         "RL101",
         "global-rng",
-        Severity.ERROR,
         "global RNG call; thread an injected, seeded np.random.Generator "
         "instead so runs are bit-reproducible under a single seed",
-    )
-)
-RL102 = CODE_RULES.register(
-    Rule(
-        "RL102",
-        "float-key",
-        Severity.ERROR,
-        "raw float used as a dict/cache key; quantize first "
-        "(round / _quantize_factor) so float drift cannot miss the cell",
     )
 )
 RL103 = CODE_RULES.register(
     Rule(
         "RL103",
         "workspace-mutation",
-        Severity.ERROR,
         "in-place mutation of an array returned by a cache/workspace "
         "accessor; copy it (or write through the accessor's API) — the "
         "buffer is shared with other call sites",
-    )
-)
-RL104 = CODE_RULES.register(
-    Rule(
-        "RL104",
-        "mutable-default",
-        Severity.ERROR,
-        "mutable default argument; use None and construct inside the body",
     )
 )
 RL106 = CODE_RULES.register(
     Rule(
         "RL106",
         "raw-json-write",
-        Severity.WARNING,
         "JSON artifact written without the atomic helper; use "
         "atomic_write_json/atomic_write_text from repro.runstate.atomic "
         "so a crash cannot leave a torn half-file",
@@ -108,7 +83,6 @@ RL107 = CODE_RULES.register(
     Rule(
         "RL107",
         "direct-worker-pool",
-        Severity.ERROR,
         "direct WorkerPool construction bypasses the backend factory; "
         "use repro.parallel.create_backend so the serial/multiprocess "
         "choice stays a config knob",
@@ -119,7 +93,6 @@ RL108 = CODE_RULES.register(
     Rule(
         "RL108",
         "direct-socket-server",
-        Severity.ERROR,
         "direct socket/HTTP server or connection construction outside "
         "repro.serve; route network I/O through repro.serve.server / "
         "repro.serve.client so coalescing, metrics, and graceful drain "
@@ -131,7 +104,6 @@ RL109 = CODE_RULES.register(
     Rule(
         "RL109",
         "unbounded-blocking-wait",
-        Severity.ERROR,
         "blocking primitive with no timeout in a threaded runtime "
         "layer; pass timeout= and re-check the condition in a loop so "
         "a lost wake-up cannot deadlock the daemon",
@@ -282,7 +254,7 @@ class _ModuleImports(ast.NodeVisitor):
 
 
 class _Checker(ast.NodeVisitor):
-    """Single-pass visitor emitting findings for all five rules."""
+    """Single-pass visitor emitting findings for every RL rule."""
 
     def __init__(self, path: str, imports: _ModuleImports) -> None:
         self.path = path
@@ -298,7 +270,6 @@ class _Checker(ast.NodeVisitor):
         self.findings.append(
             Finding(
                 rule_id=rule.rule_id,
-                severity=rule.severity,
                 message=message,
                 file=self.path,
                 line=getattr(node, "lineno", None),
@@ -354,43 +325,6 @@ class _Checker(ast.NodeVisitor):
         ):
             origin = self.imports.direct_global_fns[chain[0]]
             self._emit(RL101, node, f"call to global RNG '{origin}'")
-
-    # -- RL102: raw float keys ---------------------------------------------------
-
-    @staticmethod
-    def _float_constants(node: ast.AST) -> List[ast.Constant]:
-        """Float literals appearing directly in a key expression
-        (the expression itself, or elements of a tuple key)."""
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            return [node]
-        if isinstance(node, ast.Tuple):
-            return [
-                e
-                for e in node.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, float)
-            ]
-        return []
-
-    def _check_float_key_subscript(self, node: ast.Subscript) -> None:
-        # Slices on ndarrays are integer/slice expressions; a float
-        # literal in a subscript is a dict-style key either way and is
-        # a bug on ndarrays too.
-        target = node.slice
-        for const in self._float_constants(target):
-            self._emit(
-                RL102, const,
-                f"float literal {const.value!r} used as a subscript key",
-            )
-
-    def _check_float_key_dict(self, node: ast.Dict) -> None:
-        for key in node.keys:
-            if key is None:  # **spread
-                continue
-            for const in self._float_constants(key):
-                self._emit(
-                    RL102, const,
-                    f"float literal {const.value!r} used as a dict key",
-                )
 
     # -- RL103: shared-buffer mutation ------------------------------------------
 
@@ -604,24 +538,6 @@ class _Checker(ast.NodeVisitor):
                 "from repro.runstate.atomic",
             )
 
-    # -- RL104: mutable defaults -------------------------------------------------
-
-    def _check_mutable_default(self, node: ast.arguments) -> None:
-        for default in list(node.defaults) + [
-            d for d in node.kw_defaults if d is not None
-        ]:
-            if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-                self._emit(RL104, default, "mutable default argument")
-            elif (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in {"list", "dict", "set", "bytearray"}
-            ):
-                self._emit(
-                    RL104, default,
-                    f"mutable default argument ({default.func.id}())",
-                )
-
     # -- visitor plumbing --------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -633,14 +549,6 @@ class _Checker(ast.NodeVisitor):
         self._check_unbounded_wait(node)
         self.generic_visit(node)
 
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        self._check_float_key_subscript(node)
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        self._check_float_key_dict(node)
-        self.generic_visit(node)
-
     def visit_Assign(self, node: ast.Assign) -> None:
         self._track_shared_assign(node)
         self._check_shared_mutation_assign(node)
@@ -650,25 +558,14 @@ class _Checker(ast.NodeVisitor):
         self._check_shared_mutation_augassign(node)
         self.generic_visit(node)
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_mutable_default(node.args)
-        self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_mutable_default(node.args)
-        self.generic_visit(node)
-
-
-def _lint_file(
-    entry: SourceFile, active_rules: Optional[Set[str]] = None
-) -> List[Finding]:
+def _lint_file(entry: SourceFile) -> List[Finding]:
     """Run the RL rules over one already-parsed module."""
     if entry.tree is None:
         exc = entry.syntax_error
         return [
             Finding(
                 rule_id="RL100",
-                severity=Severity.ERROR,
                 message=f"syntax error: {exc.msg if exc else 'unparseable'}",
                 file=entry.path,
                 line=exc.lineno if exc else None,
@@ -679,26 +576,16 @@ def _lint_file(
     imports.visit(entry.tree)
     checker = _Checker(entry.path, imports)
     checker.visit(entry.tree)
-    findings = checker.findings
-    if active_rules is not None:
-        findings = [f for f in findings if f.rule_id in active_rules]
-    return filter_suppressed(findings, entry.lines)
+    return filter_suppressed(checker.findings, entry.lines)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    active_rules: Optional[Set[str]] = None,
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one module's source text; returns unsuppressed findings."""
-    return _lint_file(AstCache().load(path, source=source), active_rules)
+    return _lint_file(AstCache().load(path, source=source))
 
 
 def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    cache: Optional[AstCache] = None,
+    paths: Sequence[str], cache: Optional[AstCache] = None
 ) -> List[Finding]:
     """Lint every ``.py`` file under the given files/directories.
 
@@ -707,8 +594,7 @@ def lint_paths(
     """
     if cache is None:
         cache = AstCache()
-    active = CODE_RULES.resolve(select, ignore)
     findings: List[Finding] = []
     for file_path in collect_python_files(paths):
-        findings.extend(_lint_file(cache.load(file_path), active))
+        findings.extend(_lint_file(cache.load(file_path)))
     return findings

@@ -32,10 +32,6 @@ class SourceFile:
     tree: Optional[ast.Module] = None
     syntax_error: Optional[SyntaxError] = None
 
-    @property
-    def ok(self) -> bool:
-        return self.tree is not None
-
 
 class AstCache:
     """Path-keyed memo of parsed modules with work accounting."""
@@ -44,9 +40,6 @@ class AstCache:
         self._files: Dict[str, SourceFile] = {}
         self.parses = 0
         self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._files)
 
     def load(self, path: str, source: Optional[str] = None) -> SourceFile:
         """The parsed module at ``path``; parses at most once.

@@ -12,32 +12,22 @@ rest on:
 * :mod:`~repro.lint.flow.cachekeys` — **RF303** cache-key soundness:
   floats reach keys only through the one-decimal quantizers.
 
-Entry point: :func:`analyze_flow`. Accepted findings live in a
-checked-in baseline (:mod:`~repro.lint.flow.baseline`); CI uploads
-the run as SARIF (:mod:`~repro.lint.flow.sarif`).
+Entry point: :func:`analyze_flow`. A finding that is accepted on
+purpose carries a ``# repro-lint: disable=RULE`` comment with its
+reason on the reported line; CI uploads the run as SARIF
+(:mod:`~repro.lint.flow.sarif`).
 """
 
-from repro.lint.flow.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    stale_entry_findings,
-)
 from repro.lint.flow.callgraph import CallGraph, build_call_graph
-from repro.lint.flow.driver import FLOW_RULES, FlowStats, analyze_flow
+from repro.lint.flow.driver import FlowStats, analyze_flow
 from repro.lint.flow.project import Project
 from repro.lint.flow.sarif import render_sarif
 
 __all__ = [
-    "FLOW_RULES",
     "FlowStats",
     "analyze_flow",
     "Project",
     "CallGraph",
     "build_call_graph",
-    "BaselineEntry",
-    "load_baseline",
-    "apply_baseline",
-    "stale_entry_findings",
     "render_sarif",
 ]

@@ -1,12 +1,11 @@
 """RF303 — cache-key soundness: floats reach keys only quantized.
 
-RL102 catches float *literals* in key position; this analysis
-generalizes it to dataflow. A float-valued expression — a ``float``
-annotated parameter, a division result, a ``float(...)`` cast, or a
-variable bound to one — that reaches a cache-key position without
-passing through a quantizer is the ``_cell_key`` bug class one hop
-removed: ``0.1 * 3 != 0.3`` means the key computed at insert time can
-miss the key computed at lookup time.
+A float-valued expression — a float literal, a ``float`` annotated
+parameter, a division result, a ``float(...)`` cast, or a variable
+bound to one — that reaches a cache-key position without passing
+through a quantizer is the ``_cell_key`` bug class: ``0.1 * 3 != 0.3``
+means the key computed at insert time can miss the key computed at
+lookup time.
 
 Key positions:
 
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.astcache import attr_chain
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, _LocalTypes, resolve_call
 from repro.lint.flow.project import FunctionInfo, Project
 from repro.lint.rules import CODE_RULES, Rule
@@ -41,7 +40,6 @@ RF303 = CODE_RULES.register(
     Rule(
         "RF303",
         "unquantized-cache-key",
-        Severity.ERROR,
         "float value flows into a cache-key position without passing "
         "through a quantizer (round/int/_quantize_factor); float drift "
         "silently misses cells",
@@ -219,7 +217,6 @@ class _KeyPass:
                     self.analysis.findings.append(
                         Finding(
                             rule_id="RF303",
-                            severity=Severity.ERROR,
                             message=(
                                 f"{reason} used in {where} without "
                                 "quantization; round/int/"
@@ -271,7 +268,6 @@ class _KeyPass:
                     self.analysis.findings.append(
                         Finding(
                             rule_id="RF303",
-                            severity=Severity.ERROR,
                             message=(
                                 f"{reason} flows into parameter "
                                 f"'{param}' of {callee.qualname}, which "

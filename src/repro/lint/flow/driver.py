@@ -22,8 +22,6 @@ from repro.lint.flow.project import Project
 from repro.lint.flow.rng import analyze_rng
 from repro.lint.rules import filter_suppressed
 
-FLOW_RULES = ("RF300", "RF301", "RF302", "RF303")
-
 
 @dataclass
 class FlowStats:
@@ -46,15 +44,11 @@ class FlowStats:
 
 
 def analyze_flow(
-    paths: Sequence[str],
-    cache: Optional[AstCache] = None,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
+    paths: Sequence[str], cache: Optional[AstCache] = None
 ) -> Tuple[List[Finding], FlowStats]:
     """Run the whole-program analyses over ``paths``.
 
-    ``cache`` shares parsed trees with the per-file pass; ``select`` /
-    ``ignore`` filter by rule id with the same semantics as the CLI.
+    ``cache`` shares parsed trees with the per-file pass.
     """
     start = time.perf_counter()
     if cache is None:
@@ -67,23 +61,10 @@ def analyze_flow(
     findings.extend(analyze_locks(project, graph))
     findings.extend(analyze_cache_keys(project, graph))
 
-    active = set(FLOW_RULES)
-    if select:
-        requested = set(select) & active
-        if requested:
-            active = requested
-    if ignore:
-        active -= set(ignore)
-    findings = [f for f in findings if f.rule_id in active]
-
     # Inline suppression, same contract as the RL rules.
     kept: List[Finding] = []
     for finding in findings:
-        module = (
-            project.modules_by_path.get(finding.file)
-            if finding.file
-            else None
-        )
+        module = project.modules_by_path.get(finding.file)
         lines = module.lines if module is not None else []
         kept.extend(filter_suppressed([finding], lines))
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.astcache import attr_chain
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, _LocalTypes
 from repro.lint.flow.project import ClassInfo, FunctionInfo, Project
 from repro.lint.rules import CODE_RULES, Rule
@@ -46,7 +46,6 @@ RF301 = CODE_RULES.register(
     Rule(
         "RF301",
         "unlocked-guarded-field",
-        Severity.ERROR,
         "field guarded by a lock elsewhere is accessed without holding "
         "it; take the lock (or expose a locked accessor) so concurrent "
         "threads cannot race the access",
@@ -56,7 +55,6 @@ RF302 = CODE_RULES.register(
     Rule(
         "RF302",
         "lock-order-inversion",
-        Severity.ERROR,
         "two locks are acquired in opposite orders on different code "
         "paths (or a non-reentrant lock is re-acquired); pick one "
         "global order to make deadlock impossible",
@@ -353,7 +351,6 @@ class LockAnalysis:
                     self.findings.append(
                         Finding(
                             rule_id="RF301",
-                            severity=Severity.ERROR,
                             message=(
                                 f"{kind} of '{_info.cls.name}.{fld}' "
                                 f"without holding '{lock}' (field is "
@@ -415,7 +412,6 @@ class LockAnalysis:
             self.findings.append(
                 Finding(
                     rule_id="RF301",
-                    severity=Severity.ERROR,
                     message=(
                         f"read of '{receiver.name}.{node.attr}' from "
                         f"outside the class without holding '{lock}' "
@@ -526,7 +522,6 @@ class LockAnalysis:
                 self.findings.append(
                     Finding(
                         rule_id="RF302",
-                        severity=Severity.ERROR,
                         message=(
                             f"non-reentrant lock '{outer.label()}' "
                             "acquired while already held — guaranteed "
@@ -604,7 +599,6 @@ class LockAnalysis:
                 self.findings.append(
                     Finding(
                         rule_id="RF302",
-                        severity=Severity.ERROR,
                         message=(
                             f"lock-order inversion: '{a.label()}' -> "
                             f"'{b.label()}' here but '{b.label()}' -> "

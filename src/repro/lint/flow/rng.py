@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.astcache import attr_chain
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.flow.callgraph import CallGraph, _LocalTypes, resolve_call
 from repro.lint.flow.project import FunctionInfo, Project
 from repro.lint.rules import CODE_RULES, Rule
@@ -41,7 +41,6 @@ RF300 = CODE_RULES.register(
     Rule(
         "RF300",
         "rng-provenance",
-        Severity.ERROR,
         "random draw whose generator is not derived from an explicit "
         "seed (or is shared across worker-index boundaries); derive "
         "every stream from SeedSequence(seed, spawn_key=...) so runs "
@@ -177,7 +176,6 @@ class RngAnalysis:
                     self.findings.append(
                         Finding(
                             rule_id="RF300",
-                            severity=Severity.ERROR,
                             message=(
                                 f"duplicate spawn_key {key_const!r} for "
                                 f"entropy '{entropy}' (also constructed "
@@ -507,7 +505,6 @@ class _FunctionPass:
                 self.analysis.findings.append(
                     Finding(
                         rule_id="RF300",
-                        severity=Severity.ERROR,
                         message=(
                             f"'{tail}()' constructed without an explicit "
                             "seed draws entropy from the OS; pass a seed "
@@ -566,7 +563,6 @@ class _FunctionPass:
             self.analysis.findings.append(
                 Finding(
                     rule_id="RF300",
-                    severity=Severity.ERROR,
                     message=(
                         f"draw from '{receiver_text}', an unseeded "
                         f"generator constructed at {atom.origin} "
@@ -593,7 +589,6 @@ class _FunctionPass:
             self.analysis.findings.append(
                 Finding(
                     rule_id="RF300",
-                    severity=Severity.ERROR,
                     message=(
                         f"generator '{receiver.id}' is shared across "
                         "worker-index iterations; derive a per-index "
@@ -627,7 +622,6 @@ class _FunctionPass:
                 self.analysis.findings.append(
                     Finding(
                         rule_id="RF300",
-                        severity=Severity.ERROR,
                         message=(
                             f"unseeded generator (constructed at "
                             f"{atom.origin}) flows into parameter "

@@ -6,9 +6,8 @@ with findings inline. The emitter maps the lint's own schema onto it:
 
 * one ``run`` from the ``repro.lint`` driver with the full rule
   catalog (id, name, help text) so the UI can render rule metadata;
-* one ``result`` per finding, ``error`` -> ``"error"`` level,
-  ``warning`` -> ``"warning"``; code findings carry a physical
-  location (uri + line/column), a stale-baseline finding a logical one.
+* one ``result`` per finding at the ``"error"`` level, with its
+  physical location (uri + line/column).
 
 The output is deterministic (sorted findings, sorted keys) so the
 snapshot test can diff it byte-for-byte.
@@ -19,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List
 
-from repro.lint.findings import Finding, Severity, sort_findings
+from repro.lint.findings import Finding, sort_findings
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -41,54 +40,33 @@ def _rule_catalog(rule_ids: Iterable[str]) -> List[Dict]:
         if rule is not None:
             entry["name"] = rule.name
             entry["shortDescription"] = {"text": rule.description}
-            entry["defaultConfiguration"] = {
-                "level": (
-                    "error"
-                    if rule.severity is Severity.ERROR
-                    else "warning"
-                )
-            }
+            entry["defaultConfiguration"] = {"level": "error"}
         catalog.append(entry)
     return catalog
 
 
 def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict:
-    result: Dict = {
-        "ruleId": finding.rule_id,
-        "level": (
-            "error" if finding.severity is Severity.ERROR else "warning"
-        ),
-        "message": {"text": finding.message},
-    }
-    if finding.rule_id in rule_index:
-        result["ruleIndex"] = rule_index[finding.rule_id]
-    if finding.file is not None:
-        region: Dict = {}
-        if finding.line is not None:
-            region["startLine"] = max(1, finding.line)
-        if finding.column is not None:
-            # SARIF columns are 1-based; ast columns are 0-based.
-            region["startColumn"] = finding.column + 1
-        location: Dict = {
-            "physicalLocation": {
-                "artifactLocation": {
-                    "uri": finding.file.replace("\\", "/"),
-                    "uriBaseId": "ROOTPATH",
-                }
-            }
+    region: Dict = {}
+    if finding.line is not None:
+        region["startLine"] = max(1, finding.line)
+    if finding.column is not None:
+        # SARIF columns are 1-based; ast columns are 0-based.
+        region["startColumn"] = finding.column + 1
+    location: Dict = {
+        "artifactLocation": {
+            "uri": finding.file.replace("\\", "/"),
+            "uriBaseId": "ROOTPATH",
         }
-        if region:
-            location["physicalLocation"]["region"] = region
-        result["locations"] = [location]
-    elif finding.component is not None:
-        result["locations"] = [
-            {
-                "logicalLocations": [
-                    {"fullyQualifiedName": finding.component}
-                ]
-            }
-        ]
-    return result
+    }
+    if region:
+        location["region"] = region
+    return {
+        "ruleId": finding.rule_id,
+        "ruleIndex": rule_index[finding.rule_id],
+        "level": "error",
+        "message": {"text": finding.message},
+        "locations": [{"physicalLocation": location}],
+    }
 
 
 def render_sarif(findings: Iterable[Finding]) -> str:

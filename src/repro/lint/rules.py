@@ -1,20 +1,18 @@
 """Rule framework: registry, metadata, and inline suppression.
 
-A :class:`Rule` is pure metadata (id, name, default severity, rationale)
-shared by the report renderer and the docs. Checkers — AST visitors and
-flow analyses — reference their rule and emit
+A :class:`Rule` is pure metadata (id, name, rationale) shared by
+``--list-rules``, the SARIF catalog and the docs. Checkers — AST
+visitors and flow analyses — reference their rule and emit
 :class:`~repro.lint.findings.Finding` objects.
 
 Inline suppression mirrors the usual lint idiom::
 
-    entries[0.5] = ms  # repro-lint: disable=RL102
-    entries[0.5] = ms  # repro-lint: disable=RL102,RL103
-    entries[0.5] = ms  # repro-lint: disable
+    ready.wait()  # repro-lint: disable=RL109
+    buf += 1.0  # repro-lint: disable=RL103,RL109
+    buf += 1.0  # repro-lint: disable
 
 A bare ``disable`` suppresses every rule on that line; named forms
-suppress only the listed ids. Suppression applies to findings with a
-file/line; a stale-baseline finding (``RF399``) has neither — delete
-the dead baseline entry instead.
+suppress only the listed ids.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable(?:=(?P<rules>[A-Z0-9,\s]+))?"
@@ -36,12 +34,11 @@ class Rule:
 
     rule_id: str
     name: str
-    severity: Severity
     description: str
 
 
 class RuleRegistry:
-    """Id-keyed rule collection with select/ignore filtering."""
+    """Id-keyed rule collection."""
 
     def __init__(self) -> None:
         self._rules: Dict[str, Rule] = {}
@@ -52,27 +49,8 @@ class RuleRegistry:
         self._rules[rule.rule_id] = rule
         return rule
 
-    def get(self, rule_id: str) -> Rule:
-        return self._rules[rule_id]
-
     def all(self) -> List[Rule]:
         return sorted(self._rules.values(), key=lambda r: r.rule_id)
-
-    def resolve(
-        self,
-        select: Optional[Sequence[str]] = None,
-        ignore: Optional[Sequence[str]] = None,
-    ) -> Set[str]:
-        """Active rule ids after --select / --ignore filtering."""
-        ids = set(self._rules)
-        if select:
-            unknown = set(select) - ids
-            if unknown:
-                raise KeyError(f"unknown rule id(s): {sorted(unknown)}")
-            ids = set(select)
-        if ignore:
-            ids -= set(ignore)
-        return ids
 
 
 CODE_RULES = RuleRegistry()

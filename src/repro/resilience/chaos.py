@@ -182,9 +182,9 @@ class ChaosInjector:
                 # An intentionally infinite stall of the calling thread
                 # — in the daemon, the request thread running
                 # SearchService._compute — so a client sees a request
-                # that never returns. Carries the lint_baseline.json
-                # entry for RL109.
-                threading.Event().wait()
+                # that never returns. RL109 is accepted here: bounding
+                # the wait would turn the scenario into hang_s > 0.
+                threading.Event().wait()  # repro-lint: disable=RL109
         elif kind == "slow":
             self._sleep(self.spec.slow_s)
 

@@ -1,6 +1,6 @@
-"""CLI integration for --flow / --baseline / --sarif / --stats, plus
-the two whole-repo contracts: ``src`` is clean modulo the checked-in
-baseline, and a combined run parses each file exactly once."""
+"""CLI integration for --flow / --sarif / --stats and inline
+suppression, plus the two whole-repo contracts: ``src`` is clean, and a
+combined run parses each file exactly once."""
 
 import json
 import os
@@ -16,7 +16,6 @@ HERE = os.path.dirname(__file__)
 FIXTURES = os.path.join(HERE, "fixtures")
 REPO_ROOT = os.path.abspath(os.path.join(HERE, "..", "..", ".."))
 SRC = os.path.join(REPO_ROOT, "src")
-BASELINE = os.path.join(REPO_ROOT, "lint_baseline.json")
 
 BAD_LOCKS = os.path.join(FIXTURES, "fx_locks_bad")
 CLEAN_LOCKS = os.path.join(FIXTURES, "fx_locks_clean")
@@ -37,11 +36,6 @@ class TestFlowFlag:
             main(["--flow"])
         assert exc.value.code == 2
 
-    def test_select_rf_rule_via_cli(self, capsys):
-        assert main([BAD_LOCKS, "--flow", "--select", "RF302"]) == 1
-        out = capsys.readouterr().out
-        assert "RF302" in out and "RF301" not in out
-
     def test_list_rules_includes_flow_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
@@ -50,10 +44,10 @@ class TestFlowFlag:
 
 
 class TestSrcIsClean:
-    def test_src_flow_strict_passes_with_checked_in_baseline(self):
-        assert main(
-            [SRC, "--flow", "--strict", "--baseline", BASELINE]
-        ) == 0
+    def test_src_flow_passes(self):
+        # No baseline file: the one accepted finding (RL109 in
+        # resilience/chaos.py) carries its reason in an inline comment.
+        assert main([SRC, "--flow"]) == 0
 
 
 class TestParseOnce:
@@ -73,71 +67,6 @@ class TestParseOnce:
         out = capsys.readouterr().out
         assert "repro.lint stats: 3 files, 3 parses, 3 cache hits" in out
         assert "flow: 3 files" in out
-
-
-class TestBaselineFlag:
-    def _baseline_for(self, tmp_path, findings):
-        payload = {
-            "version": 1,
-            "suppressions": [
-                {
-                    "rule": f.rule_id,
-                    "file": (f.file or "").replace(os.sep, "/"),
-                    "message": f.message,
-                    "reason": "accepted for the baseline test",
-                }
-                for f in findings
-            ],
-        }
-        path = tmp_path / "baseline.json"
-        # Throwaway tmp fixture; tearing is fine here.
-        path.write_text(json.dumps(payload))  # repro-lint: disable=RL106
-        return str(path)
-
-    def test_baseline_suppresses_to_clean(self, tmp_path, capsys):
-        findings, _ = analyze_flow([BAD_LOCKS])
-        path = self._baseline_for(tmp_path, findings)
-        assert main(
-            [BAD_LOCKS, "--flow", "--strict", "--baseline", path,
-             "--stats"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out
-        assert f"{len(findings)} finding(s) suppressed" in out
-
-    def test_stale_entry_fails_strict_with_rf399(self, tmp_path, capsys):
-        findings, _ = analyze_flow([BAD_LOCKS])
-        path = self._baseline_for(tmp_path, findings)
-        # The clean twin makes every entry stale.
-        assert main(
-            [CLEAN_LOCKS, "--flow", "--strict", "--baseline", path]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "RF399" in out and "stale baseline entry" in out
-
-    def test_stale_entry_passes_without_strict(self, tmp_path):
-        findings, _ = analyze_flow([BAD_LOCKS])
-        path = self._baseline_for(tmp_path, findings)
-        assert main([CLEAN_LOCKS, "--flow", "--baseline", path]) == 0
-
-    def test_missing_baseline_is_one_line_error(self, capsys):
-        assert main(
-            [BAD_LOCKS, "--flow", "--baseline", "no/such/baseline.json"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "does not exist" in err
-        assert "Traceback" not in err
-
-    def test_malformed_baseline_is_one_line_error(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        # Throwaway tmp fixture; tearing is fine here.
-        path.write_text(  # repro-lint: disable=RL106
-            json.dumps({"version": 7, "suppressions": []})
-        )
-        assert main(
-            [BAD_LOCKS, "--flow", "--baseline", str(path)]
-        ) == 2
-        assert "unsupported version" in capsys.readouterr().err
 
 
 class TestSarifFlag:
@@ -192,3 +121,16 @@ class TestInlineSuppression:
         )
         findings, _ = analyze_flow([str(package)])
         assert findings == []
+
+    def test_disable_comment_silences_rl109(self, tmp_path):
+        # RL109 is in scope only under repro/serve, parallel, resilience.
+        package = tmp_path / "repro" / "resilience"
+        package.mkdir(parents=True)
+        for directory in (package.parent, package):
+            (directory / "__init__.py").write_text("")
+        stall = "import threading\n\n\ndef stall():\n    threading.Event().wait()"
+        module = package / "stall.py"
+        module.write_text(stall + "\n")
+        assert main([str(package.parent), "--flow"]) == 1
+        module.write_text(stall + "  # repro-lint: disable=RL109\n")
+        assert main([str(package.parent), "--flow"]) == 0

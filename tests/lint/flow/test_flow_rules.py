@@ -99,19 +99,18 @@ class TestCacheKeySoundness:
         # Identical dataflow, but _make_key rounds to one decimal.
         assert _flow("fx_keys_clean") == []
 
-
-class TestSelectIgnore:
-    def test_select_narrows_to_one_rule(self):
-        findings, _ = analyze_flow(
-            [os.path.join(FIXTURES, "fx_locks_bad")], select=["RF302"]
+    def test_float_literal_keys_fire(self, tmp_path):
+        # The stores the retired RL102 reported inside a function.
+        (tmp_path / "keys.py").write_text(
+            "def put(cache, lut_entries, ms):\n"
+            "    cache[0.5] = ms\n"
+            "    lut_entries[(1, 0.5)] = ms\n"
         )
-        assert {f.rule_id for f in findings} == {"RF302"}
-
-    def test_ignore_drops_a_rule(self):
-        findings, _ = analyze_flow(
-            [os.path.join(FIXTURES, "fx_locks_bad")], ignore=["RF301"]
-        )
-        assert {f.rule_id for f in findings} == {"RF302"}
+        findings, _ = analyze_flow([str(tmp_path)])
+        assert [(f.rule_id, f.line) for f in findings] == [
+            ("RF303", 2),
+            ("RF303", 3),
+        ]
 
 
 class TestStats:

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.flow import render_sarif
 from repro.lint.flow.sarif import SARIF_SCHEMA, SARIF_VERSION
 
@@ -11,17 +11,16 @@ def _findings():
     return [
         Finding(
             rule_id="RF300",
-            severity=Severity.ERROR,
             message="'default_rng()' constructed without an explicit seed",
             file="src/repro/example.py",
             line=8,
             column=11,
         ),
         Finding(
-            rule_id="RF399",
-            severity=Severity.WARNING,
-            message="stale baseline entry",
-            component="baseline:lint_baseline.json",
+            rule_id="RL100",
+            message="syntax error: invalid syntax",
+            file="src/repro/example.py",
+            line=12,
         ),
     ]
 
@@ -53,9 +52,10 @@ class TestSnapshot:
                                         "level": "error"
                                     },
                                 },
-                                # RF399 is synthetic (stale-baseline
-                                # marker), so it has no catalog metadata.
-                                {"id": "RF399"},
+                                # RL100 (a file that does not
+                                # parse) is synthetic, so it has no
+                                # catalog metadata.
+                                {"id": "RL100"},
                             ],
                         }
                     },
@@ -88,20 +88,21 @@ class TestSnapshot:
                             ],
                         },
                         {
-                            "ruleId": "RF399",
+                            "ruleId": "RL100",
                             "ruleIndex": 1,
-                            "level": "warning",
-                            "message": {"text": "stale baseline entry"},
+                            "level": "error",
+                            "message": {
+                                "text": "syntax error: invalid syntax"
+                            },
                             "locations": [
                                 {
-                                    "logicalLocations": [
-                                        {
-                                            "fullyQualifiedName": (
-                                                "baseline:"
-                                                "lint_baseline.json"
-                                            )
-                                        }
-                                    ]
+                                    "physicalLocation": {
+                                        "artifactLocation": {
+                                            "uri": "src/repro/example.py",
+                                            "uriBaseId": "ROOTPATH",
+                                        },
+                                        "region": {"startLine": 12},
+                                    }
                                 }
                             ],
                         },
@@ -127,7 +128,6 @@ class TestInvariants:
     def test_windows_separators_normalized(self):
         finding = Finding(
             rule_id="RF301",
-            severity=Severity.ERROR,
             message="m",
             file="src\\repro\\serve\\metrics.py",
             line=1,

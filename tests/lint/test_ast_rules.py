@@ -4,7 +4,6 @@ equivalent clean code."""
 import textwrap
 
 from repro.lint.ast_rules import lint_source
-from repro.lint.findings import Severity
 
 
 def _lint(code: str):
@@ -84,44 +83,6 @@ class TestGlobalRng:
         ) == []
 
 
-class TestFloatKey:
-    def test_dict_literal_float_key_fires(self):
-        findings = _lint("TABLE = {0.5: 'a', 1: 'b'}")
-        assert [f.rule_id for f in findings] == ["RL102"]
-
-    def test_subscript_float_key_fires(self):
-        assert _rule_ids(
-            """
-            cache = {}
-            cache[0.3] = 1
-            """
-        ) == ["RL102"]
-
-    def test_tuple_key_with_float_element_fires(self):
-        assert _rule_ids(
-            """
-            entries = {}
-            entries[(3, 0.1)] = 2.5
-            """
-        ) == ["RL102"]
-
-    def test_quantized_key_is_clean(self):
-        assert _rule_ids(
-            """
-            entries = {}
-
-            def put(layer, factor, ms):
-                entries[(layer, round(factor, 1))] = ms
-            """
-        ) == []
-
-    def test_int_keys_are_clean(self):
-        assert _rule_ids("TABLE = {5: 'a', 10: 'b'}") == []
-
-    def test_float_values_are_clean(self):
-        assert _rule_ids("TABLE = {'a': 0.5}") == []
-
-
 class TestWorkspaceMutation:
     def test_augassign_on_workspace_buffer_fires(self):
         findings = _lint(
@@ -185,27 +146,6 @@ class TestWorkspaceMutation:
         ) == []
 
 
-class TestMutableDefaultAndBareExcept:
-    def test_mutable_default_fires(self):
-        assert _rule_ids("def f(x, acc=[]):\n    return acc") == ["RL104"]
-
-    def test_dict_call_default_fires(self):
-        assert _rule_ids("def f(x, acc=dict()):\n    return acc") == ["RL104"]
-
-    def test_none_default_is_clean(self):
-        assert _rule_ids("def f(x, acc=None):\n    return acc") == []
-
-    def test_typed_except_is_clean(self):
-        assert _rule_ids(
-            """
-            try:
-                risky()
-            except ValueError:
-                pass
-            """
-        ) == []
-
-
 class TestRawJsonWrite:
     def test_json_dump_fires(self):
         findings = _lint(
@@ -217,7 +157,6 @@ class TestRawJsonWrite:
             """
         )
         assert [f.rule_id for f in findings] == ["RL106"]
-        assert findings[0].severity is Severity.WARNING
         assert "atomic_write_json" in findings[0].message
 
     def test_direct_dump_import_fires(self):
@@ -302,7 +241,6 @@ class TestDirectWorkerPool:
             """
         )
         assert [f.rule_id for f in findings] == ["RL107"]
-        assert findings[0].severity is Severity.ERROR
         assert "create_backend" in findings[0].message
 
     def test_qualified_construction_fires(self):
@@ -369,7 +307,6 @@ class TestDirectSocketServer:
             """
         )
         assert [f.rule_id for f in findings] == ["RL108"]
-        assert findings[0].severity is Severity.ERROR
         assert "repro.serve" in findings[0].message
 
     def test_raw_socket_and_connection_fire(self):
@@ -531,7 +468,8 @@ class TestSuppression:
     def test_bare_suppression_silences_everything(self):
         assert _rule_ids(
             """
-            TABLE = {0.5: 'a'}  # repro-lint: disable
+            import numpy as np
+            np.random.seed(0)  # repro-lint: disable
             """
         ) == []
 
@@ -539,7 +477,7 @@ class TestSuppression:
         assert _rule_ids(
             """
             import numpy as np
-            np.random.seed(0)  # repro-lint: disable=RL102
+            np.random.seed(0)  # repro-lint: disable=RL103
             """
         ) == ["RL101"]
 
@@ -548,7 +486,6 @@ class TestHarness:
     def test_syntax_error_reported_not_raised(self):
         findings = _lint("def broken(:\n    pass")
         assert [f.rule_id for f in findings] == ["RL100"]
-        assert findings[0].severity is Severity.ERROR
 
     def test_findings_carry_file_and_line(self):
         findings = _lint(

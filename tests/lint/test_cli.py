@@ -1,6 +1,4 @@
-"""End-to-end CLI behaviour: exit codes, formats, strict mode."""
-
-import json
+"""End-to-end CLI behaviour: exit codes and the option set."""
 
 import pytest
 
@@ -42,27 +40,20 @@ class TestCodeLintCli:
     def test_directory_walk(self, tmp_path, violation_file):
         assert main([str(tmp_path)]) == 1
 
-    def test_json_format(self, violation_file, capsys):
-        assert main([violation_file, "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0]["rule_id"] == "RL101"
-        assert payload[0]["line"] == 3
-
-    def test_select_filters_rules(self, violation_file):
-        assert main([violation_file, "--select", "RL104"]) == 0
-
-    def test_ignore_filters_rules(self, violation_file):
-        assert main([violation_file, "--ignore", "RL101"]) == 0
-
-    def test_unknown_rule_is_usage_error(self, violation_file):
-        with pytest.raises(SystemExit) as exc:
-            main([violation_file, "--select", "RL999"])
-        assert exc.value.code == 2
-
     def test_no_paths_no_domain_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_every_finding_fails(self, tmp_path, capsys):
+        # RL106: a JSON artifact written without the atomic helper.
+        path = tmp_path / "save.py"
+        path.write_text(
+            "import json\n\n\ndef save(path, obj):\n"
+            "    path.write_text(json.dumps(obj))\n"
+        )
+        assert main([str(path)]) == 1
+        assert "RL106 error" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "option",
@@ -81,6 +72,25 @@ class TestCodeLintCli:
     ):
         with pytest.raises(SystemExit) as exc:
             main([clean_file] + option)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--select", "RL101"],
+            ["--ignore", "RL101"],
+            ["--format", "json"],
+            ["--strict"],
+            ["--baseline", "lint_baseline.json"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_retired_report_options_are_usage_errors(
+        self, violation_file, option
+    ):
+        # The report is fixed: every rule runs and every finding fails.
+        with pytest.raises(SystemExit) as exc:
+            main([violation_file] + option)
         assert exc.value.code == 2
 
     def test_list_rules(self, capsys):
@@ -140,16 +150,3 @@ class TestRunDirCli:
         err = capsys.readouterr().err
         assert "does not exist" in err
         assert err.count("\n") == 1
-
-
-class TestStrictMode:
-    def test_warning_passes_without_strict(self, tmp_path):
-        # RL106 (a JSON artifact written without the atomic helper) is a
-        # warning, so non-strict passes and strict fails.
-        path = tmp_path / "save.py"
-        path.write_text(
-            "import json\n\n\ndef save(path, obj):\n"
-            "    path.write_text(json.dumps(obj))\n"
-        )
-        assert main([str(path)]) == 0
-        assert main([str(path), "--strict"]) == 1

@@ -1,5 +1,7 @@
 """SupernetFastEval: bit-exact float batching, gated int8, stage timing."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.nn import assert_no_eval_caches, ranking_fidelity
 from repro.nn.inference import CACHE_ATTRS
 from repro.nn.layers.conv import Conv2d
 from repro.space import Architecture, SearchSpace, mini, proxy
-from repro.supernet import Supernet, SupernetFastEval
+from repro.supernet import Supernet, SupernetFastEval, fast_eval
 from repro.supernet.fast_eval import _depthwise_taps
 from repro.train import SupernetTrainer, TrainConfig, top_k_accuracy
 
@@ -190,15 +192,38 @@ class TestApiAndTiming:
             times["im2col_s"] + times["gemm_s"] + times["scoring_s"]
             + times["other_s"]
         )
-        assert attributed <= times["total_s"] + times["scoring_s"] + 1e-9
-        # BN and masking are parts of other_s (which, like the total,
-        # leaves out scoring).
+        assert attributed == pytest.approx(times["total_s"])
+        # BN and masking are parts of other_s.
         assert times["bn_s"] > 0.0
         assert times["mask_s"] > 0.0
         parts = times["bn_s"] + times["mask_s"]
-        assert parts <= times["other_s"] + times["scoring_s"] + 1e-9
+        assert parts <= times["other_s"] + 1e-9
         fe.reset_stage_times()
         assert all(v == 0.0 for v in fe.stage_times().values())
+
+    def test_scoring_counts_inside_the_total(
+        self, trained, tiny_space, tiny_dataset, monkeypatch
+    ):
+        # Slow scoring down so that it outweighs the forward: a total
+        # that left scoring out would read below scoring_s alone.
+        def slow_top_k(*args, **kwargs):
+            time.sleep(0.02)
+            return top_k_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr(fast_eval, "top_k_accuracy", slow_top_k)
+        fe = SupernetFastEval(trained.supernet)
+        fe.accuracy_many(
+            sample_archs(tiny_space, 3),
+            tiny_dataset.test_x[:4],
+            tiny_dataset.test_y[:4],
+        )
+        times = fe.stage_times()
+        assert times["scoring_s"] >= 0.06
+        attributed = (
+            times["im2col_s"] + times["gemm_s"] + times["scoring_s"]
+            + times["other_s"]
+        )
+        assert attributed == pytest.approx(times["total_s"])
 
 
 def prefix_sharing_batch(space, seed=3):
