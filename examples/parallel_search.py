@@ -1,7 +1,7 @@
 """Parallel evaluation: the same search, fanned across worker processes.
 
-Runs progressive shrinking plus the EA twice — serially and with a
-:class:`~repro.parallel.ParallelEvaluator` over worker processes — and
+Runs progressive shrinking plus the EA twice — serially and with the
+multiprocess backend (:class:`~repro.parallel.WorkerPool`) — and
 verifies the two runs agree bit for bit: same shrinking decisions, same
 discovered architecture, same scores, same cache hit/miss accounting.
 ``workers`` is a pure wall-clock knob (docs/parallel.md explains why),

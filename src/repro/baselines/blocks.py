@@ -89,13 +89,6 @@ class NetBuilder:
         self.channels = cout
         self.size //= stride
 
-    def dwconv_bn(self, k: int, stride: int = 1) -> None:
-        """Depthwise convolution + BN + activation."""
-        c = self.channels
-        prim = _dw(f"dw{k}x{k}", c, k, self.size, stride)
-        self._emit([prim], params=c * k * k + 2 * c)
-        self.size //= stride
-
     def maxpool(self, k: int = 3, stride: int = 2) -> None:
         """Max pooling (pure memory traffic on device)."""
         elements = self.channels * (self.size // stride) ** 2
@@ -171,21 +164,6 @@ class NetBuilder:
         self._emit(prims, params + 4 * cout)
         self.channels = cout
         self.size = h_out
-
-    def sep_conv(self, cout: int, k: int, stride: int = 1) -> None:
-        """DARTS separable conv: (dw k + pw 1x1) applied twice."""
-        cin = self.channels
-        h = self.size
-        prims = [
-            _dw(f"sep-dw{k}a", cin, k, h, stride),
-            _conv("sep-pw-a", cin, cin, 1, h // stride, 1),
-            _dw(f"sep-dw{k}b", cin, k, h // stride, 1),
-            _conv("sep-pw-b", cin, cout, 1, h // stride, 1),
-        ]
-        params = cin * k * k * 2 + cin * cin + cin * cout + 4 * cout
-        self._emit(prims, float(params))
-        self.channels = cout
-        self.size //= stride
 
     def darts_cell(self, channels: int, reduction: bool = False) -> None:
         """An approximate DARTS-V2 cell: 8 mixed ops on 4 nodes.

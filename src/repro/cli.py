@@ -65,6 +65,7 @@ from repro.core import (
 )
 from repro.hardware import LatencyLUT, LatencyPredictor, OnDeviceProfiler
 from repro.hardware.calibration import calibrated_devices
+from repro.parallel.backend import BACKEND_NAMES
 from repro.report.figures import series_to_csv
 from repro.resilience import CancelToken, DeadlineExceeded
 from repro.runstate import (
@@ -571,9 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="evaluation worker processes; 0 = serial (the default), "
                  "results are identical for any value",
         )
-        choices = ("auto", "serial", "multiprocess")
-        if tabular:
-            choices = choices + ("tabular",)
+        choices = BACKEND_NAMES + ("tabular",) if tabular else BACKEND_NAMES
         p.add_argument(
             "--backend", choices=choices, default="auto",
             help="evaluation backend; auto picks multiprocess when "

@@ -128,7 +128,8 @@ class EvolutionarySearch(GenerationalSearch):
         search memoizes privately (weight sharing makes re-evaluation
         cheap but the predictor result is deterministic anyway).
     evaluator:
-        Optional :class:`~repro.parallel.ParallelEvaluator` that fans
+        Optional :class:`~repro.parallel.EvaluationBackend`; the
+        multiprocess one (:class:`~repro.parallel.WorkerPool`) fans
         each generation's evaluations across worker processes. Breeding
         (all rng use) stays in the parent, so results are bit-identical
         with or without it.

@@ -20,8 +20,9 @@ would produce, so historical results are unchanged — which makes a
 subspace's draw independent of *when* it is evaluated. That is both a
 reproducibility fix (inserting an extra estimate no longer perturbs
 every later one) and the property that lets :meth:`estimate_many` hand
-a batch of subspaces to a :class:`~repro.parallel.ParallelEvaluator`
-in any dispatch order and still match the serial loop bit for bit.
+a batch of subspaces to the multiprocess
+:class:`~repro.parallel.WorkerPool` in any dispatch order and still
+match the serial loop bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class SubspaceQuality:
         every F() draw (the paper's complexity accounting), even when a
         draw is served from cache.
     evaluator:
-        Optional :class:`~repro.parallel.ParallelEvaluator` that fans
+        Optional :class:`~repro.parallel.EvaluationBackend`; the
+        multiprocess one (:class:`~repro.parallel.WorkerPool`) fans
         the N objective evaluations out across worker processes.
         Results are bit-identical with or without it.
     """

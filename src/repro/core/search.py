@@ -104,9 +104,10 @@ class HSCoNASConfig:
             raise ValueError("quality_samples must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.backend not in BACKEND_NAMES:
+        if self.backend not in BACKEND_NAMES + ("tabular",):
             raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, got {self.backend!r}"
+                f"backend must be one of {BACKEND_NAMES + ('tabular',)}, "
+                f"got {self.backend!r}"
             )
         if self.backend == "tabular" and self.table is None:
             raise ValueError(
@@ -398,10 +399,10 @@ class HSCoNAS:
     # -- run steps: stage 1 + objective, space shrinking -------------------------
 
     def _objective_and_backend(
-        self, run_state: Optional[RunDir], cache: EvaluationCache
+        self, run_state: Optional[RunDir]
     ) -> Tuple[Optional[LatencyPredictor], Objective, EvaluationBackend]:
         """Stage 1 and the Eq. 1 objective, plus the one evaluation
-        backend that serves every later phase through ``cache``.
+        backend that serves every later phase.
 
         The predictor is ``None`` on a tabular replay: the artifact's
         columns *are* the predictor (and surrogate) outputs, recorded at
@@ -410,9 +411,7 @@ class HSCoNAS:
         cfg = self.config
         if cfg.backend == "tabular":
             objective = self._replay_objective()
-            return None, objective, TabularBackend(
-                objective.evaluate_many, cache=cache
-            )
+            return None, objective, TabularBackend(objective.evaluate_many)
         predictor = self.checkpointed_predictor(run_state)
         objective = Objective(
             accuracy_fn=self.surrogate.proxy_accuracy,
@@ -432,7 +431,6 @@ class HSCoNAS:
             cfg.backend,
             objective.evaluate_many,
             workers=cfg.workers,
-            cache=cache,
             on_worker_items=self.ledger.record_prediction,
         )
         return predictor, objective, evaluator
@@ -472,9 +470,7 @@ class HSCoNAS:
         and the evaluation backend's dispatch counters.
         """
         cache = EvaluationCache()
-        _, objective, evaluator = self._objective_and_backend(
-            run_state, cache
-        )
+        _, objective, evaluator = self._objective_and_backend(run_state)
         self.ledger.freeze_measurements()
         with evaluator:
             result = self._shrink(run_state, objective, evaluator, cache)
@@ -509,7 +505,7 @@ class HSCoNAS:
         # valid when the EA re-visits the same architecture.
         eval_cache = EvaluationCache()
         predictor, objective, evaluator = self._objective_and_backend(
-            run_state, eval_cache
+            run_state
         )
 
         # From here until the final verification measurement the search

@@ -16,11 +16,12 @@ or is structurally prone to:
   can be torn in half by a crash; every JSON artifact must go through
   :mod:`repro.runstate.atomic` (``atomic_write_json``/``_text``) so
   readers only ever see a complete old or complete new file.
-* **RL107 direct-worker-pool** — constructing ``WorkerPool`` directly
-  hard-wires the multiprocess dispatch path; call sites must go through
-  ``repro.parallel.create_backend`` so ``--backend serial`` keeps
-  working everywhere. The backend layer itself
-  (``repro/parallel/``) and its tests (``tests/parallel/``) are exempt.
+* **RL107 direct-worker-pool** — ``WorkerPool`` is the multiprocess
+  backend, so constructing it directly hard-wires that execution mode;
+  call sites must go through ``repro.parallel.create_backend`` so
+  ``--backend serial`` keeps working everywhere. The backend layer
+  itself (``repro/parallel/``) and its tests (``tests/parallel/``) are
+  exempt.
 * **RL108 direct-socket-server** — constructing sockets, HTTP servers,
   or HTTP connections outside :mod:`repro.serve` forks the serving
   surface: a second listener would dodge the daemon's coalescing,
@@ -83,9 +84,9 @@ RL107 = CODE_RULES.register(
     Rule(
         "RL107",
         "direct-worker-pool",
-        "direct WorkerPool construction bypasses the backend factory; "
-        "use repro.parallel.create_backend so the serial/multiprocess "
-        "choice stays a config knob",
+        "direct WorkerPool construction hard-wires the multiprocess "
+        "backend; use repro.parallel.create_backend so the "
+        "serial/multiprocess choice stays a config knob",
     )
 )
 
@@ -111,7 +112,7 @@ RL109 = CODE_RULES.register(
 )
 
 # Paths where constructing WorkerPool directly is the point: the backend
-# layer that wraps it, and the tests that exercise the pool itself.
+# layer it belongs to, and the tests that exercise the pool itself.
 _RL107_EXEMPT_PATH_PARTS = ("repro/parallel/", "tests/parallel/")
 
 # Paths where touching sockets directly is the point: the serving layer
@@ -411,7 +412,8 @@ class _Checker(ast.NodeVisitor):
             self._emit(
                 RL107, node,
                 "direct 'WorkerPool(...)' construction; build the "
-                "evaluator via repro.parallel.create_backend instead",
+                "multiprocess backend via repro.parallel.create_backend "
+                "instead",
             )
 
     # -- RL108: direct socket/server construction ---------------------------------

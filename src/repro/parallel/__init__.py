@@ -2,15 +2,14 @@
 
 Layers, bottom to top:
 
-* :class:`~repro.parallel.pool.WorkerPool` — forked workers, chunked
-  order-preserving dispatch, crash retry with serial fallback.
 * :mod:`~repro.parallel.backend` — the :class:`EvaluationBackend`
-  interface the search stack talks to (parent-side caching, counters,
+  interface the search stack talks to (counters, cancel token,
   lifecycle), its serial and tabular-replay implementations, and the
   :func:`create_backend` factory for live backends.
-* :class:`~repro.parallel.evaluator.ParallelEvaluator` — the
-  multiprocess backend over a :class:`WorkerPool`; :meth:`sync`
-  re-forks the workers after parent state changes.
+* :class:`~repro.parallel.pool.WorkerPool` — the multiprocess backend:
+  forked workers, chunked order-preserving dispatch, crash retry with
+  serial fallback; :meth:`~WorkerPool.sync` re-forks the workers after
+  parent state changes.
 
 See ``docs/parallel.md`` for the architecture and determinism
 guarantees, and ``docs/performance.md`` for backend selection.
@@ -22,9 +21,7 @@ from repro.parallel.backend import (
     SerialBackend,
     TabularBackend,
     create_backend,
-    resolve_backend_name,
 )
-from repro.parallel.evaluator import ParallelEvaluator
 from repro.parallel.pool import (
     WorkerHangError,
     WorkerPool,
@@ -35,13 +32,11 @@ from repro.parallel.pool import (
 __all__ = [
     "BACKEND_NAMES",
     "EvaluationBackend",
-    "ParallelEvaluator",
     "SerialBackend",
     "TabularBackend",
     "WorkerHangError",
     "WorkerPool",
     "create_backend",
     "fork_available",
-    "resolve_backend_name",
     "resolve_workers",
 ]

@@ -5,49 +5,50 @@ progressive shrinking, the Sec. III-D EA, NSGA-II, LUT builds — talks to
 an :class:`EvaluationBackend`:
 
 * :meth:`~EvaluationBackend.map` — evaluate a batch, order-preserving,
-  no caching;
-* :meth:`~EvaluationBackend.evaluate_many` — the same through the
-  backend's :class:`~repro.core.cache.EvaluationCache`, if one is set;
+  no caching (each consumer owns its
+  :class:`~repro.core.cache.EvaluationCache` and passes ``map`` as the
+  miss evaluator);
 * :meth:`~EvaluationBackend.sync` — make the backend observe parent
   state mutated since construction (supernet tuning between shrink
   stages); a no-op wherever evaluation already runs in-process;
 * :meth:`~EvaluationBackend.stats`, :meth:`~EvaluationBackend.close`,
   and context-manager support.
 
-Three implementations ship: :class:`SerialBackend` (inline calls — the
-default, bit-exact with the historical serial path), the multiprocess
-backend (:class:`~repro.parallel.evaluator.ParallelEvaluator`, which
-*is* the backend for forked workers), and :class:`TabularBackend`
+Three implementations ship, one per execution mode:
+:class:`SerialBackend` (inline calls — the default, bit-exact with the
+historical serial path), :class:`~repro.parallel.pool.WorkerPool` (the
+multiprocess backend over forked workers), and :class:`TabularBackend`
 (a serial backend over recorded columns, the replay path of
 :class:`repro.tabular.TabularBenchmark`).
 
 Live backends are built by :func:`create_backend` — the only sanctioned
-place that instantiates :class:`~repro.parallel.pool.WorkerPool`-backed
-evaluation outside this package (lint rule RL107 enforces this). Name
-``"auto"`` keeps the historical behaviour of the ``workers`` knob:
-``workers >= 2`` selects multiprocess, anything else serial, and results
-are bit-identical either way (see ``docs/parallel.md``).
+place that constructs a :class:`~repro.parallel.pool.WorkerPool`
+outside this package (lint rule RL107 enforces this). Name ``"auto"``
+keeps the historical behaviour of the ``workers`` knob: ``workers >= 2``
+selects multiprocess, anything else serial, and results are
+bit-identical either way (see ``docs/parallel.md``).
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-BACKEND_NAMES = ("auto", "serial", "multiprocess", "tabular")
+# The live backend names every ``backend`` knob accepts; a tabular
+# replay is chosen separately (``"tabular"`` plus a recorded table).
+BACKEND_NAMES = ("auto", "serial", "multiprocess")
 
 
 class EvaluationBackend:
     """Interface every evaluation backend implements.
 
-    The base class provides cache plumbing, trivial lifecycle, and
-    context-manager support; subclasses supply :meth:`map` and override
-    whatever else is non-trivial for them.
+    The base class provides batch counters, the cancel token, trivial
+    lifecycle, and context-manager support; subclasses supply
+    :meth:`map` and override whatever else is non-trivial for them.
     """
 
     name = "base"
 
-    def __init__(self, cache=None):
-        self.cache = cache
+    def __init__(self):
         self.batches = 0
         self.items = 0
         self.cancel_token = None
@@ -71,17 +72,6 @@ class EvaluationBackend:
         if token is not None:
             token.check(stage=self.name, batches=self.batches)
 
-    def evaluate_many(self, archs: Sequence) -> List:
-        """Evaluate ``archs`` through the backend's cache, if set.
-
-        Lookups, dedup, and bookkeeping happen in the caller's process;
-        only misses reach :meth:`map` — byte-for-byte the established
-        cache semantics regardless of backend.
-        """
-        if self.cache is not None:
-            return self.cache.get_or_eval_many(archs, self.map)
-        return self.map(archs)
-
     # -- state synchronization ----------------------------------------------------
 
     def sync(self) -> str:
@@ -92,11 +82,8 @@ class EvaluationBackend:
 
     def stats(self) -> dict:
         """Dispatch counters for run artifacts and logs."""
-        out = {"backend": self.name, "batches": self.batches,
-               "items": self.items}
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
-        return out
+        return {"backend": self.name, "batches": self.batches,
+                "items": self.items}
 
     def close(self) -> None:
         """Release any resources (worker processes)."""
@@ -118,8 +105,8 @@ class SerialBackend(EvaluationBackend):
 
     name = "serial"
 
-    def __init__(self, eval_many_fn: Callable[[List], Sequence], cache=None):
-        super().__init__(cache=cache)
+    def __init__(self, eval_many_fn: Callable[[List], Sequence]):
+        super().__init__()
         self.eval_many_fn = eval_many_fn
 
     def map(self, archs: Sequence) -> List:
@@ -150,58 +137,42 @@ class TabularBackend(SerialBackend):
     map = SerialBackend.map
 
 
-def resolve_backend_name(name: str, workers: int = 0) -> str:
-    """Resolve ``"auto"`` to a concrete backend for a worker count."""
+def create_backend(
+    name: str = "auto",
+    eval_many_fn: Optional[Callable[[List], Sequence]] = None,
+    workers: int = 0,
+    on_worker_items: Optional[Callable[[int], None]] = None,
+) -> EvaluationBackend:
+    """Build a live evaluation backend by name — the single factory.
+
+    ``"auto"`` resolves to ``"multiprocess"`` when ``workers >= 2`` and
+    to ``"serial"`` otherwise, preserving the historical meaning of
+    ``workers``. Both backends require ``eval_many_fn``. Replay is not a
+    live evaluation, so replay sites build a :class:`TabularBackend`
+    over recorded columns themselves. ``on_worker_items`` is the
+    multiprocess backend's ledger-replay hook (see
+    :class:`~repro.parallel.pool.WorkerPool`); the serial backend
+    performs those side effects inline and ignores it.
+    """
+    if name == "tabular":
+        raise ValueError(
+            "create_backend builds live backends only; replay a recorded "
+            "table with TabularBackend(eval_many_fn) over its columns"
+        )
     if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
         )
     if name == "auto":
-        return "multiprocess" if workers >= 2 else "serial"
-    return name
-
-
-def create_backend(
-    name: str = "auto",
-    eval_many_fn: Optional[Callable[[List], Sequence]] = None,
-    workers: int = 0,
-    cache=None,
-    on_worker_items: Optional[Callable[[int], None]] = None,
-    chunk_size: Optional[int] = None,
-    max_retries: int = 1,
-    dispatch_timeout_s: Optional[float] = None,
-) -> EvaluationBackend:
-    """Build a live evaluation backend by name — the single factory.
-
-    ``"auto"`` resolves via :func:`resolve_backend_name`, preserving the
-    historical meaning of ``workers``; ``"serial"`` and
-    ``"multiprocess"`` require ``eval_many_fn``. ``"tabular"`` is
-    rejected: replay is not a live evaluation, so replay sites build a
-    :class:`TabularBackend` over recorded columns themselves. The
-    multiprocess-only options (``on_worker_items``, ``chunk_size``,
-    ``max_retries``, ``dispatch_timeout_s``) are accepted and ignored by
-    the serial backend so call sites don't need to branch.
-    """
-    resolved = resolve_backend_name(name, workers=workers)
-    if resolved == "tabular":
-        raise ValueError(
-            "create_backend builds live backends only; replay a recorded "
-            "table with TabularBackend(eval_many_fn) over its columns"
-        )
+        name = "multiprocess" if workers >= 2 else "serial"
     if eval_many_fn is None:
-        raise ValueError(f"{resolved} backend requires eval_many_fn")
-    if resolved == "serial":
-        return SerialBackend(eval_many_fn, cache=cache)
-    # Import here: evaluator -> pool has fork machinery the in-process
-    # backends never need.
-    from repro.parallel.evaluator import ParallelEvaluator
+        raise ValueError(f"{name} backend requires eval_many_fn")
+    if name == "serial":
+        return SerialBackend(eval_many_fn)
+    # Import here: the pool's fork machinery is never needed by the
+    # in-process backends.
+    from repro.parallel.pool import WorkerPool
 
-    return ParallelEvaluator(
-        eval_many_fn,
-        workers=workers,
-        cache=cache,
-        on_worker_items=on_worker_items,
-        chunk_size=chunk_size,
-        max_retries=max_retries,
-        dispatch_timeout_s=dispatch_timeout_s,
+    return WorkerPool(
+        eval_many_fn, workers=workers, on_worker_items=on_worker_items
     )

@@ -1,7 +1,17 @@
-"""Fork-based worker pool: chunked, order-preserving parallel map.
+"""The multiprocess evaluation backend: chunked, order-preserving
+parallel map over forked workers.
 
-The pool is the machinery under :class:`~repro.parallel.ParallelEvaluator`
-and the parallel LUT build. Design constraints, in order:
+One :class:`WorkerPool` wraps one batched evaluation function
+(typically :meth:`~repro.core.objective.Objective.evaluate_many`) and is
+shared by every search phase that scores architectures — subspace
+quality, progressive shrinking, the evolutionary search, and the
+parallel LUT build — so a single set of forked workers serves the whole
+run. All randomness and every evaluation cache stay in the parent:
+architectures are sampled or bred before dispatch, and callers route
+batches through
+:meth:`~repro.core.cache.EvaluationCache.get_or_eval_many` with
+:meth:`WorkerPool.map` as the miss evaluator, so only deduplicated
+misses fan out. Design constraints, in order:
 
 1. **Determinism** — results are keyed by chunk index and reassembled in
    submission order, so the output is independent of worker scheduling.
@@ -51,6 +61,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
+from repro.parallel.backend import EvaluationBackend
 from repro.resilience.deadline import DeadlineExceeded
 
 
@@ -114,8 +125,11 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-class WorkerPool:
+class WorkerPool(EvaluationBackend):
     """Apply a chunk function over items across forked worker processes.
+
+    The ``multiprocess`` :class:`~repro.parallel.backend.EvaluationBackend`;
+    :func:`~repro.parallel.backend.create_backend` builds it.
 
     Parameters
     ----------
@@ -128,6 +142,14 @@ class WorkerPool:
     workers:
         Number of worker processes; ``<= 1`` disables the pool (pure
         serial execution in the parent).
+    on_worker_items:
+        Optional ``count -> None`` callback invoked after each
+        :meth:`map` with the number of items that were evaluated in
+        worker processes (parent-side evaluations are excluded). Side
+        effects the chunk function performs on parent state — ledger
+        accounting, most relevantly — happen in the workers' address
+        space and vanish with them; this hook lets the owner replay
+        them, keeping cost accounting identical to serial runs.
     chunk_size:
         Items per dispatched chunk. Defaults to splitting the input into
         ``~4`` chunks per worker, balancing scheduling slack against
@@ -145,12 +167,15 @@ class WorkerPool:
         disables the watchdog — historical behaviour.
     """
 
+    name = "multiprocess"
+
     _CHUNKS_PER_WORKER = 4
 
     def __init__(
         self,
         chunk_fn: Callable[[List[Item]], Sequence[Result]],
         workers: int = 0,
+        on_worker_items: Optional[Callable[[int], None]] = None,
         chunk_size: Optional[int] = None,
         max_retries: int = 1,
         inflight_per_worker: int = 2,
@@ -164,26 +189,25 @@ class WorkerPool:
             raise ValueError("inflight_per_worker must be >= 1")
         if dispatch_timeout_s is not None and dispatch_timeout_s <= 0:
             raise ValueError("dispatch_timeout_s must be positive")
+        super().__init__()
         self._chunk_fn = chunk_fn
+        self.on_worker_items = on_worker_items
         self.workers = resolve_workers(workers)
         self._chunk_size = chunk_size
         self._max_retries = max_retries
         self._max_inflight = max(1, self.workers) * inflight_per_worker
         self._dispatch_timeout_s = dispatch_timeout_s
         self._executor: Optional[ProcessPoolExecutor] = None
-        # Optional cooperative CancelToken (see set_cancel).
-        self.cancel_token = None
-        # Observability counters (surfaced by ParallelEvaluator.stats()).
+        # Dispatch/fault counters, surfaced by stats().
         self.chunks_dispatched = 0
         self.chunk_retries = 0
         self.serial_fallbacks = 0
         self.pool_rebuilds = 0
         self.hang_kills = 0
         # Items chunk_fn evaluated in the parent (serial path + crash
-        # fallback). Lets callers split parent-side from worker-side
-        # work — worker-side chunk_fn calls can't reach parent state,
-        # so e.g. ledger accounting they'd normally do is lost and must
-        # be replayed by the caller.
+        # fallback). Splits parent-side from worker-side work for
+        # on_worker_items: worker-side chunk_fn calls can't reach
+        # parent state.
         self.items_run_in_parent = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -243,17 +267,11 @@ class WorkerPool:
         """
         self._discard_executor(grace_s=0.0)
 
-    def set_cancel(self, token) -> None:
-        """Install (or clear, with ``None``) a cooperative CancelToken.
-
-        The token is checked between dispatches — at map entry, before
-        each serial chunk, and each time the dispatch wait wakes — and
-        on expiry the workers are killed before
-        :class:`~repro.resilience.deadline.DeadlineExceeded` propagates.
-        """
-        self.cancel_token = token
-
     def _check_cancel(self) -> None:
+        # The token (see set_cancel) is checked between dispatches —
+        # before each serial chunk and each time the dispatch wait
+        # wakes — and on expiry the workers are killed before
+        # DeadlineExceeded propagates.
         token = self.cancel_token
         if token is not None:
             token.check(
@@ -261,25 +279,34 @@ class WorkerPool:
                 chunks_dispatched=self.chunks_dispatched,
             )
 
-    def restart(self) -> None:
+    def sync(self) -> str:
         """Drop the worker processes; the next map() re-forks them.
 
         Forked workers snapshot the parent's memory at creation time, so
         a caller that mutates evaluation state (e.g. tunes the supernet
-        between shrinking stages) restarts the pool to make the workers
+        between shrinking stages) syncs the pool to make the workers
         see it.
         """
         self._discard_executor()
+        return "restarted"
 
     def close(self) -> None:
         """Shut the worker processes down (idempotent)."""
         self._discard_executor()
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def stats(self) -> dict:
+        """Dispatch/fault counters for run artifacts and logs."""
+        out = super().stats()
+        out.update(
+            workers=self.workers,
+            parallel=self.parallel,
+            chunks_dispatched=self.chunks_dispatched,
+            chunk_retries=self.chunk_retries,
+            serial_fallbacks=self.serial_fallbacks,
+            pool_rebuilds=self.pool_rebuilds,
+            hang_kills=self.hang_kills,
+        )
+        return out
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
@@ -309,6 +336,16 @@ class WorkerPool:
     def map(self, items: Sequence[Item]) -> List[Result]:
         """``chunk_fn`` over ``items``; order-preserving, crash-tolerant."""
         items = list(items)
+        self.batches += 1
+        self.items += len(items)
+        parent_before = self.items_run_in_parent
+        results = self._map(items)
+        in_workers = len(items) - (self.items_run_in_parent - parent_before)
+        if in_workers and self.on_worker_items is not None:
+            self.on_worker_items(in_workers)
+        return results
+
+    def _map(self, items: List[Item]) -> List[Result]:
         if not items:
             return []
         if not self.parallel:

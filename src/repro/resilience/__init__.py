@@ -13,8 +13,8 @@ overload story (see ``docs/robustness.md``, "Online resilience"):
   (closed/open/half-open) guarding live backend dispatch, with
   :class:`BreakerOpenError` driving graceful degradation.
 * :mod:`~repro.resilience.chaos` — the seeded chaos harness
-  (:class:`ChaosSpec` / :class:`FlakyBackend` / :class:`ChaosProxy`)
-  that the ``serve_chaos`` bench and CI job drive.
+  (:class:`ChaosSpec` / :class:`ChaosInjector`) that the
+  ``serve-chaos`` CI job drives.
 
 None of these consume randomness on the healthy path, so a run that
 never sheds, trips, or expires is bit-identical with or without them.
@@ -26,13 +26,7 @@ from repro.resilience.breaker import (
     CircuitBreaker,
     ServiceOverloadError,
 )
-from repro.resilience.chaos import (
-    ChaosError,
-    ChaosInjector,
-    ChaosProxy,
-    ChaosSpec,
-    FlakyBackend,
-)
+from repro.resilience.chaos import ChaosError, ChaosInjector, ChaosSpec
 from repro.resilience.deadline import CancelToken, DeadlineExceeded
 
 __all__ = [
@@ -41,10 +35,8 @@ __all__ = [
     "CancelToken",
     "ChaosError",
     "ChaosInjector",
-    "ChaosProxy",
     "ChaosSpec",
     "CircuitBreaker",
     "DeadlineExceeded",
-    "FlakyBackend",
     "ServiceOverloadError",
 ]

@@ -2,17 +2,19 @@
 
 The online counterpart of :class:`repro.hardware.faults.FlakyDevice`:
 where that injects probe faults under the *measurement* layer, this
-module injects dispatch faults under the *serving* stack —
+module injects faults under the *serving* stack. One
+:class:`ChaosInjector`, driven by a
+:class:`repro.hardware.faults.FaultStream` so every fault sequence is
+seeded and replayable, serves both layers:
 
-* :class:`FlakyBackend` wraps any
-  :class:`~repro.parallel.EvaluationBackend`-shaped object and faults
-  its ``map`` dispatches (backend layer);
-* :class:`ChaosProxy` wraps any client-shaped object and faults its
-  ``request_raw`` transport (HTTP layer);
-* :class:`ChaosInjector` is the shared engine behind both, driven by a
-  :class:`repro.hardware.faults.FaultStream` so every fault sequence is
-  seeded and replayable — the ``serve_chaos`` bench and CI job assert
-  *deterministic* shedding/degradation under a fixed chaos seed.
+* :meth:`ChaosInjector.inject` faults a front computation — the daemon
+  calls it inside ``SearchService._compute`` (dispatch layer);
+* :meth:`ChaosInjector.transport_hook` is a
+  :class:`repro.serve.ServeClient` ``fault_hook`` that faults each
+  retried request attempt (HTTP layer).
+
+The ``serve-chaos`` CI job asserts *deterministic*
+shedding/degradation under a fixed chaos seed.
 
 Specs are compact strings so the daemon can be started straight into a
 storm: ``--chaos "seed=7,error=0.3,burst=2,hang=0.1,hang_s=2"``.
@@ -24,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http.client import RemoteDisconnected
-from typing import Callable, Optional
+from typing import Callable
 
 
 class ChaosError(RuntimeError):
@@ -227,109 +229,8 @@ class ChaosInjector:
             }
 
 
-class FlakyBackend:
-    """An :class:`~repro.parallel.EvaluationBackend` wrapper that faults
-    dispatches from a seeded chaos stream.
-
-    Duck-typed (not a subclass) so it can wrap any backend-shaped
-    object — serial, multiprocess, tabular — without importing the
-    backend layer. On healthy dispatches it delegates untouched, so a
-    zero-rate spec is bit-identical to the bare backend.
-    """
-
-    def __init__(
-        self,
-        inner,
-        spec: Optional[ChaosSpec] = None,
-        injector: Optional[ChaosInjector] = None,
-    ):
-        if (spec is None) == (injector is None):
-            raise ValueError(
-                "FlakyBackend requires exactly one of spec or injector"
-            )
-        self.inner = inner
-        self.injector = injector if injector is not None else spec.injector()
-
-    @property
-    def name(self) -> str:
-        return f"flaky[{getattr(self.inner, 'name', 'backend')}]"
-
-    @property
-    def cache(self):
-        return getattr(self.inner, "cache", None)
-
-    def map(self, archs):
-        self.injector.inject()
-        return self.inner.map(archs)
-
-    def evaluate_many(self, archs):
-        cache = self.cache
-        if cache is not None:
-            return cache.get_or_eval_many(archs, self.map)
-        return self.map(archs)
-
-    def set_cancel(self, token) -> None:
-        if hasattr(self.inner, "set_cancel"):
-            self.inner.set_cancel(token)
-
-    def sync(self) -> str:
-        return self.inner.sync()
-
-    def stats(self) -> dict:
-        out = dict(self.inner.stats())
-        out["backend"] = self.name
-        out["chaos"] = self.injector.snapshot()
-        return out
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __enter__(self) -> "FlakyBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ChaosProxy:
-    """A client-shaped wrapper that faults the HTTP transport.
-
-    Wraps anything exposing ``request_raw(method, path, body=None)``
-    (e.g. :class:`repro.serve.ServeClient`) and injects transient
-    connection faults *in front of* it — the caller sees the fault, so
-    this exercises caller-side handling. To exercise the client's own
-    retry loop instead, hand :meth:`ChaosInjector.transport_hook` to
-    ``ServeClient(fault_hook=...)``, which injects inside the retried
-    attempt.
-    """
-
-    def __init__(
-        self,
-        client,
-        spec: Optional[ChaosSpec] = None,
-        injector: Optional[ChaosInjector] = None,
-    ):
-        if (spec is None) == (injector is None):
-            raise ValueError(
-                "ChaosProxy requires exactly one of spec or injector"
-            )
-        self.client = client
-        self.injector = injector if injector is not None else spec.injector()
-
-    def request_raw(self, method: str, path: str, body=None):
-        self.injector.transport_fault()
-        return self.client.request_raw(method, path, body)
-
-    def __getattr__(self, name: str):
-        # Everything else (health/metrics/...) delegates untouched;
-        # only request_raw calls made *on the proxy* are faulted.
-        return getattr(self.client, name)
-
-
 __all__ = [
     "ChaosError",
     "ChaosInjector",
-    "ChaosProxy",
     "ChaosSpec",
-    "FlakyBackend",
 ]

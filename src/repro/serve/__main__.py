@@ -13,8 +13,9 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.parallel.backend import BACKEND_NAMES
 from repro.runstate import RunStateError
-from repro.serve.config import BACKEND_CHOICES, ServeConfig, warm_query_from_spec
+from repro.serve.config import ServeConfig, warm_query_from_spec
 from repro.serve.server import run_server
 
 
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
              "at startup and recorded in the state dir's endpoint.json",
     )
     parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
+        "--backend", choices=BACKEND_NAMES, default="auto",
         help="evaluation backend for cache-missing front computations; "
              "results are bit-identical either way",
     )

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.parallel.backend import BACKEND_NAMES
 from repro.serve.query import FrontQuery
-
-BACKEND_CHOICES = ("auto", "serial", "multiprocess")
 
 
 def warm_query_from_spec(spec: str) -> FrontQuery:
@@ -121,10 +120,10 @@ class ServeConfig:
     chaos: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_CHOICES:
+        if self.backend not in BACKEND_NAMES:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
-                f"expected one of {BACKEND_CHOICES}"
+                f"expected one of {BACKEND_NAMES}"
             )
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port {self.port} out of range")

@@ -21,18 +21,6 @@ from repro.nn.module import Module, Sequential
 from repro.space.operators import OperatorSpec
 
 
-def _conv_bn_relu(cin: int, cout: int, k: int, stride: int, groups: int,
-                  rng: np.random.Generator, relu: bool = True) -> Sequential:
-    pad = k // 2
-    layers = [
-        Conv2d(cin, cout, k, stride=stride, padding=pad, groups=groups, rng=rng),
-        BatchNorm2d(cout),
-    ]
-    if relu:
-        layers.append(ReLU())
-    return Sequential(*layers)
-
-
 class ShuffleV2Block(Module):
     """ShuffleNetV2 unit with a configurable depthwise kernel size.
 

@@ -5,9 +5,11 @@ LUT a resume restores (``tests/test_cli.py`` covers that path)."""
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.hardware import LatencyLUT, get_device
 from repro.hardware.lut import _cell_key, layer_cin_choices
-from repro.space import SearchSpace, imagenet_a, proxy
+from repro.runstate import RunDir
+from repro.space import SearchSpace, imagenet_a, mini, proxy
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +134,46 @@ class TestImagenetAPreset:
         missing, message = punched.uncovered(space_a)
         assert missing == 1
         assert "layer=12 op=3 cin=128 factor=0.7" in message
+
+
+class TestDomainCli:
+    """What the retired ``--domain --lut``/``--build-lut`` modes proved,
+    checked where a LUT enters a run: a resume reads its LUT back from
+    JSON, and ``HSCoNAS`` refuses it unless ``uncovered`` allows it."""
+
+    def test_saved_lut_coverage_clean(self):
+        space = SearchSpace(proxy())
+        lut = LatencyLUT.build(
+            space, get_device("edge"), samples_per_cell=1, seed=0
+        )
+        assert LatencyLUT.from_json(lut.to_json()).uncovered(space) == (0, "")
+
+    def test_hole_punched_lut_fails_and_names_cell(self):
+        space = SearchSpace(proxy())
+        lut = LatencyLUT.build(
+            space, get_device("edge"), samples_per_cell=1, seed=0
+        )
+        victim = sorted(lut.entries)[0]
+        del lut.entries[victim]
+        missing, message = LatencyLUT.from_json(lut.to_json()).uncovered(space)
+        assert missing == 1
+        layer, op, cin, _factor = victim
+        assert f"layer={layer} op={op} cin={cin}" in message
+
+    def test_build_lut_coverage(self):
+        space = SearchSpace(mini())
+        lut = LatencyLUT.build(space, get_device("edge"), samples_per_cell=1)
+        assert lut.uncovered(space) == (0, "")
+
+    def test_missing_lut_file_is_one_line_error(self, tmp_path, capsys):
+        # The LUT a resume reads is the completed predictor checkpoint.
+        argv = ["--out", str(tmp_path / "out"), "shrink", "--layout", "mini",
+                "--quality-samples", "2"]
+        run_dir = str(tmp_path / "run")
+        assert repro_main(argv + ["--run-dir", run_dir]) == 0
+        RunDir.open(run_dir)._checkpoint_path("predictor").unlink()
+        capsys.readouterr()
+        assert repro_main(argv + ["--resume", run_dir]) == 2
+        err = capsys.readouterr().err
+        assert "predictor" in err and "is missing" in err
+        assert err.count("\n") == 1

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.core import (
-    EvaluationCache,
     EvolutionConfig,
     EvolutionarySearch,
     Nsga2Config,
@@ -24,12 +23,11 @@ from repro.hardware import LatencyLUT, get_device
 from repro.parallel import (
     BACKEND_NAMES,
     EvaluationBackend,
-    ParallelEvaluator,
     SerialBackend,
     TabularBackend,
+    WorkerPool,
     create_backend,
     fork_available,
-    resolve_backend_name,
 )
 from repro.space import space_for_layout
 from repro.tabular import TabularBenchmark, tabulate
@@ -68,26 +66,19 @@ def nsga2_fingerprint(result) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
-class _Item:
-    """Minimal arch-like value: EvaluationCache keys items by .key()."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def key(self):
-        return (self.value,)
+def backend_name(name, workers):
+    with create_backend(name, lambda a: a, workers=workers) as backend:
+        return backend.name
 
 
 class TestResolveAndFactory:
     def test_auto_resolution_tracks_workers(self):
-        assert resolve_backend_name("auto", workers=0) == "serial"
-        assert resolve_backend_name("auto", workers=1) == "serial"
-        assert resolve_backend_name("auto", workers=2) == "multiprocess"
-        assert resolve_backend_name("serial", workers=8) == "serial"
+        assert backend_name("auto", workers=0) == "serial"
+        assert backend_name("auto", workers=1) == "serial"
+        assert backend_name("auto", workers=2) == "multiprocess"
+        assert backend_name("serial", workers=8) == "serial"
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend_name("threads")
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("threads", eval_many_fn=lambda a: a)
 
@@ -102,28 +93,27 @@ class TestResolveAndFactory:
         assert isinstance(serial, SerialBackend)
         assert serial.name == "serial"
         mp = create_backend("multiprocess", eval_many_fn=lambda a: a)
-        assert isinstance(mp, ParallelEvaluator)
+        assert isinstance(mp, WorkerPool)
         assert isinstance(mp, EvaluationBackend)
         assert mp.name == "multiprocess"
         mp.close()
         tab = TabularBackend(lambda a: a)
         assert isinstance(tab, SerialBackend)
         assert tab.name == "tabular"
-        assert set(BACKEND_NAMES) == {"auto", "serial", "multiprocess", "tabular"}
+        assert BACKEND_NAMES == ("auto", "serial", "multiprocess")
 
-    def test_inline_backends_ignore_multiprocess_options(self):
-        # Call sites pass one uniform argument set; the in-process
-        # backends must accept and ignore the worker-only options.
-        backend = create_backend(
-            "serial",
-            eval_many_fn=lambda a: a,
-            workers=0,
-            on_worker_items=lambda n: None,
-            chunk_size=3,
-            max_retries=2,
-            dispatch_timeout_s=5.0,
+    def test_multiprocess_stats_keys(self):
+        with create_backend("multiprocess", lambda a: a, workers=2) as mp:
+            mp.map([1, 2, 3])
+            stats = mp.stats()
+        assert set(stats) == {
+            "backend", "batches", "items", "workers", "parallel",
+            "chunks_dispatched", "chunk_retries", "serial_fallbacks",
+            "pool_rebuilds", "hang_kills",
+        }
+        assert (stats["backend"], stats["batches"], stats["items"]) == (
+            "multiprocess", 1, 3,
         )
-        assert isinstance(backend, SerialBackend)
 
     def test_factory_rejects_tabular(self):
         # Replay is not a live evaluation: the factory refuses the
@@ -152,10 +142,10 @@ class TestResolveAndFactory:
 BACKENDS = ("serial", "tabular", pytest.param("multiprocess", marks=needs_fork))
 
 
-def make_backend(name, eval_many_fn, cache=None):
+def make_backend(name, eval_many_fn):
     if name == "tabular":
-        return TabularBackend(eval_many_fn, cache=cache)
-    return create_backend(name, eval_many_fn, workers=2, cache=cache)
+        return TabularBackend(eval_many_fn)
+    return create_backend(name, eval_many_fn, workers=2)
 
 
 class TestSerialBackend:
@@ -167,30 +157,6 @@ class TestSerialBackend:
         assert backend.stats() == {
             "backend": "serial", "batches": 2, "items": 4,
         }
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_evaluate_many_routes_through_cache(self, name, tmp_path):
-        # Evaluations are logged to a file so worker-side calls are
-        # visible to the parent too.
-        log = tmp_path / "calls.log"
-
-        def eval_many(archs):
-            with open(log, "a") as handle:
-                handle.write(" ".join(str(a.value) for a in archs) + "\n")
-            return [a.value + 1 for a in archs]
-
-        one, two, three = _Item(1), _Item(2), _Item(3)
-        cache = EvaluationCache()
-        with make_backend(name, eval_many, cache=cache) as backend:
-            assert backend.evaluate_many([one, two, one]) == [2, 3, 2]
-            assert backend.evaluate_many([two, three]) == [3, 4]
-            stats = backend.stats()
-        # Dedup and hits happen in the cache: 1 appears once, 2 only in
-        # the first batch.
-        assert sorted(log.read_text().split()) == ["1", "2", "3"]
-        assert stats["batches"] == 2
-        assert stats["items"] == 3
-        assert stats["cache"] == cache.stats()
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_sync_and_context_manager(self, name):
@@ -212,19 +178,6 @@ class TestTabularBackend:
         assert backend.map([2, 1]) == ["two", "one"]
         with pytest.raises(KeyError):
             backend.map([3])
-
-    def test_evaluate_many_with_cache_counts_hits(self):
-        gathers = []
-
-        def gather(archs):
-            gathers.append([a.value for a in archs])
-            return [a.value * 2 for a in archs]
-
-        one, two = _Item(1), _Item(2)
-        backend = TabularBackend(gather, cache=EvaluationCache())
-        assert backend.evaluate_many([one, one, two]) == [2, 2, 4]
-        assert backend.evaluate_many([two]) == [4]
-        assert gathers == [[1, 2]]
 
     def test_batched_replay_via_eval_many_fn(self):
         batches = []

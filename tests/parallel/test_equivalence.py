@@ -8,7 +8,6 @@ and a run whose evaluations fanned out across worker processes.
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -25,7 +24,7 @@ from repro.core import (
 )
 from repro.hardware import LatencyLUT
 from repro.hardware.calibration import calibrated_devices
-from repro.parallel import ParallelEvaluator, fork_available
+from repro.parallel import create_backend, fork_available
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="requires the fork start method"
@@ -55,7 +54,9 @@ class TestQualityEstimate:
         serial = SubspaceQuality(obj, num_samples=40, seed=7).estimate(
             proxy_space
         )
-        with ParallelEvaluator(obj.evaluate_many, workers=2) as evaluator:
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=2
+        ) as evaluator:
             parallel = SubspaceQuality(
                 obj, num_samples=40, seed=7, evaluator=evaluator
             ).estimate(proxy_space)
@@ -69,7 +70,9 @@ class TestQualityEstimate:
         ]
         loop = SubspaceQuality(obj, num_samples=25, seed=3)
         expected = [loop.estimate(s) for s in subspaces]
-        with ParallelEvaluator(obj.evaluate_many, workers=2) as evaluator:
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=2
+        ) as evaluator:
             batched = SubspaceQuality(
                 obj, num_samples=25, seed=3, evaluator=evaluator
             ).estimate_many(subspaces)
@@ -132,8 +135,9 @@ class TestWorkerItemAccounting:
         obj = make_objective(proxy_space)
         archs = [proxy_space.sample(rng) for _ in range(12)]
         counts = []
-        with ParallelEvaluator(
-            obj.evaluate_many, workers=2, on_worker_items=counts.append
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=2,
+            on_worker_items=counts.append,
         ) as evaluator:
             evaluator.map(archs)
         assert sum(counts) == len(archs)
@@ -144,8 +148,9 @@ class TestWorkerItemAccounting:
         obj = make_objective(proxy_space)
         archs = [proxy_space.sample(rng) for _ in range(5)]
         counts = []
-        with ParallelEvaluator(
-            obj.evaluate_many, workers=0, on_worker_items=counts.append
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=0,
+            on_worker_items=counts.append,
         ) as evaluator:
             evaluator.map(archs)
         assert counts == []
@@ -161,8 +166,8 @@ class TestShrinkEquivalence:
             # Stands in for supernet tuning: every accuracy changes.
             state["scale"] *= 1.1
 
-        with ParallelEvaluator(
-            obj.evaluate_many, workers=workers, cache=cache
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=workers
         ) as evaluator:
             quality = SubspaceQuality(
                 obj,
@@ -194,8 +199,8 @@ class TestSearchEquivalence:
             generations=4, population_size=12, num_parents=5, seed=2
         )
         cache = EvaluationCache()
-        with ParallelEvaluator(
-            obj.evaluate_many, workers=workers, cache=cache
+        with create_backend(
+            "multiprocess", obj.evaluate_many, workers=workers
         ) as evaluator:
             return EvolutionarySearch(
                 space, obj, cfg, cache=cache, evaluator=evaluator
@@ -294,7 +299,9 @@ class TestFaultInjection:
                     os.kill(os.getpid(), signal.SIGKILL)
             return obj.evaluate_many(archs)
 
-        with ParallelEvaluator(murderous_eval_many, workers=2) as evaluator:
+        with create_backend(
+            "multiprocess", murderous_eval_many, workers=2
+        ) as evaluator:
             parallel = SubspaceQuality(
                 obj, num_samples=40, seed=7, evaluator=evaluator
             ).estimate(proxy_space)

@@ -199,7 +199,7 @@ class TestCrashContainment:
             assert pool.serial_fallbacks >= 1
 
     def test_restart_refreshes_forked_state(self):
-        # Workers snapshot parent memory at fork; restart() must pick up
+        # Workers snapshot parent memory at fork; sync() must pick up
         # parent-side mutations for the next map().
         state = {"offset": 0}
 
@@ -212,7 +212,7 @@ class TestCrashContainment:
             # Without a restart, live workers keep the old snapshot (the
             # parent-side serial path would see the new value, so only
             # assert the restart contract, not the stale read).
-            pool.restart()
+            pool.sync()
             assert pool.map(range(6)) == [x + 100 for x in range(6)]
 
 
@@ -269,7 +269,7 @@ class TestWorkersReaped:
         with WorkerPool(square_chunk, workers=2) as pool:
             pool.map(range(8))
             before = {child.pid for child in multiprocessing.active_children()}
-            pool.restart()
+            pool.sync()
             assert multiprocessing.active_children() == []
             assert pool.map(range(8)) == [x * x for x in range(8)]
             after = {child.pid for child in multiprocessing.active_children()}

@@ -4,13 +4,7 @@ from http.client import RemoteDisconnected
 
 import pytest
 
-from repro.resilience import (
-    ChaosError,
-    ChaosInjector,
-    ChaosSpec,
-    FlakyBackend,
-)
-from repro.resilience.chaos import ChaosProxy
+from repro.resilience import ChaosError, ChaosInjector, ChaosSpec
 
 
 class TestSpecParsing:
@@ -117,82 +111,3 @@ class TestTransportFaults:
         hook = injector.transport_hook()
         with pytest.raises(ConnectionResetError):
             hook()
-
-
-class _Recorder:
-    """A minimal backend-shaped object."""
-
-    name = "recorder"
-    cache = None
-
-    def __init__(self):
-        self.calls = []
-        self.closed = False
-
-    def map(self, archs):
-        self.calls.append(tuple(archs))
-        return [a * 2 for a in archs]
-
-    def sync(self):
-        return "synced"
-
-    def stats(self):
-        return {"batches": len(self.calls)}
-
-    def close(self):
-        self.closed = True
-
-
-class TestFlakyBackend:
-    def test_zero_rate_spec_delegates_bit_identically(self):
-        inner = _Recorder()
-        flaky = FlakyBackend(inner, spec=ChaosSpec.parse("seed=9"))
-        assert flaky.map([1, 2, 3]) == [2, 4, 6]
-        assert flaky.evaluate_many([4]) == [8]
-        assert inner.calls == [(1, 2, 3), (4,)]
-        assert flaky.sync() == "synced"
-
-    def test_injected_error_propagates_before_dispatch(self):
-        inner = _Recorder()
-        flaky = FlakyBackend(
-            inner, spec=ChaosSpec.parse("seed=0,error=1.0")
-        )
-        with pytest.raises(ChaosError):
-            flaky.map([1])
-        assert inner.calls == []
-
-    def test_stats_carry_the_chaos_snapshot(self):
-        flaky = FlakyBackend(_Recorder(), spec=ChaosSpec.parse("seed=0"))
-        flaky.map([1])
-        stats = flaky.stats()
-        assert stats["backend"] == "flaky[recorder]"
-        assert stats["chaos"]["dispatches"] == 1
-
-    def test_close_closes_inner(self):
-        inner = _Recorder()
-        with FlakyBackend(inner, spec=ChaosSpec.parse("seed=0")):
-            pass
-        assert inner.closed
-
-    def test_exactly_one_of_spec_or_injector(self):
-        spec = ChaosSpec.parse("seed=0")
-        with pytest.raises(ValueError):
-            FlakyBackend(_Recorder())
-        with pytest.raises(ValueError):
-            FlakyBackend(
-                _Recorder(), spec=spec, injector=spec.injector()
-            )
-
-
-class TestChaosProxy:
-    def test_faults_in_front_of_the_client(self):
-        class Client:
-            def request_raw(self, method, path, body=None):
-                return 200, b"ok"
-
-        proxy = ChaosProxy(
-            Client(), spec=ChaosSpec.parse("seed=0,fail_first=1")
-        )
-        with pytest.raises(ConnectionResetError):
-            proxy.request_raw("GET", "/healthz")
-        assert proxy.request_raw("GET", "/healthz") == (200, b"ok")

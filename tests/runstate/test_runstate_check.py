@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.runstate import RunDir, RunStateError
 from repro.runstate.manifest import MANIFEST_NAME
 
@@ -72,3 +73,13 @@ class TestCheckRunDir:
 
     def test_findings_name_the_run_dir_component(self, tmp_path):
         assert str(tmp_path / "nope") in _resume_error(tmp_path / "nope")
+
+
+class TestRunDirCli:
+    """The retired ``--run-dir`` audit is the resume itself."""
+
+    def test_missing_run_dir_is_one_line_error(self, capsys):
+        assert repro_main(["shrink", "--resume", "no/such/run"]) == 2
+        err = capsys.readouterr().err
+        assert "does not exist" in err
+        assert err.count("\n") == 1

@@ -4,8 +4,7 @@ each invariant now lives (docs/static_analysis.md, "Retired rules").
 An encoding is checked by ``SearchSpace.contains``; a shrink plan by
 ``validate_stage_layers``, which ``HSCoNAS`` calls before stage 1
 profiles a single LUT cell. Geometry is derived from the config alone,
-so RD204's cases are the unit test in ``tests/space/test_geometry.py``,
-collected here under their former class name as well.
+so RD204's cases are ``TestStagePlan`` in ``tests/space/test_geometry.py``.
 """
 
 import pytest
@@ -14,8 +13,6 @@ from repro.core import EvolutionConfig, HSCoNAS, HSCoNASConfig
 from repro.core.shrinking import default_stage_layers, validate_stage_layers
 from repro.hardware import MeasurementLedger, get_device
 from repro.space import Architecture, SearchSpace, imagenet_a, imagenet_b, mini, proxy
-
-from tests.space.test_geometry import TestStagePlan as TestSpaceConsistency  # noqa: F401
 
 
 @pytest.fixture(scope="module")
