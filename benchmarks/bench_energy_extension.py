@@ -9,8 +9,6 @@ rail), and the EA searches under latency target *and* energy budget
 simultaneously.
 """
 
-import pytest
-
 from repro.core import (
     EvolutionConfig,
     EvolutionarySearch,

@@ -9,8 +9,6 @@ same accuracy model — the dynamic scheme must find a better
 accuracy/latency trade-off, which is the figure's point.
 """
 
-import pytest
-
 from repro.core import (
     EvolutionConfig,
     EvolutionarySearch,

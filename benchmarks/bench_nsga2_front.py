@@ -7,8 +7,6 @@ evaluations) matches the quality of five independent Eq. 1 searches
 (5000 evaluations) at their respective targets.
 """
 
-import pytest
-
 from repro.core import (
     EvolutionConfig,
     EvolutionarySearch,

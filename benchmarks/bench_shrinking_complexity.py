@@ -8,8 +8,6 @@ extrapolating the 4-layer arithmetic, plus checking that the cheap
 procedure reaches a near-equal-quality subspace.
 """
 
-import pytest
-
 from repro.core import (
     JointShrinking,
     Objective,

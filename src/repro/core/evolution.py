@@ -200,10 +200,11 @@ class EvolutionarySearch(GenerationalSearch):
 
     def _record(self, gen: int, population: List[EvaluatedArch]) -> None:
         record = GenerationRecord(gen, population)
+        best = record.best
         if gen == 0:
-            self._result = SearchResult(best=record.best)
-        elif record.best.score > self._result.best.score:
-            self._result.best = record.best
+            self._result = SearchResult(best=best)
+        elif best.score > self._result.best.score:
+            self._result.best = best
         self._result.generations.append(record)
 
     def _state(self, next_generation: int) -> dict:

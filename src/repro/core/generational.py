@@ -16,17 +16,20 @@ hooks: ``_initial_archs(rng)``, ``_select(population)``,
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import streams
 from repro.core.cache import EvaluationCache
 from repro.runstate.rng import generator_state, set_generator_state
 from repro.space.architecture import Architecture
 from repro.space.search_space import SearchSpace, pick
-from repro.streams import decoded_draws
 
 CHECKPOINT_FORMAT = 1
+
+_MASK32 = 0xFFFFFFFF
 
 
 class GenerationalSearch:
@@ -111,31 +114,132 @@ class GenerationalSearch:
         the space are redrawn. If dedup starves the search (tiny shrunk
         spaces), uniform samples fill the rest.
 
-        The genetic operators draw through :func:`decoded_draws`, which
-        leaves ``rng`` exactly where numpy's own calls would.
+        A ``PCG64`` generator on the fast path is bred by :meth:`_scan`,
+        any other by numpy's calls: the same children and final state.
         """
         cfg = self.config
         needed = cfg.population_size - len(parents)
         archs = [p.arch for p in parents]
         seen = {arch.key() for arch in archs}
-        children: List[Architecture] = []
-        attempts = 0
-        with decoded_draws(rng) as draws:
-            while len(children) < needed and attempts < needed * 40:
-                attempts += 1
-                child = archs[int(draws.integers(len(archs)))]
-                if draws.random() < cfg.crossover_prob and len(archs) > 1:
-                    other = archs[int(draws.integers(len(archs)))]
-                    child = self._crossover(child, other, draws)
-                if draws.random() < cfg.mutation_prob:
-                    child = self._mutate(child, draws)
+        if streams.FAST_PATH and type(rng.bit_generator) is np.random.PCG64:
+            children = self._scan(archs, seen, needed, rng.bit_generator)
+        else:
+            children = []
+            for _ in range(needed * 40):
+                child = archs[int(rng.integers(len(archs)))]
+                if rng.random() < cfg.crossover_prob and len(archs) > 1:
+                    other = archs[int(rng.integers(len(archs)))]
+                    child = self._crossover(child, other, rng)
+                if rng.random() < cfg.mutation_prob:
+                    child = self._mutate(child, rng)
                 key = child.key()
                 if key in seen or not self.space.contains(child):
                     continue
                 seen.add(key)
                 children.append(child)
+                if len(children) == needed:
+                    break
         if len(children) < needed:
             children += self.space.sample_many(rng, needed - len(children))
+        return children
+
+    def _scan(
+        self, archs: list, seen: set, needed: int, bit_generator: np.random.PCG64
+    ) -> List[Architecture]:
+        """:meth:`_breed`'s numpy calls as one scan over raw words, as numpy
+        decodes them: ``random()`` is the next word's double; ``integers(n)``
+        maps the buffered high half, else the next word's low half (its
+        high half buffered), by Lemire's multiply-shift, redrawn while the
+        low word is below ``2**32 % n``. A parent copy (no crossover,
+        no mutation hit) builds no key. The generator is synced however
+        the scan ends."""
+        cfg = self.config
+        space = self.space
+        count = len(archs)
+        parent_limit = (1 << 32) % count  # numpy's (2**32 - n) % n
+        cross = cfg.crossover_prob if count > 1 else -1.0
+        per_layer = cfg.per_layer_mutation_prob
+        # Genes in draw order: each layer's operator, then its factor.
+        genes = [c for pair in zip(space.candidate_ops, space.candidate_factors)
+                 for c in pair]
+        layers = space.num_layers
+        reserve = 4 * layers + 4  # an attempt's words, Lemire redraws aside
+        start = bit_generator.state
+        has_half, half = start["has_uint32"], start["uinteger"]
+        words, doubles = [], []  # raw words, and the double of each
+        read = functools.partial(
+            streams.read_block, bit_generator, words, doubles, reserve
+        )
+        pos, last = 0, -1  # an attempt or a redraw at ``pos <= last`` fits
+        children: List[Architecture] = []
+        try:
+            for _ in range(needed * 40):
+                if pos > last:
+                    last = read() - reserve
+                product = 0
+                while count > 1:
+                    if has_half:
+                        has_half, product = 0, half * count
+                    else:
+                        word = words[pos]
+                        pos, half, has_half = pos + 1, word >> 32, 1
+                        product = (word & _MASK32) * count
+                    if product & _MASK32 >= parent_limit:
+                        break
+                    last = read() - reserve if pos > last else last
+                child = archs[product >> 32]
+                ops, factors = child.ops, child.factors
+                changed = doubles[pos] < cross
+                pos += 1
+                if changed:
+                    while True:
+                        if has_half:
+                            has_half, product = 0, half * count
+                        else:
+                            word = words[pos]
+                            pos, half, has_half = pos + 1, word >> 32, 1
+                            product = (word & _MASK32) * count
+                        if product & _MASK32 >= parent_limit:
+                            break
+                        last = read() - reserve if pos > last else last
+                    other = archs[product >> 32]
+                    take = doubles[pos : pos + layers]
+                    pos += layers
+                    ops = [a if t < 0.5 else b for t, a, b in zip(take, ops, other.ops)]
+                    factors = [a if t < 0.5 else b
+                               for t, a, b in zip(take, factors, other.factors)]
+                pos += 1
+                if doubles[pos - 1] < cfg.mutation_prob:
+                    for gene, cands in enumerate(genes):
+                        pos += 1
+                        if doubles[pos - 1] >= per_layer:
+                            continue
+                        n, product = len(cands), 0
+                        while n > 1:
+                            if has_half:
+                                has_half, product = 0, half * n
+                            else:
+                                word = words[pos]
+                                pos, half, has_half = pos + 1, word >> 32, 1
+                                product = (word & _MASK32) * n
+                            if product & _MASK32 >= (1 << 32) % n:
+                                break
+                            last = read() - reserve if pos > last else last
+                        if not changed:
+                            ops, factors, changed = list(ops), list(factors), True
+                        genome = factors if gene & 1 else ops
+                        genome[gene >> 1] = cands[product >> 32]
+                if not changed or (key := (tuple(ops), tuple(factors))) in seen:
+                    continue
+                arch = Architecture.from_candidates(*key)
+                if not space.contains(arch):
+                    continue
+                seen.add(key)
+                children.append(arch)
+                if len(children) == needed:
+                    break
+        finally:
+            streams.sync(bit_generator, start, pos, has_half, half)
         return children
 
     # -- bookkeeping ---------------------------------------------------------------

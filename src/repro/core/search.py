@@ -15,6 +15,7 @@ Given a target device and latency constraint ``T``, the pipeline
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -367,8 +368,9 @@ class HSCoNAS:
 
     # -- tabular replay -----------------------------------------------------------
 
-    def _replay_objective(self) -> Objective:
-        """The Eq. 1 objective scored from a prebuilt tabular artifact.
+    def _replay(self) -> Tuple[Objective, TabularBackend]:
+        """The Eq. 1 objective scored from a prebuilt tabular artifact,
+        and the backend that scores a batch from one row lookup.
 
         Loading verifies the artifact's schema, checksums, and space
         fingerprint (:mod:`repro.tabular.artifact`), so a wrong-space
@@ -392,8 +394,10 @@ class HSCoNAS:
                 f"{space_cardinality(self.space)} architectures — "
                 "rebuild with num_archs=None"
             )
-        return TabularEvaluator(table, device=cfg.table_device).objective(
-            cfg.target_ms, cfg.beta
+        evaluator = TabularEvaluator(table, device=cfg.table_device)
+        objective = evaluator.objective(cfg.target_ms, cfg.beta)
+        return objective, TabularBackend(
+            functools.partial(evaluator.evaluate_many, objective)
         )
 
     # -- run steps: stage 1 + objective, space shrinking -------------------------
@@ -410,8 +414,7 @@ class HSCoNAS:
         """
         cfg = self.config
         if cfg.backend == "tabular":
-            objective = self._replay_objective()
-            return None, objective, TabularBackend(objective.evaluate_many)
+            return (None, *self._replay())
         predictor = self.checkpointed_predictor(run_state)
         objective = Objective(
             accuracy_fn=self.surrogate.proxy_accuracy,

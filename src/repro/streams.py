@@ -21,11 +21,10 @@ bulk:
   ``integers(1)`` consumes nothing. Larger bounds, and any run in which
   a lane hits a Lemire rejection (probability about ``b / 2**32``),
   take numpy's own scalar path from the saved state.
-* :func:`decoded_draws` hands out a :class:`DrawDecoder`, which serves
-  the same calls, in the order they are made, from chunks of raw words
-  (the same half-buffering and Lemire mapping, rejections redrawn
-  inline) and on close puts the generator exactly where numpy's calls
-  would have left it.
+* :func:`read_block` and :func:`sync` serve a scan that decodes
+  interleaved calls itself (``GenerationalSearch._scan``): raw words
+  with each word's double decoded in one array step, then the generator
+  put where numpy's calls would have left it.
 * :func:`seeded_normals` gives each item's
   ``standard_normal(k)`` as one ``(n, k)`` array. ``SeedSequence``'s
   uint32 hash, ``PCG64``'s 128-bit seeding and its LCG steps with
@@ -39,7 +38,7 @@ bulk:
 
 Values, and the generator state each leaves behind (checkpoints save
 it), are exactly numpy's. On import a small self-check compares the
-decoders and the seeding against numpy; the ziggurat tables are checked
+decoders, a scan and the seeding against numpy; the ziggurat tables are checked
 when first read. On any mismatch (a numpy release that changed a
 stream) the module logs one warning and falls back to numpy's own
 per-item calls, so results stay exact and only speed is lost.
@@ -49,7 +48,6 @@ whether the ziggurat fast lane is.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import threading
@@ -80,6 +78,7 @@ _HALF = np.uint64(32)
 _TWO_32 = np.uint64(1 << 32)
 _TWO_32_INT = 1 << 32
 _DOUBLE_UNIT = 2.0**-53
+_DOUBLE_SHIFT = np.uint64(11)
 _MASK64 = (1 << 64) - 1
 _ONE = np.uint64(1)
 _TOP_BIT = np.uint64(63)
@@ -96,11 +95,11 @@ _RABS_BITS = 9
 _RABS_SHIFT = np.uint64(_RABS_BITS)
 _MASK52 = np.uint64((1 << 52) - 1)
 
-# Raw words a DrawDecoder pulls at a time. A generation of breeding at
-# the paper's settings reads about 1,300; the unread rest of the last
-# chunk is given back on close, so a larger chunk only costs its
-# ``tolist``.
-_DRAW_CHUNK = 512
+# Raw words :func:`read_block` reads at least. A generation of breeding
+# at the paper's settings reads about 1,300; :func:`sync` gives back
+# the unread rest of the last block, so a larger block costs only its
+# decoding.
+_SCAN_BLOCK = 512
 
 
 # -- bounded draws --------------------------------------------------------------
@@ -167,111 +166,33 @@ def _decode_bounded(
     return out
 
 
-# -- decoded draws --------------------------------------------------------------------
+# -- raw-word scans -------------------------------------------------------------------
 
 
-class DrawDecoder:
-    """``random()``, ``random(k)`` and ``integers(n)`` served in call
-    order from chunks of one ``PCG64``'s raw 64-bit outputs.
-
-    A double is ``(w >> 11) * 2**-53`` of a fresh word, leaving any
-    buffered half alone. A bounded draw (``1 <= n <= 2**32``) takes a
-    32-bit half: the buffered high half if there is one, else the low
-    half of a fresh word, buffering its high half; Lemire's
-    multiply-shift maps it, redrawing exactly as numpy does.
-    ``integers(1)`` consumes nothing. Draws come back as Python
-    ``int``/``float`` and ``random(k)`` as a list; the values are
-    numpy's. :meth:`close` leaves the generator where numpy's own calls
-    would have.
-    """
-
-    __slots__ = ("_bit_generator", "_start", "_words", "_pos", "_base",
-                 "_has_half", "_half")
-
-    def __init__(self, bit_generator: np.random.PCG64):
-        self._bit_generator = bit_generator
-        self._start = bit_generator.state
-        self._words: List[int] = []
-        self._pos = 0
-        self._base = 0  # words in the chunks before ``_words``
-        self._has_half = self._start["has_uint32"]
-        self._half = self._start["uinteger"]
-
-    def _refill(self) -> None:
-        self._base += len(self._words)
-        self._words = self._bit_generator.random_raw(_DRAW_CHUNK).tolist()
-        self._pos = 0
-
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._refill()
-        word = self._words[self._pos]
-        self._pos += 1
-        return word
-
-    def random(self, size: Optional[int] = None):
-        """``Generator.random()`` (a float) or ``random(size)`` (a list)."""
-        if size is None:  # ``_word`` inlined: breeding's hottest call
-            pos = self._pos
-            if pos == len(self._words):
-                self._refill()
-                pos = 0
-            self._pos = pos + 1
-            return (self._words[pos] >> 11) * _DOUBLE_UNIT
-        end = self._pos + size
-        if end <= len(self._words):
-            words = self._words[self._pos : end]
-            self._pos = end
-        else:
-            words = [self._word() for _ in range(size)]
-        return [(w >> 11) * _DOUBLE_UNIT for w in words]
-
-    def integers(self, n: int) -> int:
-        """``Generator.integers(n)`` for ``1 <= n <= 2**32``."""
-        if n == 1:
-            return 0
-        if not 1 < n <= _TWO_32_INT:
-            raise ValueError(f"bound {n} outside [1, 2**32]")
-        while True:
-            if self._has_half:
-                self._has_half = 0
-                half = self._half
-            else:
-                word = self._word()
-                half = word & _MASK32
-                self._half = word >> 32
-                self._has_half = 1
-            scaled = half * n
-            low = scaled & _MASK32
-            # numpy redraws when the low word falls below (2**32 - n) % n.
-            if low >= n or low >= (_TWO_32_INT - n) % n:
-                return scaled >> 32
-
-    def close(self) -> None:
-        """Put the generator where numpy's own draws would have left it."""
-        bit_generator = self._bit_generator
-        bit_generator.state = self._start
-        bit_generator.advance(self._base + self._pos)
-        state = bit_generator.state
-        state["has_uint32"] = self._has_half
-        # numpy keeps the last buffered high half even once consumed.
-        state["uinteger"] = self._half
-        bit_generator.state = state
+def read_block(
+    bit_generator: np.random.PCG64, words: List[int], doubles: List[float], size: int
+) -> int:
+    """Append ``max(size, _SCAN_BLOCK)`` raw outputs to ``words``, and
+    the ``random()`` double of each, ``(w >> 11) * 2**-53``, decoded in
+    one array step, to ``doubles``; return the new length."""
+    raw = bit_generator.random_raw(max(size, _SCAN_BLOCK))
+    words += raw.tolist()
+    doubles += ((raw >> _DOUBLE_SHIFT) * _DOUBLE_UNIT).tolist()
+    return len(words)
 
 
-@contextlib.contextmanager
-def decoded_draws(rng: np.random.Generator):
-    """A :class:`DrawDecoder` over ``rng`` for the ``with`` block, closed
-    on exit, or ``rng`` itself when it is not ``PCG64`` or the fast path
-    is off. Draw only through the yielded object inside the block."""
-    if not FAST_PATH or type(rng.bit_generator) is not np.random.PCG64:
-        yield rng
-        return
-    decoder = DrawDecoder(rng.bit_generator)
-    try:
-        yield decoder
-    finally:
-        decoder.close()
+def sync(
+    bit_generator: np.random.PCG64, start: dict, consumed: int, has_half: int, half: int
+) -> None:
+    """Put ``bit_generator`` where numpy's calls would have left it: the
+    state ``start``, ``consumed`` words on, buffering ``has_half``/
+    ``half`` (numpy keeps the last high half even once it is used)."""
+    bit_generator.state = start
+    bit_generator.advance(consumed)
+    state = bit_generator.state
+    state["has_uint32"] = has_half
+    state["uinteger"] = half
+    bit_generator.state = state
 
 
 # -- seeded normals -----------------------------------------------------------------
@@ -660,19 +581,33 @@ def _self_check() -> bool:
             return False
         if fast.integers(1 << 20) != slow.integers(1 << 20):
             return False
-    # A mixed run of decoded draws, starting with a buffered half.
-    fast = np.random.default_rng(2)
-    slow = np.random.default_rng(2)
+    # A scan's doubles (0 below) and bounded draws, from a buffered half
+    # on; about half the halves for 2**31 + 1 are redrawn.
+    fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     fast.integers(5)
     slow.integers(5)
-    draws = DrawDecoder(fast.bit_generator)
-    decoded = [draws.integers(7), draws.random(), draws.integers(1)]
-    decoded += draws.random(3) + [draws.integers(1 << 32), draws.integers(3)]
-    draws.close()
-    expected = [int(slow.integers(7)), slow.random(), int(slow.integers(1))]
-    expected += slow.random(3).tolist()
-    expected += [int(slow.integers(1 << 32)), int(slow.integers(3))]
-    if decoded != expected:
+    start = fast.bit_generator.state
+    has_half, half = start["has_uint32"], start["uinteger"]
+    calls = [7, 0, 1, 0, 0, 0, 1 << 32, 3, (1 << 31) + 1] * 40
+    words, doubles = [], []
+    read_block(fast.bit_generator, words, doubles, 2 * len(calls))
+    scanned, pos = [], 0
+    for n in calls:
+        product = 0
+        while n > 1:
+            if has_half:
+                has_half, product = 0, half * n
+            else:
+                half, has_half = words[pos] >> 32, 1
+                product = (words[pos] & _MASK32) * n
+                pos += 1
+            if product & _MASK32 >= (_TWO_32_INT - n) % n:
+                break
+        scanned.append(product >> 32 if n else doubles[pos])
+        pos += n == 0
+    sync(fast.bit_generator, start, pos, has_half, half)
+    expected = [int(slow.integers(n)) if n else slow.random() for n in calls]
+    if scanned != expected:
         return False
     if fast.bit_generator.state != slow.bit_generator.state:
         return False

@@ -8,8 +8,8 @@ into the search stack as the ``eval_many_fn`` of a
 :class:`~repro.parallel.TabularBackend`:
 
 * EA / pipeline replay — build the Eq. 1 objective with
-  :meth:`TabularEvaluator.objective` and pass its ``evaluate_many`` to
-  the backend;
+  :meth:`TabularEvaluator.objective` and pass
+  :meth:`TabularEvaluator.evaluate_many` bound to it to the backend;
 * NSGA-II front replay — pass :meth:`bi_objective_many` directly.
 
 Untabulated architectures raise ``KeyError`` (from ``rows_of``): a
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.objective import Objective
+from repro.core.objective import EvaluatedArch, Objective
 from repro.space.architecture import Architecture
 from repro.tabular.table import TabularBenchmark
 
@@ -74,6 +74,24 @@ class TabularEvaluator:
     def latency_many(self, archs: Sequence[Architecture]) -> List[float]:
         rows = self.table.rows_of(archs)
         return [float(v) for v in self._latency[rows]]
+
+    def evaluate_many(
+        self, objective: Objective, archs: Sequence[Architecture]
+    ) -> List[EvaluatedArch]:
+        """``objective.evaluate_many(archs)`` for an :meth:`objective` of
+        this evaluator, both columns gathered through one row lookup."""
+        archs = list(archs)
+        rows = self.table.rows_of(archs)
+        score = objective.score_parts
+        return [
+            EvaluatedArch(
+                arch=arch, accuracy=accuracy, latency_ms=latency,
+                score=score(accuracy, latency),
+            )
+            for arch, accuracy, latency in zip(
+                archs, self._accuracy[rows].tolist(), self._latency[rows].tolist()
+            )
+        ]
 
     def bi_objective_many(self, archs: Sequence[Architecture]) -> List:
         """(latency, accuracy) points for NSGA-II, one gather per column."""

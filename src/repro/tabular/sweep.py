@@ -17,6 +17,7 @@ search it replaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -131,10 +132,9 @@ def run_scenario(
     oracle: bool = True,
 ) -> ScenarioResult:
     """Replay one evolutionary search against the table's columns."""
-    objective = TabularEvaluator(table, device=scenario.device).objective(
-        scenario.target_ms, beta
-    )
-    backend = TabularBackend(objective.evaluate_many)
+    evaluator = TabularEvaluator(table, device=scenario.device)
+    objective = evaluator.objective(scenario.target_ms, beta)
+    backend = TabularBackend(functools.partial(evaluator.evaluate_many, objective))
     try:
         result = EvolutionarySearch(
             table.space,
@@ -158,16 +158,15 @@ def run_scenario(
             oracle_accuracy = entry.accuracy
         except ValueError:
             oracle_accuracy = None
+    bests = result.best_per_generation()
     return ScenarioResult(
         scenario=scenario,
         best_accuracy=result.best.accuracy,
         best_latency_ms=result.best.latency_ms,
         best_score=result.best.score,
         num_evaluations=result.num_evaluations,
-        best_score_curve=[g.best.score for g in result.generations],
-        best_latency_curve=[
-            g.best.latency_ms for g in result.generations
-        ],
+        best_score_curve=[b.score for b in bests],
+        best_latency_curve=[b.latency_ms for b in bests],
         oracle_accuracy=oracle_accuracy,
     )
 

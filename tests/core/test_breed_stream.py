@@ -1,9 +1,9 @@
-"""Breeding through ``repro.streams.decoded_draws`` is numpy's breeding.
+"""Breeding by the raw-word scan is numpy's breeding.
 
 The reference below is ``GenerationalSearch``'s ``_breed``,
 ``_crossover`` and ``_mutate`` as they were written with numpy's own
-per-call draws. The decoded version must give the same children, leave
-the generator in the same ``bit_generator.state`` (``has_uint32`` and
+per-call draws. The scan must give the same children, leave the
+generator in the same ``bit_generator.state`` (``has_uint32`` and
 ``uinteger`` included, since checkpoints save it) and continue with the
 same next draw.
 """
@@ -148,15 +148,110 @@ def test_breed_without_fast_path_is_the_same(monkeypatch):
     assert check_breed(search, parents, seed=7, buffered=True) == fast
 
 
-def test_crossover_and_mutate_take_a_generator_or_a_decoder():
+def test_crossover_and_mutate_draw_from_a_generator():
     space = SPACES["a"]()
     search = make_search("ea", space, per_layer_mutation_prob=0.5)
     a, b = space.sample_many(np.random.default_rng(1), 2)
     for seed in range(10):
-        plain = np.random.default_rng(seed)
-        decoded = np.random.default_rng(seed)
-        with streams.decoded_draws(decoded) as draws:
-            assert isinstance(draws, streams.DrawDecoder)
-            assert search._crossover(a, b, draws) == search._crossover(a, b, plain)
-            assert search._mutate(a, draws) == search._mutate(a, plain)
-        assert_same_stream(decoded, plain)
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assert search._crossover(a, b, rng) == reference_crossover(a, b, reference)
+        assert search._mutate(a, rng) == reference_mutate(space, 0.5, a, reference)
+        assert_same_stream(rng, reference)
+
+
+def check_breed_at(search, parents, state):
+    """``check_breed`` from an arbitrary ``bit_generator.state``."""
+    new_rng = np.random.default_rng(0)
+    old_rng = np.random.default_rng(0)
+    new_rng.bit_generator.state = old_rng.bit_generator.state = state
+    children = search._breed(parents, new_rng)
+    assert children == reference_breed(search.space, search.config, parents, old_rng)
+    assert_same_stream(new_rng, old_rng)
+
+
+def test_breed_lemire_rejection():
+    """A buffered half of 0 is redrawn for ``integers(3)``: its product's
+    low word, 0, is below ``(2**32 - 3) % 3 = 1``."""
+    space = SPACES["mini"]()
+    search = make_search("ea", space, population_size=12, num_parents=3)
+    parents = parents_of(space, 3, 0)
+    state = np.random.default_rng(5).bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state
+    rng.integers(3)
+    # The buffered half was rejected and a fresh word's low half taken.
+    assert rng.bit_generator.state["has_uint32"] == 1
+    check_breed_at(search, parents, state)
+
+
+def test_breed_reads_across_blocks(monkeypatch):
+    """Blocks no longer than an attempt's reserve: every attempt and
+    redraw that reaches a block's end reads the next one."""
+    monkeypatch.setattr(streams, "_SCAN_BLOCK", 7)
+    for engine in ("ea", "nsga2"):
+        for name in sorted(SPACES):
+            space = SPACES[name]()
+            search = make_search(engine, space, population_size=24)
+            for seed in range(4):
+                parents = parents_of(space, 12, 700 + seed)
+                check_breed(search, parents, seed, buffered=seed % 2 == 1)
+
+
+def test_breed_reads_past_a_default_block(monkeypatch):
+    reads = []
+
+    def counted(bit_generator, words, doubles, size):
+        reads.append(size)
+        return read_block(bit_generator, words, doubles, size)
+
+    read_block = streams.read_block
+    monkeypatch.setattr(streams, "read_block", counted)
+    space = SPACES["a"]()
+    search = make_search("nsga2", space, population_size=60)
+    check_breed(search, parents_of(space, 30, 1), seed=2, buffered=True)
+    assert len(reads) >= 2
+
+
+def test_breed_syncs_the_generator_on_an_exception(monkeypatch):
+    """An exception out of the scan leaves the generator where the
+    per-call loop, stopped at the same point, leaves it."""
+    space = SPACES["mini"]()
+    search = make_search("ea", space, population_size=30, num_parents=10)
+    parents = parents_of(space, 10, 4)
+    contains = type(space).contains
+    calls = []
+
+    def failing(self, arch):
+        calls.append(arch)
+        if len(calls) % 7 == 0:
+            raise RuntimeError("stop")
+        return contains(self, arch)
+
+    monkeypatch.setattr(type(space), "contains", failing)
+    new_rng = np.random.default_rng(3)
+    old_rng = np.random.default_rng(3)
+    with pytest.raises(RuntimeError):
+        search._breed(parents, new_rng)
+    with pytest.raises(RuntimeError):
+        reference_breed(space, search.config, parents, old_rng)
+    assert calls[:7] == calls[7:]
+    assert_same_stream(new_rng, old_rng)
+
+
+def test_breed_on_other_bit_generators():
+    """A generator other than ``PCG64`` breeds through numpy's calls."""
+    space = SPACES["a-narrowed"]()
+    search = make_search("nsga2", space, population_size=20)
+    parents = parents_of(space, 10, 6)
+    for seed in range(3):
+        new_rng = np.random.Generator(np.random.MT19937(seed))
+        old_rng = np.random.Generator(np.random.MT19937(seed))
+        children = search._breed(parents, new_rng)
+        assert children == reference_breed(space, search.config, parents, old_rng)
+        new_state = new_rng.bit_generator.state["state"]
+        old_state = old_rng.bit_generator.state["state"]
+        assert np.array_equal(new_state["key"], old_state["key"])
+        assert new_state["pos"] == old_state["pos"]
+        assert new_rng.random() == old_rng.random()

@@ -7,7 +7,6 @@ restart that serves byte-identical responses from restored state
 without recomputing.
 """
 
-import json
 import os
 import signal
 import subprocess

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.space import (
     SearchSpace,
     architecture_to_index,
-    imagenet_a,
     index_to_architecture,
     proxy,
     space_cardinality,

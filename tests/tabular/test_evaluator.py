@@ -32,6 +32,13 @@ class TestGathers:
         assert ev.latency_many(archs) == [ev.latency(a) for a in archs]
         assert ev.accuracy_many(archs) == [ev.accuracy(a) for a in archs]
 
+    def test_evaluate_many_matches_the_objective(self, micro_table, archs):
+        ev = TabularEvaluator(micro_table, device="gpu")
+        objective = ev.objective(target_ms=2.0, beta=-0.5)
+        batched = ev.evaluate_many(objective, archs)
+        assert batched == objective.evaluate_many(archs)
+        assert [type(e.score) for e in batched] == [float] * len(archs)
+
     def test_bi_objective_many(self, micro_table, archs):
         ev = TabularEvaluator(micro_table, device="edge")
         points = ev.bi_objective_many(archs)
