@@ -24,7 +24,8 @@ bulk:
 * :func:`read_block` and :func:`sync` serve a scan that decodes
   interleaved calls itself (``GenerationalSearch._scan``): raw words
   with each word's double decoded in one array step, then the generator
-  put where numpy's calls would have left it.
+  put where numpy's calls would have left it. :func:`scan_draws` is
+  that decoding for a plain list of calls.
 * :func:`seeded_normals` gives each item's
   ``standard_normal(k)`` as one ``(n, k)`` array. ``SeedSequence``'s
   uint32 hash, ``PCG64``'s 128-bit seeding and its LCG steps with
@@ -194,6 +195,40 @@ def sync(
     state["uinteger"] = half
     bit_generator.state = state
 
+
+
+def scan_draws(bit_generator: np.random.PCG64, calls) -> list:
+    """``[rng.integers(n) if n else rng.random() for n in calls]``
+    (``0 <= n <= 2**32``) decoded as a scan does it: blocks from
+    :func:`read_block`, ``integers(n)`` from the buffered high half,
+    else the next word's low half, by Lemire's multiply-shift and its
+    redraw, and :func:`sync` however the scan ends. The breeding scan
+    inlines this loop; the self-check and the tests run it."""
+    start = bit_generator.state
+    has_half, half = start["has_uint32"], start["uinteger"]
+    words, doubles = [], []
+    out, pos, last = [], 0, -1  # a draw or a redraw at ``pos <= last`` fits
+    try:
+        for n in calls:
+            if pos > last:
+                last = read_block(bit_generator, words, doubles, 1) - 1
+            product = 0
+            while n > 1:
+                if has_half:
+                    has_half, product = 0, half * n
+                else:
+                    word = words[pos]
+                    pos, half, has_half = pos + 1, word >> 32, 1
+                    product = (word & _MASK32) * n
+                if product & _MASK32 >= (_TWO_32_INT - n) % n:
+                    break
+                if pos > last:
+                    last = read_block(bit_generator, words, doubles, 1) - 1
+            out.append(product >> 32 if n else doubles[pos])
+            pos += n == 0
+    finally:
+        sync(bit_generator, start, pos, has_half, half)
+    return out
 
 # -- seeded normals -----------------------------------------------------------------
 
@@ -586,26 +621,8 @@ def _self_check() -> bool:
     fast, slow = np.random.default_rng(2), np.random.default_rng(2)
     fast.integers(5)
     slow.integers(5)
-    start = fast.bit_generator.state
-    has_half, half = start["has_uint32"], start["uinteger"]
     calls = [7, 0, 1, 0, 0, 0, 1 << 32, 3, (1 << 31) + 1] * 40
-    words, doubles = [], []
-    read_block(fast.bit_generator, words, doubles, 2 * len(calls))
-    scanned, pos = [], 0
-    for n in calls:
-        product = 0
-        while n > 1:
-            if has_half:
-                has_half, product = 0, half * n
-            else:
-                half, has_half = words[pos] >> 32, 1
-                product = (words[pos] & _MASK32) * n
-                pos += 1
-            if product & _MASK32 >= (_TWO_32_INT - n) % n:
-                break
-        scanned.append(product >> 32 if n else doubles[pos])
-        pos += n == 0
-    sync(fast.bit_generator, start, pos, has_half, half)
+    scanned = scan_draws(fast.bit_generator, calls)
     expected = [int(slow.integers(n)) if n else slow.random() for n in calls]
     if scanned != expected:
         return False

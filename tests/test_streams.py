@@ -355,6 +355,52 @@ def test_other_bit_generators_take_the_scalar_path():
     assert fast.random(5).tolist() == slow.random(5).tolist()
 
 
+# -- scan_draws --------------------------------------------------------------------
+
+
+def check_scanned(seed, calls, buffered=False):
+    """``scan_draws`` decodes ``calls`` (``0`` is ``random()``, ``n``
+    is ``integers(n)``) as numpy draws them."""
+    fast = np.random.default_rng(seed)
+    slow = np.random.default_rng(seed)
+    if buffered:  # start with a high half in has_uint32/uinteger
+        assert fast.integers(7) == slow.integers(7)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    scanned = streams.scan_draws(fast.bit_generator, calls)
+    assert scanned == [int(slow.integers(n)) if n else slow.random() for n in calls]
+    assert_same_generator(fast, slow)
+
+
+def _redrawn_once(seed, bound):
+    """Whether ``integers(bound)``'s first draw from ``seed`` takes two
+    halves: from an even start an accepted half leaves the fresh word's
+    high half buffered, and one redraw consumes it."""
+    rng = np.random.default_rng(seed)
+    rng.integers(bound)
+    return rng.bit_generator.state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("bound", [3 << 30, (1 << 31) + 1])
+def test_decoded_lemire_rejection(bound):
+    """Bounds near 2**32 where numpy redraws a quarter and a half of the
+    halves: seeds whose first draw is redrawn decode exactly."""
+    redrawn = [seed for seed in range(64) if _redrawn_once(seed, bound)]
+    assert redrawn
+    for seed in redrawn[:5]:
+        for buffered in (False, True):
+            check_scanned(seed, [bound] * 3 + [0], buffered)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_decoded_chunk_refills(monkeypatch, chunk):
+    """Draws and redraws that straddle block boundaries."""
+    monkeypatch.setattr(streams, "_SCAN_BLOCK", chunk)
+    rng = np.random.default_rng(4)
+    for seed in range(20):
+        calls = rng.choice([0, 0, 1, 2, 9, 3 << 30], size=60).tolist()
+        check_scanned(seed, calls, buffered=seed % 2 == 1)
+
+
 # -- consumers ---------------------------------------------------------------------
 
 
